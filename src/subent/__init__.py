@@ -11,14 +11,7 @@ which the numerical pipeline can be verified.
 """
 
 from .errors import InputError, NumericalError, SubentError
-from .linalg import (
-    RankDeficiencyWarning,
-    adjoint,
-    gram_schmidt,
-    hermitian_eigenvalues,
-    hs_inner,
-    multiply,
-)
+from .linalg import RankDeficiencyWarning, gram_schmidt, hermitian_eigenvalues
 from .spaces import (
     Factorization,
     Projector,
@@ -83,9 +76,6 @@ __all__ = [
     "InputError",
     "NumericalError",
     "RankDeficiencyWarning",
-    "multiply",
-    "adjoint",
-    "hs_inner",
     "hermitian_eigenvalues",
     "gram_schmidt",
     "Factorization",

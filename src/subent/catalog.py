@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InputError
 from .schmidt import Measures, SchmidtString
-from .spaces import Factorization, Projector, SubspaceBasis
+from .spaces import Factorization, Projector, SubspaceBasis, is_integer
 
 SPIN_STRING_LENGTH = 4
 
@@ -41,7 +41,7 @@ def antisymmetric_subspace(n: int) -> SubspaceBasis:
     Spanned by (e_k e_l - e_l e_k) / sqrt(2) for k < l; dimension n(n-1)/2.
     Requires n >= 2.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
+    if not is_integer(n) or n < 2:
         raise InputError(f"antisymmetric subspace needs integer n >= 2, got {n!r}")
     n = int(n)
     f = Factorization(n, n)
@@ -63,7 +63,7 @@ def symmetric_subspace(n: int) -> SubspaceBasis:
     Spanned by e_k e_k together with (e_k e_l + e_l e_k) / sqrt(2) for k < l;
     dimension n(n+1)/2.  Requires n >= 1.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+    if not is_integer(n) or n < 1:
         raise InputError(f"symmetric subspace needs integer n >= 1, got {n!r}")
     n = int(n)
     f = Factorization(n, n)
@@ -88,7 +88,7 @@ def antisym_string_closed(n: int) -> SchmidtString:
     One entry (n-1)^2 / (2n(n-1)) followed by n^2 - 1 entries of
     1 / (2n(n-1)); length n^2.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
+    if not is_integer(n) or n < 2:
         raise InputError(f"antisymmetric string needs integer n >= 2, got {n!r}")
     n = int(n)
     denom = 2.0 * n * (n - 1)
@@ -103,7 +103,7 @@ def sym_string_closed(n: int) -> SchmidtString:
     One entry (n+1)^2 / (2n(n+1)) followed by n^2 - 1 entries of
     1 / (2n(n+1)); length n^2.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+    if not is_integer(n) or n < 1:
         raise InputError(f"symmetric string needs integer n >= 1, got {n!r}")
     n = int(n)
     denom = 2.0 * n * (n + 1)
@@ -122,11 +122,7 @@ class SpinLabel:
     two_j: int
 
     def __post_init__(self) -> None:
-        if (
-            not isinstance(self.two_j, (int, np.integer))
-            or isinstance(self.two_j, bool)
-            or self.two_j < 1
-        ):
+        if not is_integer(self.two_j) or self.two_j < 1:
             raise InputError(f"two_j must be an integer >= 1, got {self.two_j!r}")
         object.__setattr__(self, "two_j", int(self.two_j))
 
@@ -244,10 +240,7 @@ def closed_measures(family: str, parameter: int) -> Measures:
     """
     if family not in FAMILIES:
         raise InputError(f"unknown family {family!r}, expected one of {FAMILIES}")
-    if (
-        not isinstance(parameter, (int, np.integer))
-        or isinstance(parameter, bool)
-    ):
+    if not is_integer(parameter):
         raise InputError(f"parameter must be an integer, got {parameter!r}")
     p = int(parameter)
     if family == "antisym":
@@ -340,7 +333,7 @@ def hydrogen_level(n: int) -> HydrogenLevel:
     branch first.  The l = 0 space is an unentangled doublet with string
     (1, 0, 0, 0).
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+    if not is_integer(n) or n < 1:
         raise InputError(f"hydrogen level needs integer n >= 1, got {n!r}")
     n = int(n)
     entries: list[HydrogenEntry] = []

@@ -40,13 +40,9 @@ from .io import (
 )
 from .linalg import gram_schmidt
 from .majorization import compare, sort_chain
-from .schmidt import (
-    DEFAULT_ZERO_THRESHOLD,
-    SchmidtString,
-    measures,
-    schmidt_string,
-)
+from .schmidt import SchmidtString, measures, schmidt_string
 from .spaces import Projector, SubspaceBasis, projector_from_basis
+from .tolerances import DEFAULT_COMPARE_TOL, DEFAULT_ZERO_THRESHOLD
 from .verify import verify_antisym, verify_hydrogen, verify_spin, verify_sym
 
 _FORMATS = click.Choice(["json", "csv", "table"])
@@ -191,7 +187,7 @@ def _parse_compare_source(
 @click.option(
     "--tol",
     type=float,
-    default=1e-9,
+    default=DEFAULT_COMPARE_TOL,
     show_default=True,
     help="Absolute tolerance on partial sum comparisons.",
 )
@@ -366,15 +362,17 @@ def cmd_hydrogen(n: int, fmt: str) -> None:
 )
 def cmd_verify(family: str, max_n: int | None, max_two_j: int) -> int:
     """Recompute catalog strings numerically and diff against closed forms."""
+    # an unset --max-n keeps each family's own default range
+    n_range = {} if max_n is None else {"max_n": max_n}
     reports = []
     if family in ("all", "antisym"):
-        reports.append(verify_antisym(max_n=max_n or 12))
+        reports.append(verify_antisym(**n_range))
     if family in ("all", "sym"):
-        reports.append(verify_sym(max_n=max_n or 12))
+        reports.append(verify_sym(**n_range))
     if family in ("all", "spin"):
         reports.append(verify_spin(max_two_j=max_two_j))
     if family in ("all", "hydrogen"):
-        reports.append(verify_hydrogen(max_n=max_n or 8))
+        reports.append(verify_hydrogen(**n_range))
 
     failed = False
     for report in reports:

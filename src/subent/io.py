@@ -21,7 +21,13 @@ import numpy as np
 
 from .errors import InputError
 from .schmidt import Measures, SchmidtString
-from .spaces import Factorization, Projector, ProjectorReport, SubspaceBasis
+from .spaces import (
+    Factorization,
+    Projector,
+    ProjectorReport,
+    SubspaceBasis,
+    is_integer,
+)
 
 JSON_DIGITS = ".17g"
 TABLE_DIGITS = ".12g"
@@ -54,7 +60,7 @@ def _parse_int(data: dict, key: str) -> int:
     if key not in data:
         raise InputError(f"missing required key {key!r}")
     value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_integer(value):
         raise InputError(f"{key} must be an integer, got {value!r}")
     if value < 1:
         raise InputError(f"{key} must be >= 1, got {value}")

@@ -12,10 +12,7 @@ import warnings
 import numpy as np
 
 from .errors import InputError, NumericalError
-
-HERMITICITY_TOL = 1e-10
-DROP_TOL = 1e-10
-EIGENVALUE_SUM_TOL = 1e-10
+from .tolerances import DROP_TOL, EIGENVALUE_SUM_TOL, HERMITICITY_TOL
 
 
 class RankDeficiencyWarning(UserWarning):
@@ -32,33 +29,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise InputError(f"{name} contains non-finite entries")
     return m
-
-
-def multiply(a, b) -> np.ndarray:
-    """Matrix product a @ b, rejecting incompatible shapes."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise InputError(
-            f"cannot multiply shapes {a.shape} and {b.shape}: "
-            f"inner dimensions {a.shape[1]} != {b.shape[0]}"
-        )
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a, "a").conj().T
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product Tr(a^dagger b) for same-shape matrices."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise InputError(f"shape mismatch: {a.shape} vs {b.shape}")
-    # vdot conjugates its first argument, which is exactly Tr(a^dagger b).
-    return complex(np.vdot(a, b))
 
 
 def hermitian_eigenvalues(h, tol: float = HERMITICITY_TOL) -> np.ndarray:

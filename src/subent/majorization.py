@@ -10,6 +10,7 @@ embedding behaviour of subspace strings.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -17,9 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .schmidt import SchmidtString, measures
-
-DEFAULT_COMPARE_TOL = 1e-9
-DEFAULT_MEASURE_SLACK = 1e-12
+from .tolerances import DEFAULT_COMPARE_TOL, DEFAULT_MEASURE_SLACK
 
 
 class Verdict(enum.Enum):
@@ -58,8 +57,10 @@ def compare(s, t, tol: float = DEFAULT_COMPARE_TOL) -> Verdict:
     are sorted and zero padded to a common length.  All partial sums of s at
     most those of t (within absolute `tol`) means s is more entangled; both
     directions holding means the strings are equal within tolerance; neither
-    means they are incomparable.
+    means they are incomparable.  `tol` must be finite and non-negative.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InputError(f"tol must be finite and >= 0, got {tol!r}")
     a, b = _padded_pair(s, t)
     ca, cb = np.cumsum(a), np.cumsum(b)
     s_below = bool(np.all(ca <= cb + tol))

@@ -28,14 +28,13 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .linalg import hermitian_eigenvalues
 from .spaces import Factorization, Projector
-
-DEFAULT_ZERO_THRESHOLD = 1e-10
-NEGATIVE_EIGENVALUE_FLOOR = 1e-10
-EIGENVALUE_SUM_TOL = 1e-8
-STRING_SUM_TOL = 1e-9
-REALIGN_NORM_TOL = 1e-10
-UNIT_TRACE_TOL = 1e-10
-VECTOR_NORM_TOL = 1e-8
+from .tolerances import (
+    DEFAULT_ZERO_THRESHOLD,
+    NEGATIVE_EIGENVALUE_FLOOR,
+    REALIGN_NORM_TOL,
+    STRING_SUM_TOL,
+    VECTOR_NORM_TOL,
+)
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,10 @@ class SchmidtString:
         if np.any(np.diff(p) > 0):
             raise InputError("probs must be sorted in non-increasing order")
         total = float(p.sum())
-        if abs(total - 1.0) > STRING_SUM_TOL:
-            raise InputError(f"probs sum to {total:.17g}, expected 1 within 1e-9")
+        if not abs(total - 1.0) <= STRING_SUM_TOL:  # also rejects NaN
+            raise InputError(
+                f"probs sum to {total:.17g}, expected 1 within {STRING_SUM_TOL:g}"
+            )
         k = int(np.count_nonzero(p))
         if self.k != k:
             raise InputError(f"k={self.k} does not match {k} positive entries")
@@ -81,18 +82,24 @@ class SchmidtString:
     ) -> "SchmidtString":
         """Build a string from raw probabilities.
 
-        Sorts descending, floors entries below `zero_threshold` to exact
-        zeros, and right-pads with zeros to `length` when given.  Tiny
-        negative values above -1e-10 are clamped to zero; anything more
-        negative is rejected.
+        Clamps values down to -1e-10 to zero and rejects anything more
+        negative, floors entries below `zero_threshold` to exact zeros, sorts
+        descending, and right-pads with zeros to `length` when given.  The
+        result must sum to 1; it is never renormalized.
         """
+        if not (math.isfinite(zero_threshold) and zero_threshold >= 0):
+            raise InputError(
+                f"zero_threshold must be finite and >= 0, got {zero_threshold!r}"
+            )
         p = np.array(values, dtype=np.float64).ravel()
         if p.size == 0:
             raise InputError("probability string must be non-empty")
         if np.any(p < -NEGATIVE_EIGENVALUE_FLOOR):
             raise InputError(f"negative probability {p.min():.3e}")
         p = np.clip(p, 0.0, None)
-        p[p < zero_threshold] = 0.0
+        below = p < zero_threshold
+        floored = float(p[below].sum())
+        p[below] = 0.0
         p = np.sort(p)[::-1]
         if length is not None:
             if length < p.size:
@@ -100,7 +107,15 @@ class SchmidtString:
             padded = np.zeros(length, dtype=np.float64)
             padded[: p.size] = p
             p = padded
-        return cls(probs=p, k=int(np.count_nonzero(p)))
+        try:
+            return cls(probs=p, k=int(np.count_nonzero(p)))
+        except InputError as exc:
+            if floored > 0:
+                raise InputError(
+                    f"zero_threshold {zero_threshold:g} floored weight "
+                    f"{floored:.3e}: {exc}"
+                ) from None
+            raise
 
     def padded(self, length: int) -> np.ndarray:
         """Probabilities padded (or zero-truncated) to `length`."""
@@ -173,34 +188,7 @@ def reduced_superop(p: Projector, side: int) -> np.ndarray:
         g = a @ a.conj().T
     else:
         g = a.conj().T @ a
-    g = (g + g.conj().T) / 2.0
-    trace = float(np.trace(g).real)
-    if abs(trace - 1.0) > UNIT_TRACE_TOL:
-        raise NumericalError(f"reduced matrix trace {trace:.17g}, expected 1")
-    return g
-
-
-def _string_from_eigenvalues(
-    values: np.ndarray, length: int, zero_threshold: float
-) -> SchmidtString:
-    """Normalize raw spectrum values into a SchmidtString of `length`."""
-    v = np.asarray(values, dtype=np.float64).copy()
-    if v.size > length:
-        raise InputError(f"{v.size} values exceed string length {length}")
-    worst = float(v.min()) if v.size else 0.0
-    if worst < -NEGATIVE_EIGENVALUE_FLOOR:
-        raise NumericalError(
-            f"eigenvalue {worst:.3e} below the -1e-10 clamping floor"
-        )
-    v = np.clip(v, 0.0, None)
-    total = float(v.sum())
-    if abs(total - 1.0) > EIGENVALUE_SUM_TOL:
-        raise NumericalError(f"eigenvalue sum {total:.17g} deviates from 1")
-    v[v < zero_threshold] = 0.0
-    v = np.sort(v)[::-1]
-    probs = np.zeros(length, dtype=np.float64)
-    probs[: v.size] = v
-    return SchmidtString(probs=probs, k=int(np.count_nonzero(probs)))
+    return (g + g.conj().T) / 2.0
 
 
 def schmidt_string(
@@ -212,13 +200,19 @@ def schmidt_string(
     entries below `zero_threshold` are floored to exact zeros before the
     Schmidt rank is counted.
     """
-    if zero_threshold < 0:
-        raise InputError(f"zero_threshold must be >= 0, got {zero_threshold}")
     f = p.factorization
     side = 1 if f.d1 <= f.d2 else 2
-    g = reduced_superop(p, side)
-    w = hermitian_eigenvalues(g)
-    return _string_from_eigenvalues(w, f.schmidt_length, zero_threshold)
+    w = hermitian_eigenvalues(reduced_superop(p, side))
+    # The reduced matrix is positive semidefinite, so an eigenvalue below
+    # the clamping floor means the eigensolver lost accuracy.
+    if w[-1] < -NEGATIVE_EIGENVALUE_FLOOR:
+        raise NumericalError(
+            f"eigenvalue {w[-1]:.3e} below the "
+            f"{-NEGATIVE_EIGENVALUE_FLOOR:g} clamping floor"
+        )
+    return SchmidtString.from_probs(
+        w, length=f.schmidt_length, zero_threshold=zero_threshold
+    )
 
 
 def vector_schmidt(v, factorization: Factorization) -> np.ndarray:
@@ -238,7 +232,9 @@ def vector_schmidt(v, factorization: Factorization) -> np.ndarray:
         raise InputError("vector contains non-finite entries")
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > VECTOR_NORM_TOL:
-        raise InputError(f"vector norm {norm:.17g} deviates from 1 beyond 1e-8")
+        raise InputError(
+            f"vector norm {norm:.17g} deviates from 1 beyond {VECTOR_NORM_TOL:g}"
+        )
     m = (vec / norm).reshape(factorization.d1, factorization.d2)
     s = np.linalg.svd(m, compute_uv=False)
     return s * s
@@ -268,9 +264,12 @@ def pure_subspace_string(
     c = np.clip(c, 0.0, None)
     total = float(c.sum())
     if abs(total - 1.0) > VECTOR_NORM_TOL:
-        raise InputError(f"coefficients sum to {total:.17g}, expected 1 within 1e-8")
+        raise InputError(
+            f"coefficients sum to {total:.17g}, expected 1 within {VECTOR_NORM_TOL:g}"
+        )
     c = c / total
-    products = np.outer(c, c).ravel()
-    return _string_from_eigenvalues(
-        products, factorization.schmidt_length, zero_threshold
+    return SchmidtString.from_probs(
+        np.outer(c, c),
+        length=factorization.schmidt_length,
+        zero_threshold=zero_threshold,
     )

@@ -7,17 +7,23 @@ Every matrix in this module is expressed in that product basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError
 from .linalg import as_matrix
+from .tolerances import (
+    ORTHONORMALITY_TOL,
+    PROJECTOR_HERMITICITY_TOL,
+    PROJECTOR_IDEMPOTENCY_TOL,
+    PROJECTOR_TRACE_TOL,
+)
 
-ORTHONORMALITY_TOL = 1e-10
-PROJECTOR_HERMITICITY_TOL = 1e-10
-PROJECTOR_IDEMPOTENCY_TOL = 1e-10
-PROJECTOR_TRACE_TOL = 1e-8
+
+def is_integer(value) -> bool:
+    """True for Python and numpy integers; bools are not integers here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -35,7 +41,7 @@ class Factorization:
 
     def __post_init__(self) -> None:
         for name, value in (("d1", self.d1), ("d2", self.d2)):
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            if not is_integer(value):
                 raise InputError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise InputError(f"{name} must be >= 1, got {value}")
@@ -120,12 +126,14 @@ def validate_projector(p, dim: int | None = None) -> ProjectorReport:
     Accepts either a :class:`Projector` or a raw square matrix.  When `dim`
     is omitted it is inferred as the rounded real trace.  The report passes
     when Hermiticity and idempotency defects are at most 1e-10 entrywise,
-    the trace is within 1e-8 of `dim`, and `dim` is at least 1.
+    the trace is within 1e-8 of `dim`, and `dim` is at least 1.  A
+    :class:`Projector` was validated when it was built; its report is
+    returned without recomputing it unless a different `dim` is asked for.
     """
     if isinstance(p, Projector):
+        if dim is None or dim == p.dim:
+            return p.report()
         matrix = p.matrix
-        if dim is None:
-            dim = p.dim
     else:
         matrix = as_matrix(p, "projector")
         if matrix.shape[0] != matrix.shape[1]:
@@ -154,13 +162,15 @@ def validate_projector(p, dim: int | None = None) -> ProjectorReport:
 class Projector:
     """Validated orthogonal projector onto a `dim`-dimensional subspace.
 
-    Construction re-runs :func:`validate_projector` and refuses matrices
-    that fail it, so holding a `Projector` is proof of validity.
+    Construction runs :func:`validate_projector` once on the frozen matrix
+    and refuses matrices that fail it, so holding a `Projector` is proof of
+    validity.  The measured defects are kept and returned by :meth:`report`.
     """
 
     factorization: Factorization
     matrix: np.ndarray
     dim: int
+    _report: ProjectorReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = as_matrix(self.matrix, "matrix")
@@ -170,6 +180,7 @@ class Projector:
                 f"projector shape {m.shape} does not match factorization "
                 f"{self.factorization.d1}x{self.factorization.d2}"
             )
+        m = _freeze(m)
         report = validate_projector(m, dim=self.dim)
         if not report.passes:
             raise InputError(
@@ -179,7 +190,8 @@ class Projector:
                 f"trace defect={report.trace:.3e}, dim={report.dim}"
             )
         object.__setattr__(self, "dim", int(self.dim))
-        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_report", report)
 
     @classmethod
     def from_matrix(
@@ -194,7 +206,8 @@ class Projector:
         return cls(factorization=factorization, matrix=m, dim=dim)
 
     def report(self) -> ProjectorReport:
-        return validate_projector(self)
+        """Defects measured when the projector was validated."""
+        return self._report
 
 
 def projector_from_basis(basis: SubspaceBasis) -> Projector:

@@ -1,0 +1,33 @@
+"""Every numerical tolerance and threshold of the package, in one table.
+
+The README section "Numerical conventions" cites this table by name, and a
+test keeps the two equal.
+"""
+
+# spaces: basis and projector validation, entrywise max-abs defects
+ORTHONORMALITY_TOL = 1e-10
+PROJECTOR_HERMITICITY_TOL = 1e-10
+PROJECTOR_IDEMPOTENCY_TOL = 1e-10
+PROJECTOR_TRACE_TOL = 1e-8
+
+# linalg
+HERMITICITY_TOL = 1e-10  # Frobenius norm of h - h^dagger
+EIGENVALUE_SUM_TOL = 1e-10  # eigenvalue sum vs trace, relative to max(1, |trace|)
+DROP_TOL = 1e-10  # Gram-Schmidt residual norm below which a vector is dependent
+
+# schmidt
+REALIGN_NORM_TOL = 1e-10  # | ||A||_F - 1 |
+NEGATIVE_EIGENVALUE_FLOOR = 1e-10  # values down to -floor are clamped to zero
+STRING_SUM_TOL = 1e-9
+DEFAULT_ZERO_THRESHOLD = 1e-10
+VECTOR_NORM_TOL = 1e-8
+
+# majorization
+DEFAULT_COMPARE_TOL = 1e-9  # absolute, on partial sums
+DEFAULT_MEASURE_SLACK = 1e-12
+
+# verify: closed-form oracles
+STRING_TOL = 1e-9
+MEASURE_TOL = 1e-9
+Q_MATRIX_TOL = 1e-10
+COMPLETENESS_TOL = 1e-12

@@ -31,11 +31,7 @@ from .linalg import hermitian_eigenvalues
 from .majorization import sort_chain
 from .schmidt import Measures, SchmidtString, measures, reduced_superop, schmidt_string
 from .spaces import Factorization, SubspaceBasis, projector_from_basis
-
-STRING_TOL = 1e-9
-MEASURE_TOL = 1e-9
-Q_MATRIX_TOL = 1e-10
-COMPLETENESS_TOL = 1e-12
+from .tolerances import COMPLETENESS_TOL, MEASURE_TOL, Q_MATRIX_TOL, STRING_TOL
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,9 @@
 """Shared test utilities and independent oracles.
 
 The oracles here deliberately avoid the code paths used by the package:
-matrix products are expanded as triple loops, eigenvalues come from the
-characteristic polynomial (Faddeev-LeVerrier coefficients, mpmath root
-finding), and Schmidt coefficients of vectors are recomputed from the
-partial trace of the full density matrix.
+eigenvalues come from the characteristic polynomial (Faddeev-LeVerrier
+coefficients, mpmath root finding), and Schmidt coefficients of vectors are
+recomputed from the partial trace of the full density matrix.
 """
 
 from __future__ import annotations
@@ -13,17 +12,6 @@ import mpmath
 import numpy as np
 
 from subent import Factorization, SubspaceBasis, gram_schmidt
-
-
-def multiply_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.complex128)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0 + 0.0j
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
 
 
 def char_poly_eigenvalues(h: np.ndarray) -> np.ndarray:

@@ -137,6 +137,7 @@ class TestSchmidt:
         code, _, err = run(capsys, "schmidt", path, "--zero-threshold", "1e-5")
         assert code == 2
         assert "input error" in err
+        assert "zero_threshold 1e-05 floored weight" in err
 
     def test_orthonormalize_default(self, capsys, tmp_path):
         doc = {
@@ -357,6 +358,31 @@ class TestVerify:
         assert code == 2
         assert "input error" in err
 
+    def test_max_n_zero_is_not_the_default(self, capsys):
+        code, out, err = run(capsys, "verify", "--max-n", "0")
+        assert code == 2
+        assert out == ""
+        assert "max_n must be >= 2, got 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "antisym:3", "sym:2", "--tol", "nan"],
+        ["compare", "antisym:3", "antisym:3", "--tol", "-1"],
+        ["compare", "antisym:3", "sym:2", "--tol", "inf"],
+        ["compare", "antisym:3", "sym:2", "--zero-threshold", "nan"],
+        ["schmidt", "--preset", "antisym", "--n", "3", "--zero-threshold", "nan"],
+        ["schmidt", "--preset", "antisym", "--n", "3", "--zero-threshold", "-1"],
+        ["schmidt", "--preset", "antisym", "--n", "3", "--zero-threshold", "inf"],
+    ],
+)
+def test_bad_tolerance_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be finite and >= 0" in err
+
 
 class TestExitCodes:
     def test_numerical_error_is_exit_3(self, capsys, monkeypatch):
@@ -369,6 +395,38 @@ class TestExitCodes:
         )
         assert code == 3
         assert "numerical error: synthetic accuracy loss" in err
+
+    @pytest.mark.parametrize(
+        "ascending, message",
+        [
+            ([0.0, 0.0, 0.2, 0.7], "eigenvalue sum"),
+            ([-0.2, 0.0, 0.0, 1.2], "clamping floor"),
+        ],
+    )
+    def test_faulty_eigensolver_is_exit_3(
+        self, capsys, monkeypatch, ascending, message
+    ):
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: np.array(ascending))
+        code, out, err = run(capsys, "schmidt", "--preset", "antisym", "--n", "2")
+        assert code == 3
+        assert out == ""
+        assert message in err
+
+    def test_unit_norm_gate_is_exit_3(self, capsys, monkeypatch, tmp_path):
+        # a validator that lets 2*I through leaves realign's norm gate
+        from subent import ProjectorReport, spaces
+
+        monkeypatch.setattr(
+            spaces,
+            "validate_projector",
+            lambda m, dim=None: ProjectorReport(0.0, 0.0, 0.0, int(dim), True),
+        )
+        two_eye = [[[2.0 if i == k else 0.0, 0.0] for k in range(4)] for i in range(4)]
+        path = write_doc(tmp_path, "p.json", {"d1": 2, "d2": 2, "projector": two_eye})
+        code, out, err = run(capsys, "schmidt", path)
+        assert code == 3
+        assert out == ""
+        assert "Frobenius norm" in err
 
     def test_no_args_shows_usage(self, capsys):
         # a bare invocation is treated as invalid input

@@ -7,14 +7,11 @@ from hypothesis.extra.numpy import arrays
 from subent import (
     InputError,
     RankDeficiencyWarning,
-    adjoint,
     gram_schmidt,
     hermitian_eigenvalues,
-    hs_inner,
-    multiply,
 )
 
-from .helpers import char_poly_eigenvalues, multiply_oracle, random_hermitian
+from .helpers import char_poly_eigenvalues, random_hermitian
 
 
 def complex_matrices(rows, cols, scale=1.0):
@@ -24,79 +21,6 @@ def complex_matrices(rows, cols, scale=1.0):
         arrays(np.float64, shape, elements=elems),
         arrays(np.float64, shape, elements=elems),
     ).map(lambda ab: ab[0] + 1j * ab[1])
-
-
-class TestMultiply:
-    def test_identity(self):
-        m = np.array([[1, 2j], [3, 4]], dtype=complex)
-        assert np.array_equal(multiply(np.eye(2), m), m)
-
-    def test_diagonal(self):
-        out = multiply(np.diag([2.0, 3.0]), np.diag([5.0, 7.0]))
-        assert np.allclose(out, np.diag([10.0, 21.0]))
-
-    def test_against_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-            b = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-            assert np.max(np.abs(multiply(a, b) - multiply_oracle(a, b))) < 1e-14
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError, match="cannot multiply"):
-            multiply(np.eye(2), np.eye(3))
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        a=complex_matrices(3, 3),
-        b=complex_matrices(3, 3),
-        c=complex_matrices(3, 3),
-    )
-    def test_associativity(self, a, b, c):
-        left = multiply(multiply(a, b), c)
-        right = multiply(a, multiply(b, c))
-        scale = max(1.0, float(np.linalg.norm(left)))
-        assert np.linalg.norm(left - right) / scale < 1e-12
-
-
-class TestAdjoint:
-    def test_ladder(self):
-        up = np.array([[0, 1], [0, 0]], dtype=complex)
-        assert np.array_equal(adjoint(up), np.array([[0, 0], [1, 0]]))
-
-    def test_hermitian_fixed_point(self):
-        h = random_hermitian(np.random.default_rng(1), 4)
-        assert np.array_equal(adjoint(h), h)
-
-    @settings(max_examples=30, deadline=None)
-    @given(a=complex_matrices(2, 4))
-    def test_involution(self, a):
-        assert np.array_equal(adjoint(adjoint(a)), a)
-
-
-class TestHsInner:
-    def test_identity_norm(self):
-        for n in (1, 2, 5):
-            assert hs_inner(np.eye(n), np.eye(n)) == pytest.approx(n)
-
-    def test_matrix_units_orthogonal(self):
-        e01 = np.zeros((2, 2), dtype=complex)
-        e01[0, 1] = 1
-        e10 = e01.T.copy()
-        assert hs_inner(e01, e10) == 0
-        assert hs_inner(e01, e01) == 1
-
-    def test_conjugate_linearity(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        direct = hs_inner(a, b)
-        assert direct == pytest.approx(np.trace(adjoint(a) @ b))
-        assert hs_inner(b, a) == pytest.approx(np.conj(direct))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(InputError, match="shape mismatch"):
-            hs_inner(np.eye(2), np.eye(3))
 
 
 class TestHermitianEigenvalues:

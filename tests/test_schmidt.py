@@ -23,7 +23,6 @@ from subent import (
     symmetric_subspace,
     vector_schmidt,
 )
-from subent.schmidt import _string_from_eigenvalues
 
 from .helpers import partial_trace_coefficients, random_basis
 
@@ -201,20 +200,80 @@ class TestSchmidtStringPipeline:
             schmidt_string(singlet_projector(), zero_threshold=-1.0)
 
 
+def fake_spectrum(monkeypatch, ascending):
+    """Make the eigensolver return `ascending`, as eigvalsh orders it."""
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda h: np.array(ascending, dtype=np.float64)
+    )
+
+
+def product_projector() -> Projector:
+    # |00><00| in 2x2: its reduced matrix has spectrum (1, 0, 0, 0)
+    return projector_from_basis(SubspaceBasis(Factorization(2, 2), np.eye(4)[:1]))
+
+
 class TestStringFromEigenvalues:
-    # white-box checks of the clamping/sum gates feeding SchmidtString
-    def test_too_negative_is_numerical_error(self):
+    # the spectrum gates between the eigensolver and SchmidtString, driven
+    # through schmidt_string by a faulty eigensolver
+    def test_too_negative_is_numerical_error(self, monkeypatch):
+        # sums to the trace, so only the clamping floor can catch it
+        fake_spectrum(monkeypatch, [-0.2, 0.0, 0.0, 1.2])
         with pytest.raises(NumericalError, match="clamping floor"):
-            _string_from_eigenvalues(np.array([1.2, -0.2]), 4, 0.0)
+            schmidt_string(singlet_projector())
 
-    def test_sum_defect_is_numerical_error(self):
-        with pytest.raises(NumericalError, match="deviates"):
-            _string_from_eigenvalues(np.array([0.7, 0.2]), 4, 0.0)
+    def test_sum_defect_is_numerical_error(self, monkeypatch):
+        fake_spectrum(monkeypatch, [0.0, 0.0, 0.2, 0.7])
+        with pytest.raises(NumericalError, match="eigenvalue sum"):
+            schmidt_string(singlet_projector())
 
-    def test_clamps_and_pads(self):
-        s = _string_from_eigenvalues(np.array([1.0, -5e-11]), 4, 1e-10)
+    def test_clamps_and_pads(self, monkeypatch):
+        s = SchmidtString.from_probs([1.0, -5e-11], length=4, zero_threshold=1e-10)
         assert list(s.probs) == [1.0, 0.0, 0.0, 0.0]
         assert s.k == 1
+        fake_spectrum(monkeypatch, [-5e-11, 0.0, 0.0, 1.0])
+        s = schmidt_string(product_projector(), zero_threshold=0.0)
+        assert list(s.probs) == [1.0, 0.0, 0.0, 0.0]
+        assert s.k == 1
+
+
+class TestGates:
+    def test_realign_norm_gate(self):
+        # a projector whose dim no longer matches its trace: A is not a
+        # unit vector, and realign is the one gate that checks it
+        p = singlet_projector()
+        object.__setattr__(p, "dim", 2)
+        for stage in (realign, lambda q: reduced_superop(q, 1), schmidt_string):
+            with pytest.raises(NumericalError, match="Frobenius norm"):
+                stage(p)
+
+    def test_validated_projector_near_tolerance_gets_string(self):
+        # passes validation with idempotency and trace defects just inside
+        # their tolerances; ||A||_F^2 - 1 is about 2e-10
+        f = Factorization(10, 10)
+        p = Projector.from_matrix(f, (1 + 0.99e-10) * np.eye(100))
+        assert p.report().passes
+        s = schmidt_string(p)
+        assert s.k == 1
+        assert s.probs[0] == pytest.approx(1.0, abs=1e-9)
+
+    def test_flooring_real_weight_names_threshold(self):
+        with pytest.raises(InputError, match="zero_threshold 0.2 floored weight"):
+            SchmidtString.from_probs([0.5, 0.3, 0.1, 0.1], zero_threshold=0.2)
+        with pytest.raises(InputError, match="zero_threshold 0.3 floored"):
+            schmidt_string(singlet_projector(), zero_threshold=0.3)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1e-12])
+    def test_bad_zero_threshold_rejected(self, threshold):
+        with pytest.raises(InputError, match="zero_threshold must be finite"):
+            SchmidtString.from_probs([1.0], zero_threshold=threshold)
+        with pytest.raises(InputError, match="zero_threshold must be finite"):
+            pure_subspace_string([1.0], Factorization(2, 2), threshold)
+
+    def test_nan_probabilities_rejected(self):
+        with pytest.raises(InputError, match="sum"):
+            SchmidtString.from_probs([1.0, float("nan")])
+        with pytest.raises(InputError, match="sum"):
+            pure_subspace_string([float("nan")], Factorization(2, 2))
 
 
 class TestMeasures:

@@ -170,6 +170,31 @@ class TestValidateProjector:
         p = projector_from_basis(SubspaceBasis(Factorization(2, 2), np.eye(4)))
         assert validate_projector(p).passes
 
+    def test_projector_validated_once(self, monkeypatch):
+        from subent import spaces
+
+        calls = []
+        original = spaces.validate_projector
+
+        def counting(p, dim=None):
+            calls.append(dim)
+            return original(p, dim)
+
+        monkeypatch.setattr(spaces, "validate_projector", counting)
+        p = Projector(Factorization(2, 2), SINGLET_PROJECTOR, dim=1)
+        assert len(calls) == 1
+        # the report kept at construction is what report() and the validator return
+        assert p.report() is p.report()
+        assert original(p) is p.report()
+        assert original(p, dim=1) is p.report()
+        assert not p.matrix.flags.writeable
+
+    def test_projector_revalidated_for_other_dim(self):
+        p = Projector(Factorization(2, 2), SINGLET_PROJECTOR, dim=1)
+        report = validate_projector(p, dim=2)
+        assert not report.passes
+        assert report.trace == pytest.approx(1.0)
+
 
 class TestEmbed:
     def test_identity_embedding(self):
