@@ -37,6 +37,7 @@ from .majorization import (
     Verdict,
     compare,
     measure_consistency,
+    partial_sums,
     sort_chain,
 )
 from .catalog import (
@@ -98,6 +99,7 @@ __all__ = [
     "ChainResult",
     "compare",
     "measure_consistency",
+    "partial_sums",
     "sort_chain",
     "SpinLabel",
     "Branch",

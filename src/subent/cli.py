@@ -16,7 +16,6 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from .catalog import (
     Branch,
@@ -29,17 +28,19 @@ from .catalog import (
 )
 from .errors import InputError, NumericalError
 from .io import (
-    JSON_DIGITS,
-    TABLE_DIGITS,
-    _format_float,
+    compare_document,
+    compare_table,
     dumps_json,
+    hydrogen_csv,
+    hydrogen_document,
+    hydrogen_table,
     load_subspace_document,
     result_csv,
     result_document,
     result_table,
 )
 from .linalg import gram_schmidt
-from .majorization import compare, sort_chain
+from .majorization import compare, partial_sums, sort_chain
 from .schmidt import SchmidtString, measures, schmidt_string
 from .spaces import Projector, SubspaceBasis, projector_from_basis
 from .tolerances import DEFAULT_COMPARE_TOL, DEFAULT_ZERO_THRESHOLD
@@ -53,23 +54,24 @@ def cli() -> None:
     """Schmidt strings and entanglement measures of bipartite subspaces."""
 
 
+# The options each schmidt source reads; a preset requires all of its own.
+_SOURCE_OPTIONS = {
+    None: ("--no-orthonormalize",),
+    "antisym": ("--n",),
+    "sym": ("--n",),
+    "spin": ("--two-j", "--branch"),
+}
+
+
 def _preset_projector(
-    preset: str, n: int | None, two_j: int | None, branch: str | None
+    preset: str, number: int, branch: str | None
 ) -> tuple[str, Projector]:
-    if preset == "antisym":
-        if n is None:
-            raise InputError("--preset antisym requires --n")
-        return f"antisym n={n}", projector_from_basis(antisymmetric_subspace(n))
-    if preset == "sym":
-        if n is None:
-            raise InputError("--preset sym requires --n")
-        return f"sym n={n}", projector_from_basis(symmetric_subspace(n))
-    if two_j is None or branch is None:
-        raise InputError("--preset spin requires --two-j and --branch")
-    return (
-        f"spin 2j={two_j} {branch}",
-        spin_projector(SpinLabel(two_j), Branch(branch)),
-    )
+    """A catalog family's label and projector; `number` is n, or 2j for spin."""
+    if preset == "spin":
+        label = f"spin 2j={number} {branch}"
+        return label, spin_projector(SpinLabel(number), Branch(branch))
+    family = antisymmetric_subspace if preset == "antisym" else symmetric_subspace
+    return f"{preset} n={number}", projector_from_basis(family(number))
 
 
 def _document_projector(path: str, orthonormalize: bool) -> tuple[str | None, Projector]:
@@ -129,12 +131,22 @@ def cmd_schmidt(
     """
     if (input_file is None) == (preset is None):
         raise InputError("provide exactly one of INPUT_FILE or --preset")
-    if preset is not None:
-        source_label, projector = _preset_projector(preset, n, two_j, branch)
-    else:
+    source = "INPUT_FILE" if preset is None else f"--preset {preset}"
+    reads = _SOURCE_OPTIONS[preset]
+    given = {"--n": n, "--two-j": two_j, "--branch": branch}
+    given["--no-orthonormalize"] = no_orthonormalize or None
+    for option, value in given.items():
+        if value is not None and option not in reads:
+            raise InputError(f"{option} does not apply to {source}")
+    if preset is None:
         source_label, projector = _document_projector(
             input_file, orthonormalize=not no_orthonormalize
         )
+    elif any(given[option] is None for option in reads):
+        raise InputError(f"{source} requires {' and '.join(reads)}")
+    else:
+        number = two_j if preset == "spin" else n
+        source_label, projector = _preset_projector(preset, number, branch)
     string = schmidt_string(projector, zero_threshold=zero_threshold)
     doc = result_document(
         label if label is not None else source_label,
@@ -143,41 +155,30 @@ def cmd_schmidt(
         measures(string),
         projector.report(),
     )
-    if fmt == "json":
-        click.echo(dumps_json(doc), nl=False)
-    elif fmt == "csv":
-        click.echo(result_csv(doc), nl=False)
-    else:
-        click.echo(result_table(doc), nl=False)
+    render = {"json": dumps_json, "csv": result_csv, "table": result_table}[fmt]
+    click.echo(render(doc), nl=False)
 
 
 def _parse_compare_source(
     token: str, zero_threshold: float
 ) -> tuple[str, SchmidtString]:
     """A compare operand: a preset string or a document path."""
-    parts = token.split(":")
-    if parts[0] in ("antisym", "sym", "spin"):
-        if parts[0] in ("antisym", "sym"):
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise InputError(
-                    f"malformed preset {token!r}, expected {parts[0]}:N"
-                )
-            label, projector = _preset_projector(parts[0], int(parts[1]), None, None)
-        else:
-            if (
-                len(parts) != 3
-                or not parts[1].isdigit()
-                or parts[2] not in ("plus", "minus")
-            ):
-                raise InputError(
-                    f"malformed preset {token!r}, expected spin:TWO_J:plus|minus"
-                )
-            label, projector = _preset_projector(
-                "spin", None, int(parts[1]), parts[2]
-            )
-    else:
+    kind, *args = token.split(":")
+    if kind not in ("antisym", "sym", "spin"):
         doc_label, projector = _document_projector(token, orthonormalize=True)
         label = doc_label or os.path.basename(token)
+        return label, schmidt_string(projector, zero_threshold=zero_threshold)
+    spin = kind == "spin"
+    branch = args.pop() if spin and args else None
+    try:
+        # int() is how click reads --n and --two-j; unpacking checks the count
+        (number,) = [int(a) for a in args]
+    except ValueError:
+        number = None
+    if number is None or (spin and branch not in ("plus", "minus")):
+        expected = "spin:TWO_J:plus|minus" if spin else f"{kind}:N"
+        raise InputError(f"malformed preset {token!r}, expected {expected}")
+    label, projector = _preset_projector(kind, number, branch)
     return label, schmidt_string(projector, zero_threshold=zero_threshold)
 
 
@@ -207,37 +208,9 @@ def cmd_compare(a: str, b: str, tol: float, zero_threshold: float) -> None:
     label_a, s_a = _parse_compare_source(a, zero_threshold)
     label_b, s_b = _parse_compare_source(b, zero_threshold)
     verdict = compare(s_a, s_b, tol=tol)
-
-    length = max(len(s_a), len(s_b))
-    ca = np.cumsum(s_a.padded(length))
-    cb = np.cumsum(s_b.padded(length))
-    a_exceeds = [i + 1 for i in range(length) if ca[i] > cb[i] + tol]
-    b_exceeds = [i + 1 for i in range(length) if cb[i] > ca[i] + tol]
-
-    click.echo(verdict.value)
-    click.echo(f"{'k':>4}  {'sum A':<22}{'sum B':<22}A-B")
-    # rows witnessing incomparability get a mark; one-sided excesses are
-    # just what a comparable verdict looks like
-    flag_rows = a_exceeds and b_exceeds
-    for i in range(length):
-        mark = " *" if flag_rows and (i + 1 in a_exceeds or i + 1 in b_exceeds) else ""
-        click.echo(
-            f"{i + 1:>4}  "
-            f"{_format_float(float(ca[i]), TABLE_DIGITS):<22}"
-            f"{_format_float(float(cb[i]), TABLE_DIGITS):<22}"
-            f"{_format_float(float(ca[i] - cb[i]), TABLE_DIGITS):<22}".rstrip() + mark
-        )
-    record = {
-        "a": label_a,
-        "b": label_b,
-        "verdict": verdict.value,
-        "tol": tol,
-        "partial_sums_a": [float(x) for x in ca],
-        "partial_sums_b": [float(x) for x in cb],
-        "a_exceeds_at": a_exceeds,
-        "b_exceeds_at": b_exceeds,
-    }
-    click.echo(dumps_json(record), nl=False)
+    sums = partial_sums([s_a, s_b])
+    record = compare_document((label_a, label_b), verdict, tol, sums)
+    click.echo(compare_table(record) + dumps_json(record), nl=False)
 
 
 @cli.command(name="hydrogen")
@@ -251,94 +224,15 @@ def cmd_hydrogen(n: int, fmt: str) -> None:
     """
     level = hydrogen_level(n)
     s0 = limiting_string()
-    chain = sort_chain(
-        [(e.label, e.string) for e in level.entries] + [("S_0", s0)]
-    )
+    chain = sort_chain([(e.label, e.string) for e in level.entries] + [("S_0", s0)])
     if not chain.ordered:
         raise NumericalError(
             f"hydrogen chain for n={n} is not totally ordered: "
             f"incomparable pairs {chain.incomparable}"
         )
-    rank = {label: i + 1 for i, label in enumerate(chain.labels)}
-
-    rows = []
-    for e in level.entries:
-        m = measures(e.string)
-        rows.append(
-            {
-                "label": e.label,
-                "rank": rank[e.label],
-                "l": e.l,
-                "branch": e.branch.value,
-                "d1": 2 * e.l + 1,
-                "d2": 2,
-                "dim": e.dim,
-                "schmidt_string": [float(x) for x in e.string.probs],
-                "k": e.string.k,
-                "measures": {"e_d": m.e_d, "e_i": m.e_i, "e_t": m.e_t},
-            }
-        )
-    m0 = measures(s0)
-    limiting = {
-        "label": "S_0",
-        "rank": rank["S_0"],
-        "schmidt_string": [float(x) for x in s0.probs],
-        "k": s0.k,
-        "measures": {"e_d": m0.e_d, "e_i": m0.e_i, "e_t": m0.e_t},
-    }
-
-    if fmt == "json":
-        doc = {
-            "n": n,
-            "order": list(chain.labels),
-            "strict": not chain.ties,
-            "entries": rows,
-            "limiting": limiting,
-        }
-        click.echo(dumps_json(doc), nl=False)
-        return
-
-    table_rows = sorted(rows + [limiting], key=lambda r: r["rank"])
-    if fmt == "csv":
-        header = ["rank", "label", "d1", "d2", "dim", "p1", "p2", "p3", "p4",
-                  "e_d", "e_i", "e_t"]
-        lines = [",".join(header)]
-        for r in table_rows:
-            cells = [
-                str(r["rank"]),
-                r["label"],
-                str(r.get("d1", "")),
-                str(r.get("d2", "")),
-                str(r.get("dim", "")),
-            ]
-            cells += [_format_float(p, JSON_DIGITS) for p in r["schmidt_string"]]
-            cells += [
-                _format_float(r["measures"][key], JSON_DIGITS)
-                for key in ("e_d", "e_i", "e_t")
-            ]
-            lines.append(",".join(cells))
-        click.echo("\n".join(lines))
-        return
-
-    click.echo(f"level n={n}: least to most entangled")
-    head = (
-        f"{'rank':>4}  {'label':<10}{'dim':>4}  "
-        f"{'p1':<16}{'p2':<16}{'p3':<16}{'p4':<16}"
-        f"{'e_d':<16}{'e_i':<16}{'e_t':<16}"
-    )
-    click.echo(head)
-    for r in table_rows:
-        cells = "".join(
-            f"{_format_float(p, TABLE_DIGITS):<16}" for p in r["schmidt_string"]
-        )
-        meas = "".join(
-            f"{_format_float(r['measures'][key], TABLE_DIGITS):<16}"
-            for key in ("e_d", "e_i", "e_t")
-        )
-        dim = r.get("dim", "")
-        click.echo(
-            f"{r['rank']:>4}  {r['label']:<10}{dim!s:>4}  {cells}{meas}".rstrip()
-        )
+    doc = hydrogen_document(level, s0, chain)
+    render = {"json": dumps_json, "csv": hydrogen_csv, "table": hydrogen_table}[fmt]
+    click.echo(render(doc), nl=False)
 
 
 @cli.command(name="verify")

@@ -19,8 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import HydrogenLevel
 from .errors import InputError
-from .schmidt import Measures, SchmidtString
+from .majorization import ChainResult, Verdict
+from .schmidt import Measures, SchmidtString, measures
 from .spaces import (
     Factorization,
     Projector,
@@ -134,26 +136,21 @@ def _matrix_pairs(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+def _subspace_document(
+    f: Factorization, label: str | None, key: str, matrix: np.ndarray
+) -> dict:
+    head = {} if label is None else {"label": label}
+    return {**head, "d1": f.d1, "d2": f.d2, key: _matrix_pairs(matrix)}
+
+
 def basis_document(basis: SubspaceBasis, label: str | None = None) -> dict:
     """Subspace document dict for an orthonormal basis."""
-    doc: dict = {}
-    if label is not None:
-        doc["label"] = label
-    doc["d1"] = basis.factorization.d1
-    doc["d2"] = basis.factorization.d2
-    doc["basis"] = _matrix_pairs(basis.vectors)
-    return doc
+    return _subspace_document(basis.factorization, label, "basis", basis.vectors)
 
 
 def projector_document(p: Projector, label: str | None = None) -> dict:
     """Subspace document dict for a validated projector."""
-    doc: dict = {}
-    if label is not None:
-        doc["label"] = label
-    doc["d1"] = p.factorization.d1
-    doc["d2"] = p.factorization.d2
-    doc["projector"] = _matrix_pairs(p.matrix)
-    return doc
+    return _subspace_document(p.factorization, label, "projector", p.matrix)
 
 
 # --- serialization ----------------------------------------------------------
@@ -207,6 +204,15 @@ def dumps_json(obj, indent: int = 2) -> str:
     return emit(obj, 0) + "\n"
 
 
+def _string_fields(string: SchmidtString, meas: Measures) -> dict:
+    """The schmidt_string, k and measures fields of every result record."""
+    return {
+        "schmidt_string": [float(x) for x in string.probs],
+        "k": string.k,
+        "measures": {"e_d": meas.e_d, "e_i": meas.e_i, "e_t": meas.e_t},
+    }
+
+
 def result_document(
     label: str | None,
     projector: Projector,
@@ -221,9 +227,7 @@ def result_document(
         "d1": f.d1,
         "d2": f.d2,
         "dim": projector.dim,
-        "schmidt_string": [float(x) for x in string.probs],
-        "k": string.k,
-        "measures": {"e_d": meas.e_d, "e_i": meas.e_i, "e_t": meas.e_t},
+        **_string_fields(string, meas),
         "projector_defects": {
             "hermiticity": report.hermiticity,
             "idempotency": report.idempotency,
@@ -233,17 +237,31 @@ def result_document(
     }
 
 
+def _numbers(record: dict, spec: str) -> list[str]:
+    """A record's string entries, then e_d, e_i, e_t, formatted with `spec`."""
+    m = record["measures"]
+    values = [*record["schmidt_string"], m["e_d"], m["e_i"], m["e_t"]]
+    return [_format_float(x, spec) for x in values]
+
+
+def _columns(records: list[dict]) -> list[str]:
+    width = max(len(r["schmidt_string"]) for r in records)
+    return [f"p{i + 1}" for i in range(width)] + ["e_d", "e_i", "e_t"]
+
+
+def _csv(keys: list[str], records: list[dict]) -> str:
+    """CSV of records: `keys` (blank when absent), p1..pK, e_d, e_i, e_t."""
+    lines = [keys + _columns(records)] + [
+        ["" if r.get(key) is None else str(r[key]) for key in keys]
+        + _numbers(r, JSON_DIGITS)
+        for r in records
+    ]
+    return "".join(",".join(cells) + "\n" for cells in lines)
+
+
 def result_csv(doc: dict) -> str:
     """One-row CSV rendering: label,d1,d2,dim,p1..pK,e_d,e_i,e_t."""
-    probs = doc["schmidt_string"]
-    header = ["label", "d1", "d2", "dim"]
-    header += [f"p{i + 1}" for i in range(len(probs))]
-    header += ["e_d", "e_i", "e_t"]
-    m = doc["measures"]
-    row = [doc["label"] or "", str(doc["d1"]), str(doc["d2"]), str(doc["dim"])]
-    row += [_format_float(p, JSON_DIGITS) for p in probs]
-    row += [_format_float(m[key], JSON_DIGITS) for key in ("e_d", "e_i", "e_t")]
-    return ",".join(header) + "\n" + ",".join(row) + "\n"
+    return _csv(["label", "d1", "d2", "dim"], [doc])
 
 
 def result_table(doc: dict) -> str:
@@ -259,13 +277,102 @@ def result_table(doc: dict) -> str:
     lines.append("schmidt string")
     for i, p in enumerate(doc["schmidt_string"]):
         lines.append(f"  p{i + 1:<4d} {_format_float(p, TABLE_DIGITS)}")
-    lines.append(f"e_d             {_format_float(m['e_d'], TABLE_DIGITS)}")
-    lines.append(f"e_i             {_format_float(m['e_i'], TABLE_DIGITS)}")
-    lines.append(f"e_t             {_format_float(m['e_t'], TABLE_DIGITS)}")
+    for key in ("e_d", "e_i", "e_t"):
+        lines.append(f"{key:<16}{_format_float(m[key], TABLE_DIGITS)}")
     lines.append(
         "projector defects  "
         f"hermiticity {d['hermiticity']:.3e}  "
         f"idempotency {d['idempotency']:.3e}  "
         f"trace {d['trace']:.3e}"
     )
+    return "\n".join(lines) + "\n"
+
+
+def hydrogen_document(
+    level: HydrogenLevel, limiting: SchmidtString, chain: ChainResult
+) -> dict:
+    """The fine structure chain of a level; `chain` ranks its labels and S_0."""
+    rank = {label: i + 1 for i, label in enumerate(chain.labels)}
+    entries = [
+        {
+            "label": e.label,
+            "rank": rank[e.label],
+            "l": e.l,
+            "branch": e.branch.value,
+            "d1": 2 * e.l + 1,
+            "d2": 2,
+            "dim": e.dim,
+            **_string_fields(e.string, measures(e.string)),
+        }
+        for e in level.entries
+    ]
+    return {
+        "n": level.n,
+        "order": list(chain.labels),
+        "strict": not chain.ties,
+        "entries": entries,
+        "limiting": {
+            "label": "S_0",
+            "rank": rank["S_0"],
+            **_string_fields(limiting, measures(limiting)),
+        },
+    }
+
+
+def _by_rank(doc: dict) -> list[dict]:
+    return sorted(doc["entries"] + [doc["limiting"]], key=lambda r: r["rank"])
+
+
+def hydrogen_csv(doc: dict) -> str:
+    """CSV rendering of a hydrogen document, least entangled first."""
+    return _csv(["rank", "label", "d1", "d2", "dim"], _by_rank(doc))
+
+
+def hydrogen_table(doc: dict) -> str:
+    """Table rendering of a hydrogen document with 12 significant digits."""
+    records = _by_rank(doc)
+    head = "".join(f"{c:<16}" for c in _columns(records))
+    lines = [
+        f"level n={doc['n']}: least to most entangled",
+        f"{'rank':>4}  {'label':<10}{'dim':>4}  {head}",
+    ]
+    for r in records:
+        cells = "".join(f"{x:<16}" for x in _numbers(r, TABLE_DIGITS))
+        dim = r.get("dim", "")
+        lines.append(f"{r['rank']:>4}  {r['label']:<10}{dim!s:>4}  {cells}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def compare_document(
+    labels: tuple[str, str], verdict: Verdict, tol: float, sums: np.ndarray
+) -> dict:
+    """The `compare` record of A and B from their (2, L) padded partial sums.
+
+    `a_exceeds_at` lists the 1-based k where A's k-th partial sum exceeds
+    B's by more than tol; `b_exceeds_at` the reverse.
+    """
+    ca, cb = sums
+    return {
+        "a": labels[0],
+        "b": labels[1],
+        "verdict": verdict.value,
+        "tol": tol,
+        "partial_sums_a": [float(x) for x in ca],
+        "partial_sums_b": [float(x) for x in cb],
+        "a_exceeds_at": (np.flatnonzero(ca > cb + tol) + 1).tolist(),
+        "b_exceeds_at": (np.flatnonzero(cb > ca + tol) + 1).tolist(),
+    }
+
+
+def compare_table(record: dict) -> str:
+    """Verdict line and partial sum table of a compare record, 12 digits."""
+    a_exceeds, b_exceeds = record["a_exceeds_at"], record["b_exceeds_at"]
+    # rows witnessing incomparability get a mark; one-sided excesses are
+    # just what a comparable verdict looks like
+    marked = set(a_exceeds) | set(b_exceeds) if a_exceeds and b_exceeds else set()
+    lines = [record["verdict"], f"{'k':>4}  {'sum A':<22}{'sum B':<22}A-B"]
+    sums = zip(record["partial_sums_a"], record["partial_sums_b"])
+    for k, (a, b) in enumerate(sums, start=1):
+        cells = "".join(f"{_format_float(x, TABLE_DIGITS):<22}" for x in (a, b, a - b))
+        lines.append(f"{k:>4}  {cells}".rstrip() + (" *" if k in marked else ""))
     return "\n".join(lines) + "\n"

@@ -41,13 +41,36 @@ def _descending(x) -> np.ndarray:
     return np.sort(p)[::-1]
 
 
-def _padded_pair(s, t) -> tuple[np.ndarray, np.ndarray]:
-    a, b = _descending(s), _descending(t)
-    n = max(a.size, b.size)
-    return (
-        np.pad(a, (0, n - a.size)),
-        np.pad(b, (0, n - b.size)),
-    )
+def partial_sums(strings: Iterable[SchmidtString | Sequence[float]]) -> np.ndarray:
+    """Partial sums of each string sorted descending, as an (n, L) array.
+
+    Raw probability arrays are validated and sorted; every string is zero
+    padded to the longest length L before its row is cumulatively summed.
+    Padding only appends copies of a row's total, so comparing two rows
+    gives the same verdict as comparing the pair padded to its own length.
+    """
+    rows = [_descending(s) for s in strings]
+    padded = np.zeros((len(rows), max((r.size for r in rows), default=0)))
+    for i, r in enumerate(rows):
+        padded[i, : r.size] = r
+    return np.cumsum(padded, axis=1)
+
+
+def _below(c: np.ndarray, tol: float) -> np.ndarray:
+    """below[i, j]: no partial sum in row i of `c` exceeds row j's plus tol."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InputError(f"tol must be finite and >= 0, got {tol!r}")
+    c_tol = c + tol
+    return np.array([np.all(row <= c_tol, axis=1) for row in c])
+
+
+# Verdict of string i against string j, indexed by 2 * below[i, j] + below[j, i].
+_VERDICTS = (
+    Verdict.INCOMPARABLE,
+    Verdict.LESS_ENTANGLED,
+    Verdict.MORE_ENTANGLED,
+    Verdict.EQUAL,
+)
 
 
 def compare(s, t, tol: float = DEFAULT_COMPARE_TOL) -> Verdict:
@@ -58,20 +81,10 @@ def compare(s, t, tol: float = DEFAULT_COMPARE_TOL) -> Verdict:
     most those of t (within absolute `tol`) means s is more entangled; both
     directions holding means the strings are equal within tolerance; neither
     means they are incomparable.  `tol` must be finite and non-negative.
+    This is the pairwise reference that :func:`sort_chain` agrees with.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InputError(f"tol must be finite and >= 0, got {tol!r}")
-    a, b = _padded_pair(s, t)
-    ca, cb = np.cumsum(a), np.cumsum(b)
-    s_below = bool(np.all(ca <= cb + tol))
-    t_below = bool(np.all(cb <= ca + tol))
-    if s_below and t_below:
-        return Verdict.EQUAL
-    if s_below:
-        return Verdict.MORE_ENTANGLED
-    if t_below:
-        return Verdict.LESS_ENTANGLED
-    return Verdict.INCOMPARABLE
+    below = _below(partial_sums([s, t]), tol)
+    return _VERDICTS[2 * below[0, 1] + below[1, 0]]
 
 
 @dataclass(frozen=True)
@@ -134,51 +147,31 @@ def sort_chain(
 
     Takes (label, string) pairs; needs at least two.  If any pair is
     incomparable the chain cannot be ordered and the offending pairs are
-    reported instead.
+    reported instead.  `ties` and `incomparable` list each pair (i, j),
+    i < j in input order, in row-major order; every verdict is the one
+    :func:`compare` gives for that pair.  Costs O(n^2 L) array work for n
+    strings of longest length L.
     """
     entries = list(items)
     if len(entries) < 2:
         raise InputError("sort_chain needs at least two strings")
     labels = [str(label) for label, _ in entries]
-    strings = [s for _, s in entries]
-    n = len(entries)
+    below = _below(partial_sums(s for _, s in entries), tol)
+    codes = 2 * below + below.T  # indexes _VERDICTS for string i against j
 
-    ties: list[tuple[str, str]] = []
-    incomparable: list[tuple[str, str]] = []
-    verdicts: dict[tuple[int, int], Verdict] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = compare(strings[i], strings[j], tol)
-            verdicts[(i, j)] = v
-            if v is Verdict.EQUAL:
-                ties.append((labels[i], labels[j]))
-            elif v is Verdict.INCOMPARABLE:
-                incomparable.append((labels[i], labels[j]))
+    def pairs(verdict: Verdict) -> tuple[tuple[str, str], ...]:
+        i, j = np.nonzero(np.triu(codes == _VERDICTS.index(verdict), 1))
+        return tuple((labels[a], labels[b]) for a, b in zip(i, j))
 
+    ties, incomparable = pairs(Verdict.EQUAL), pairs(Verdict.INCOMPARABLE)
     if incomparable:
         return ChainResult(
-            ordered=False,
-            labels=None,
-            ties=tuple(ties),
-            incomparable=tuple(incomparable),
+            ordered=False, labels=None, ties=ties, incomparable=incomparable
         )
-
-    def dominates(i: int, j: int) -> bool:
-        # True when string i is strictly more entangled than string j.
-        if i == j:
-            return False
-        v = verdicts[(i, j)] if i < j else verdicts[(j, i)]
-        if i < j:
-            return v is Verdict.MORE_ENTANGLED
-        return v is Verdict.LESS_ENTANGLED
-
-    # Least entangled first: sort by how many other strings each one
+    # Least entangled first: sort by how many strings each one strictly
     # dominates; stable, so equal strings keep their input order.
-    scores = [sum(dominates(i, j) for j in range(n)) for i in range(n)]
-    order = sorted(range(n), key=lambda i: scores[i])
+    scores = np.sum(codes == _VERDICTS.index(Verdict.MORE_ENTANGLED), axis=1)
+    order = np.argsort(scores, kind="stable")
     return ChainResult(
-        ordered=True,
-        labels=tuple(labels[i] for i in order),
-        ties=tuple(ties),
-        incomparable=(),
+        ordered=True, labels=tuple(labels[i] for i in order), ties=ties, incomparable=()
     )

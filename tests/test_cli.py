@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from subent import NumericalError
 from subent.cli import main
 from subent import cli as cli_module
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -172,6 +175,30 @@ class TestSchmidt:
         assert code == 2
         assert "requires --two-j and --branch" in err
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["--preset", "antisym", "--n", "3", "--two-j", "5"], "--two-j"),
+            (["--preset", "sym", "--n", "3", "--branch", "plus"], "--branch"),
+            (["--preset", "antisym", "--n", "3", "--no-orthonormalize"],
+             "--no-orthonormalize"),
+            (["--preset", "spin", "--two-j", "3", "--branch", "plus", "--n", "7"],
+             "--n"),
+            (["--preset", "spin", "--two-j", "3", "--branch", "plus",
+              "--no-orthonormalize"], "--no-orthonormalize"),
+            (["DOC", "--n", "3"], "--n"),
+            (["DOC", "--two-j", "3"], "--two-j"),
+            (["DOC", "--branch", "minus"], "--branch"),
+        ],
+    )
+    def test_preset_unused_option(self, capsys, tmp_path, argv, option):
+        path = write_doc(tmp_path, "s.json", singlet_doc())
+        argv = [path if a == "DOC" else a for a in argv]
+        code, out, err = run(capsys, "schmidt", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"input error: {option} " in err
+
     def test_preset_bad_parameter(self, capsys):
         code, _, err = run(capsys, "schmidt", "--preset", "antisym", "--n", "1")
         assert code == 2
@@ -261,6 +288,14 @@ class TestCompare:
         assert code == 2
         code, _, err = run(capsys, "compare", "spin:1:up", "sym:2")
         assert code == 2
+        # str.isdigit() accepts superscripts that int() rejects
+        code, out, err = run(capsys, "compare", "antisym:\u00b2", "sym:2")
+        assert code == 2
+        assert out == ""
+        assert "malformed preset" in err
+        code, _, err = run(capsys, "compare", "sym:2", "spin:\u00b2:plus")
+        assert code == 2
+        assert "malformed preset" in err
 
     def test_tolerance_flag(self, capsys):
         # huge tolerance collapses any ordering to equal
@@ -326,6 +361,21 @@ class TestHydrogen:
     def test_requires_n(self, capsys):
         code, _, err = run(capsys, "hydrogen")
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["hydrogen", "--n", "3", "--format", "csv"], "hydrogen_n3.csv"),
+        (["hydrogen", "--n", "3", "--format", "table"], "hydrogen_n3_table.txt"),
+        (["compare", "antisym:3", "sym:2"], "compare_antisym3_sym2.txt"),
+    ],
+)
+def test_golden_output(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert out == (GOLDEN / name).read_bytes().decode("utf-8")
 
 
 class TestVerify:

@@ -14,6 +14,7 @@ from subent import (
     hydrogen_level,
     limiting_string,
     measure_consistency,
+    partial_sums,
     sort_chain,
     spin_string_closed,
     sym_string_closed,
@@ -30,6 +31,50 @@ def distributions(max_len=6):
         st.lists(st.floats(0.01, 1.0), min_size=1, max_size=max_len)
         .map(lambda xs: np.array(xs) / np.sum(xs))
     )
+
+
+def uniform(k):
+    return np.full(k, 1.0 / k)
+
+
+@st.composite
+def string_families(draw):
+    # n strings drawn from at most n - 1 distinct ones, so some repeat;
+    # uniform strings are totally ordered, so ordered chains come up too
+    n = draw(st.integers(2, 25))
+    pool = draw(
+        st.lists(
+            st.one_of(distributions(max_len=8), st.integers(1, 8).map(uniform)),
+            min_size=1,
+            max_size=n - 1,
+        )
+    )
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    return [pool[i] for i in picks]
+
+
+class TestPartialSums:
+    def test_sorted_padded_rows(self):
+        c = partial_sums([[0.25, 0.75], [1.0], antisym_string_closed(2)])
+        assert c.shape == (3, 4)
+        np.testing.assert_array_equal(c[0], [0.75, 1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(c[1], [1.0, 1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(c[2], np.cumsum(antisym_string_closed(2).probs))
+
+    def test_prefix_matches_own_cumsum(self):
+        rng = np.random.default_rng(2)
+        strings = [random_distribution(rng, int(k)) for k in rng.integers(1, 9, 20)]
+        c = partial_sums(strings)
+        for row, p in zip(c, strings):
+            own = np.cumsum(np.sort(p)[::-1])
+            np.testing.assert_array_equal(row[: p.size], own)
+            assert np.all(row[p.size:] == own[-1])
+
+    def test_rejects_bad_strings(self):
+        with pytest.raises(InputError, match="empty"):
+            partial_sums([[1.0], []])
+        with pytest.raises(InputError, match="non-negative"):
+            partial_sums([[1.0], [1.5, -0.5]])
 
 
 class TestCompare:
@@ -199,6 +244,34 @@ class TestSortChain:
     def test_requires_two(self):
         with pytest.raises(InputError, match="at least two"):
             sort_chain([("only", antisym_string_closed(2))])
+
+    def test_bad_tolerance_rejected(self):
+        items = [("a", [1.0]), ("b", [0.5, 0.5])]
+        for tol in (float("nan"), -1.0):
+            with pytest.raises(InputError, match="tol must be finite and >= 0"):
+                sort_chain(items, tol=tol)
+
+    @settings(max_examples=150, deadline=None)
+    @given(family=string_families(), tol=st.sampled_from([0.0, 1e-9, 0.05]))
+    def test_matches_pairwise_compare(self, family, tol):
+        n = len(family)
+        labels = [f"s{i}" for i in range(n)]
+        chain = sort_chain(zip(labels, family), tol)
+        verdict = [[compare(p, q, tol) for q in family] for p in family]
+        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+        def pairs(v):
+            return tuple((labels[i], labels[j]) for i, j in upper if verdict[i][j] is v)
+
+        assert chain.ties == pairs(Verdict.EQUAL)
+        assert chain.incomparable == pairs(Verdict.INCOMPARABLE)
+        assert chain.ordered == (not chain.incomparable)
+        if chain.ordered:
+            score = [row.count(Verdict.MORE_ENTANGLED) for row in verdict]
+            order = sorted(range(n), key=lambda i: score[i])
+            assert chain.labels == tuple(labels[i] for i in order)
+        else:
+            assert chain.labels is None
 
     def test_spin_branches_ordered(self):
         items = []
