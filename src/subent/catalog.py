@@ -185,20 +185,30 @@ def spin_projector(s: SpinLabel | int, branch: Branch) -> Projector:
 
     Built from the coupling operator: the plus branch is
     (X + (j + 1) I) / (2j + 1) with rank 2j + 2, the minus branch
-    (j I - X) / (2j + 1) with rank 2j.
+    (j I - X) / (2j + 1) with rank 2j.  X conserves total m, so it is
+    tridiagonal in the product basis: 2 J3 S3 puts +-m_a at (2a, 2a) and
+    (2a + 1, 2a + 1), and J+ S- + J- S+ couples the Clebsch-Gordan pair
+    (2k - 1, 2k) with sqrt(k (2j + 1 - k)).  Only those entries are filled.
     """
     s = _label(s)
     if not isinstance(branch, Branch):
         raise InputError(f"branch must be a Branch, got {branch!r}")
-    x = spin_x_operator(s)
-    eye = np.eye(2 * s.dim, dtype=np.complex128)
-    denom = float(s.two_j + 1)
+    m = (s.two_j - 2.0 * np.arange(s.dim)) / 2.0
+    diag = np.stack([m, -m], axis=1).ravel()
+    k = np.arange(1, s.dim)
+    off = np.sqrt(k * (s.two_j + 1 - k))
     if branch is Branch.PLUS:
-        matrix = (x + (s.j + 1.0) * eye) / denom
-        dim = s.two_j + 2
+        diag, dim = diag + (s.j + 1.0), s.two_j + 2
     else:
-        matrix = (s.j * eye - x) / denom
-        dim = s.two_j
+        diag, off, dim = s.j - diag, -off, s.two_j
+    # complex / float like the dense (X +- c I) / (2j + 1); dividing in
+    # float64 differs in the last bit
+    denom = float(s.two_j + 1)
+    off = off.astype(np.complex128) / denom
+    matrix = np.zeros((diag.size, diag.size), dtype=np.complex128)
+    matrix[np.diag_indices(diag.size)] = diag.astype(np.complex128) / denom
+    matrix[2 * k - 1, 2 * k] = off
+    matrix[2 * k, 2 * k - 1] = off
     return Projector(
         factorization=Factorization(s.dim, 2), matrix=matrix, dim=dim
     )

@@ -80,6 +80,8 @@ def _document_projector(path: str, orthonormalize: bool) -> tuple[str | None, Pr
         vectors = gram_schmidt(doc.basis) if orthonormalize else doc.basis
         basis = SubspaceBasis(factorization=doc.factorization, vectors=vectors)
         return doc.label, projector_from_basis(basis)
+    if not orthonormalize:
+        raise InputError("--no-orthonormalize does not apply to a projector document")
     return doc.label, Projector.from_matrix(doc.factorization, doc.projector)
 
 

@@ -178,17 +178,17 @@ def reduced_superop(p: Projector, side: int) -> np.ndarray:
     """Reduced operator-space state of P / sqrt(dim V) on one factor.
 
     Side 1 returns A A^dagger (shape d1^2 x d1^2); side 2 returns
-    A^dagger A (shape d2^2 x d2^2).  Both are Hermitian, positive
-    semidefinite and unit-trace, and they share their nonzero spectrum.
+    A^dagger A (shape d2^2 x d2^2).  Both are positive semidefinite and
+    unit-trace, and they share their nonzero spectrum.  The Gram product is
+    returned as computed, Hermitian to rounding;
+    :func:`subent.linalg.hermitian_eigenvalues` symmetrizes it.
     """
     if side not in (1, 2):
         raise InputError(f"side must be 1 or 2, got {side!r}")
     a = realign(p)
     if side == 1:
-        g = a @ a.conj().T
-    else:
-        g = a.conj().T @ a
-    return (g + g.conj().T) / 2.0
+        return a @ a.conj().T
+    return a.conj().T @ a
 
 
 def schmidt_string(

@@ -222,6 +222,18 @@ class TestSpinCoupling:
         assert plus.dim == two_j + 2
         assert minus.dim == two_j
 
+    @pytest.mark.parametrize("two_j", [*range(1, 41), 1000])
+    def test_projector_matches_coupling_operator(self, two_j):
+        # bitwise: the tridiagonal fill reproduces (X +- c I) / (2j + 1)
+        x = spin_x_operator(two_j)
+        eye = np.eye(x.shape[0], dtype=np.complex128)
+        j = two_j / 2.0
+        denom = float(two_j + 1)
+        plus = (x + (j + 1.0) * eye) / denom
+        minus = (j * eye - x) / denom
+        assert np.array_equal(spin_projector(two_j, Branch.PLUS).matrix, plus)
+        assert np.array_equal(spin_projector(two_j, Branch.MINUS).matrix, minus)
+
     def test_half_minus_is_singlet(self):
         p = spin_projector(1, Branch.MINUS)
         assert np.allclose(p.matrix, np.outer(SINGLET, SINGLET.conj()), atol=1e-14)

@@ -34,6 +34,11 @@ def singlet_doc():
     }
 
 
+def whole_space_projector_doc():
+    eye = [[[1.0 if i == k else 0.0, 0.0] for k in range(4)] for i in range(4)]
+    return {"d1": 2, "d2": 2, "projector": eye}
+
+
 def diagonal_vector_doc(label, probs):
     # one pure vector sum_a sqrt(p_a) e_a (x) e_a inside 3 (x) 3
     vec = [[0.0, 0.0] for _ in range(9)]
@@ -56,12 +61,7 @@ class TestSchmidt:
         assert doc["projector_defects"]["passes"] is True
 
     def test_whole_space_projector_doc(self, capsys, tmp_path):
-        eye = [
-            [[1.0 if i == k else 0.0, 0.0] for k in range(4)] for i in range(4)
-        ]
-        path = write_doc(
-            tmp_path, "full.json", {"d1": 2, "d2": 2, "projector": eye}
-        )
+        path = write_doc(tmp_path, "full.json", whole_space_projector_doc())
         code, out, _ = run(capsys, "schmidt", path)
         assert code == 0
         doc = json.loads(out)
@@ -189,11 +189,12 @@ class TestSchmidt:
             (["DOC", "--n", "3"], "--n"),
             (["DOC", "--two-j", "3"], "--two-j"),
             (["DOC", "--branch", "minus"], "--branch"),
+            (["PROJECTOR_DOC", "--no-orthonormalize"], "--no-orthonormalize"),
         ],
     )
     def test_preset_unused_option(self, capsys, tmp_path, argv, option):
-        path = write_doc(tmp_path, "s.json", singlet_doc())
-        argv = [path if a == "DOC" else a for a in argv]
+        docs = {"DOC": singlet_doc(), "PROJECTOR_DOC": whole_space_projector_doc()}
+        argv = [write_doc(tmp_path, "s.json", docs[a]) if a in docs else a for a in argv]
         code, out, err = run(capsys, "schmidt", *argv)
         assert code == 2
         assert out == ""

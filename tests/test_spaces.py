@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subent import (
     Factorization,
@@ -9,10 +11,16 @@ from subent import (
     embed,
     gram_schmidt,
     projector_from_basis,
+    spaces,
     validate_projector,
 )
+from subent.tolerances import (
+    PROJECTOR_HERMITICITY_TOL,
+    PROJECTOR_IDEMPOTENCY_TOL,
+    PROJECTOR_TRACE_TOL,
+)
 
-from .helpers import random_basis, random_unitary
+from .helpers import random_basis, random_hermitian, random_unitary
 
 # the singlet vector (e_0 e_1 - e_1 e_0)/sqrt(2) in 2x2, composite
 # indices 1 and 2, and its projector with entries in {0, +-1/2}
@@ -121,6 +129,18 @@ class TestProjector:
         with pytest.raises(InputError, match="fails projector validation"):
             Projector(Factorization(2, 2), np.eye(4) / 2.0, dim=2)
 
+    def test_caller_array_stays_writable(self):
+        m = np.eye(4, dtype=np.complex128)
+        p = Projector(Factorization(2, 2), m, dim=4)
+        report = p.report()
+        assert m.flags.writeable
+        assert p.matrix is not m
+        m[0, 0] = 2.0
+        m[0, 1] = 1e-3
+        assert np.array_equal(p.matrix, np.eye(4))
+        assert p.report() == report
+        assert validate_projector(p.matrix).passes
+
     def test_from_matrix_infers_dim(self):
         p = Projector.from_matrix(Factorization(2, 2), np.eye(4))
         assert p.dim == 4
@@ -194,6 +214,111 @@ class TestValidateProjector:
         report = validate_projector(p, dim=2)
         assert not report.passes
         assert report.trace == pytest.approx(1.0)
+
+
+def dense_report(m, dim):
+    """The defects from the dense products, as validation took them before."""
+    hermiticity = float(np.max(np.abs(m - m.conj().T)))
+    idempotency = float(np.max(np.abs(m @ m - m)))
+    trace = float(abs(complex(np.trace(m)) - dim))
+    passes = (
+        hermiticity <= PROJECTOR_HERMITICITY_TOL
+        and idempotency <= PROJECTOR_IDEMPOTENCY_TOL
+        and trace <= PROJECTOR_TRACE_TOL
+        and dim >= 1
+    )
+    return hermiticity, idempotency, trace, passes
+
+
+def assert_matches_dense(m):
+    report = validate_projector(m)
+    hermiticity, idempotency, trace, passes = dense_report(m, report.dim)
+    assert report.passes == passes
+    assert abs(report.hermiticity - hermiticity) <= 1e-15
+    assert abs(report.idempotency - idempotency) <= 1e-15
+    assert report.trace == trace
+
+
+def pattern_labels(m):
+    rows, cols = np.nonzero(m)
+    return spaces._component_labels(rows, cols, m.shape[0])
+
+
+@st.composite
+def block_matrices(draw):
+    """Block-diagonal matrices under a random permutation, blocks of size 1-5.
+
+    Each block is a projector of random rank (possibly 0), optionally with a
+    Hermitian perturbation (not idempotent) or a general one (not Hermitian).
+    """
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=8))
+    kind = draw(st.sampled_from(["projector", "perturbed", "non_hermitian"]))
+    scale = draw(st.sampled_from([1e-12, 1e-10, 1e-8, 1e-3, 0.1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = sum(sizes)
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    start = 0
+    for size in sizes:
+        v = random_unitary(rng, size)[:, : rng.integers(0, size + 1)]
+        block = v @ v.conj().T
+        if kind == "perturbed":
+            block = block + scale * random_hermitian(rng, size)
+        elif kind == "non_hermitian":
+            noise = rng.standard_normal((size, size)) + 1j * rng.standard_normal(
+                (size, size)
+            )
+            block = block + scale * noise
+        m[start : start + size, start : start + size] = block
+        start += size
+    perm = rng.permutation(dim)
+    return m[np.ix_(perm, perm)]
+
+
+class TestBlockwiseValidation:
+    @settings(max_examples=200, deadline=None)
+    @given(m=block_matrices())
+    def test_matches_dense_products(self, m):
+        assert_matches_dense(m)
+
+    def test_catalog_projector_is_many_blocks(self):
+        from subent import Branch, spin_projector
+
+        m = spin_projector(7, Branch.PLUS).matrix
+        labels = pattern_labels(m)
+        # the Clebsch-Gordan pairs and the two stretched states
+        assert np.unique(labels).size == 7 + 2
+        assert_matches_dense(m)
+
+    def test_unsettled_path_pattern_takes_dense_product(self):
+        # a path visiting the vertices in strides of 7 defeats label
+        # propagation within its round cap
+        rng = np.random.default_rng(31)
+        n = 64
+        path = np.arange(n) * 7 % n
+        m = np.zeros((n, n), dtype=np.complex128)
+        m[path, path] = rng.standard_normal(n)
+        values = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+        m[path[:-1], path[1:]] = values
+        m[path[1:], path[:-1]] = values.conj()
+        assert pattern_labels(m) is None
+        assert_matches_dense(m)
+        m[path[1:], path[:-1]] = 0.0
+        assert pattern_labels(m) is None
+        assert_matches_dense(m)
+
+    def test_dense_projector_is_one_block(self):
+        rng = np.random.default_rng(32)
+        p = projector_from_basis(random_basis(rng, Factorization(4, 5), 7))
+        assert not np.any(pattern_labels(p.matrix))
+        report = validate_projector(p.matrix)
+        hermiticity, idempotency, _, _ = dense_report(p.matrix, 7)
+        assert report.idempotency == idempotency
+        assert report.hermiticity == hermiticity
+
+    def test_zero_matrix(self):
+        report = validate_projector(np.zeros((3, 3)))
+        assert (report.hermiticity, report.idempotency, report.dim) == (0, 0, 0)
+        assert not report.passes
 
 
 class TestEmbed:
