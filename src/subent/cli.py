@@ -252,21 +252,25 @@ def cmd_hydrogen(n: int, fmt: str) -> None:
 @click.option(
     "--max-two-j",
     type=int,
-    default=20,
-    show_default=True,
-    help="Largest 2j to sweep for the spin family.",
+    help="Largest 2j to sweep for the spin family (default 20).",
 )
-def cmd_verify(family: str, max_n: int | None, max_two_j: int) -> int:
+def cmd_verify(family: str, max_n: int | None, max_two_j: int | None) -> int:
     """Recompute catalog strings numerically and diff against closed forms."""
-    # an unset --max-n keeps each family's own default range
+    # an unset range keeps each family's own default; a range the chosen
+    # family does not read is an error, not a silent default
+    if max_n is not None and family == "spin":
+        raise InputError("--max-n does not apply to --family spin")
+    if max_two_j is not None and family not in ("all", "spin"):
+        raise InputError(f"--max-two-j does not apply to --family {family}")
     n_range = {} if max_n is None else {"max_n": max_n}
+    j_range = {} if max_two_j is None else {"max_two_j": max_two_j}
     reports = []
     if family in ("all", "antisym"):
         reports.append(verify_antisym(**n_range))
     if family in ("all", "sym"):
         reports.append(verify_sym(**n_range))
     if family in ("all", "spin"):
-        reports.append(verify_spin(max_two_j=max_two_j))
+        reports.append(verify_spin(**j_range))
     if family in ("all", "hydrogen"):
         reports.append(verify_hydrogen(**n_range))
 
@@ -296,9 +300,6 @@ def main(argv: list[str] | None = None) -> int:
         return 130
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
-    except click.UsageError as exc:
-        exc.show()
-        return 2
     except click.ClickException as exc:
         exc.show()
         return 2

@@ -164,12 +164,12 @@ def _format_float(x: float, spec: str) -> str:
     return "0" if out in ("-0", "0") else out
 
 
-def dumps_json(obj, indent: int = 2) -> str:
-    """Serialize nested dicts/lists with floats at 17 significant digits."""
+def dumps_json(obj) -> str:
+    """Serialize nested dicts/lists, two spaces per level, 17-digit floats."""
 
     def emit(value, depth: int) -> str:
-        pad = " " * (indent * depth)
-        inner = " " * (indent * (depth + 1))
+        pad = "  " * depth
+        inner = pad + "  "
         if value is None:
             return "null"
         if isinstance(value, bool):

@@ -31,15 +31,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def hermitian_eigenvalues(h, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def hermitian_eigenvalues(h) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending.
 
     Parameters
     ----------
     h : array_like
-        Square matrix, Hermitian to within `tol` in Frobenius norm.
-    tol : float
-        Largest acceptable Frobenius norm of ``h - h^dagger``.
+        Square matrix with ``||h - h^dagger||_F`` at most `HERMITICITY_TOL`.
 
     Returns
     -------
@@ -49,7 +47,7 @@ def hermitian_eigenvalues(h, tol: float = HERMITICITY_TOL) -> np.ndarray:
     Raises
     ------
     InputError
-        If `h` is not square or the Hermiticity defect exceeds `tol`.
+        If `h` is not square or the Hermiticity defect exceeds the tolerance.
     NumericalError
         If the eigenvalue sum disagrees with the trace beyond a relative
         1e-10, which would mean the decomposition itself went wrong.
@@ -58,9 +56,10 @@ def hermitian_eigenvalues(h, tol: float = HERMITICITY_TOL) -> np.ndarray:
     if h.shape[0] != h.shape[1]:
         raise InputError(f"matrix must be square, got shape {h.shape}")
     defect = float(np.linalg.norm(h - h.conj().T))
-    if defect > tol:
+    if defect > HERMITICITY_TOL:
         raise InputError(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds tol {tol:.3e}"
+            f"matrix is not Hermitian: defect {defect:.3e} "
+            f"exceeds tol {HERMITICITY_TOL:.3e}"
         )
     # Symmetrize first so the solver sees an exactly Hermitian matrix.
     w = np.linalg.eigvalsh((h + h.conj().T) / 2.0)[::-1]
@@ -72,21 +71,19 @@ def hermitian_eigenvalues(h, tol: float = HERMITICITY_TOL) -> np.ndarray:
     return np.ascontiguousarray(w)
 
 
-def gram_schmidt(vectors, tol: float = DROP_TOL) -> np.ndarray:
+def gram_schmidt(vectors) -> np.ndarray:
     """Orthonormalize a spanning set with modified Gram-Schmidt.
 
     Runs two projection sweeps per vector (a single re-orthogonalization
     pass), which keeps the result orthonormal to near machine precision even
     for nearly dependent inputs.  Vectors whose residual norm falls below
-    `tol` are dropped and the rank reduction is reported through a
+    `DROP_TOL` are dropped and the rank reduction is reported through a
     ``RankDeficiencyWarning``.
 
     Parameters
     ----------
     vectors : iterable of array_like
         Non-empty collection of equal-length 1-D complex vectors.
-    tol : float
-        Residual norm below which a vector counts as dependent.
 
     Returns
     -------
@@ -113,7 +110,7 @@ def gram_schmidt(vectors, tol: float = DROP_TOL) -> np.ndarray:
             for u in kept:
                 w = w - np.vdot(u, w) * u
         norm = float(np.linalg.norm(w))
-        if norm < tol:
+        if norm < DROP_TOL:
             dropped += 1
             continue
         kept.append(w / norm)

@@ -91,8 +91,9 @@ def compare(s, t, tol: float = DEFAULT_COMPARE_TOL) -> Verdict:
 class ConsistencyReport:
     """Measure margins for a majorization-ordered pair.
 
-    Each margin is measure(s) - measure(t); all must be >= -slack when s is
-    at least as entangled as t, since every measure here is Schur concave.
+    Each margin is measure(s) - measure(t); all must be at least
+    -DEFAULT_MEASURE_SLACK when s is at least as entangled as t, since every
+    measure here is Schur concave.
     """
 
     verdict: Verdict
@@ -102,9 +103,7 @@ class ConsistencyReport:
     ok: bool
 
 
-def measure_consistency(
-    s: SchmidtString, t: SchmidtString, slack: float = DEFAULT_MEASURE_SLACK
-) -> ConsistencyReport:
+def measure_consistency(s: SchmidtString, t: SchmidtString) -> ConsistencyReport:
     """Check that all three measures respect a majorization relation.
 
     Requires compare(s, t) to come out more_entangled or equal; raises
@@ -120,7 +119,7 @@ def measure_consistency(
     d = ms.e_d - mt.e_d
     i = ms.e_i - mt.e_i
     t_ = ms.e_t - mt.e_t
-    ok = d >= -slack and i >= -slack and t_ >= -slack
+    ok = min(d, i, t_) >= -DEFAULT_MEASURE_SLACK
     return ConsistencyReport(verdict=verdict, d_margin=d, i_margin=i, t_margin=t_, ok=ok)
 
 

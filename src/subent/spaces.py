@@ -7,6 +7,7 @@ Every matrix in this module is expressed in that product basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ from .tolerances import (
     PROJECTOR_HERMITICITY_TOL,
     PROJECTOR_IDEMPOTENCY_TOL,
     PROJECTOR_TRACE_TOL,
+    REALIGN_NORM_TOL,
 )
 
 
@@ -112,7 +114,9 @@ class ProjectorReport:
     """Measured defects of a candidate projector matrix.
 
     `hermiticity` and `idempotency` are max-abs entrywise defects of
-    ``P - P^dagger`` and ``P @ P - P``; `trace` is ``|Tr(P) - dim|``.
+    ``P - P^dagger`` and ``P @ P - P``; `trace` is ``|Tr(P) - dim|``;
+    `norm` is ``| ||P||_F / sqrt(dim) - 1 |``, the distance of P / sqrt(dim)
+    from a unit vector in operator space.
     """
 
     hermiticity: float
@@ -120,6 +124,7 @@ class ProjectorReport:
     trace: float
     dim: int
     passes: bool
+    norm: float
 
 
 def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray | None:
@@ -172,14 +177,15 @@ def validate_projector(p, dim: int | None = None) -> ProjectorReport:
     Accepts either a :class:`Projector` or a raw square matrix.  When `dim`
     is omitted it is inferred as the rounded real trace.  The report passes
     when Hermiticity and idempotency defects are at most 1e-10 entrywise,
-    the trace is within 1e-8 of `dim`, and `dim` is at least 1.  A
+    the trace is within 1e-8 of `dim`, P / sqrt(dim) has norm within 1e-10
+    of 1, and `dim` is at least 1.  A
     :class:`Projector` was validated when it was built; its report is
     returned without recomputing it unless a different `dim` is asked for.
 
-    Both defects are measured on the nonzero entries: Hermiticity over the
-    pairs (P[r, c], P[c, r]) with either entry nonzero, idempotency on the
-    connected blocks of the nonzero pattern.  The values are those of the
-    dense ``P - P^dagger`` and ``P @ P - P``.
+    The defects are measured on the nonzero entries: the norm over them,
+    Hermiticity over the pairs (P[r, c], P[c, r]) with either entry nonzero,
+    idempotency on the connected blocks of the nonzero pattern.  The values
+    are those of the dense ``P - P^dagger`` and ``P @ P - P``.
     """
     if isinstance(p, Projector):
         if dim is None or dim == p.dim:
@@ -192,15 +198,20 @@ def validate_projector(p, dim: int | None = None) -> ProjectorReport:
         if dim is None:
             dim = int(round(float(np.trace(matrix).real)))
     rows, cols = np.divmod(np.flatnonzero(matrix != 0), matrix.shape[0])
+    values = matrix[rows, cols]
     hermiticity = float(
-        np.max(np.abs(matrix[rows, cols] - matrix[cols, rows].conj()), initial=0.0)
+        np.max(np.abs(values - matrix[cols, rows].conj()), initial=0.0)
     )
     idempotency = _idempotency_defect(matrix, rows, cols)
     trace = float(abs(complex(np.trace(matrix)) - dim))
+    norm = math.inf
+    if dim >= 1:
+        norm = abs(float(np.linalg.norm(values)) / math.sqrt(dim) - 1.0)
     passes = (
         hermiticity <= PROJECTOR_HERMITICITY_TOL
         and idempotency <= PROJECTOR_IDEMPOTENCY_TOL
         and trace <= PROJECTOR_TRACE_TOL
+        and norm <= REALIGN_NORM_TOL
         and dim >= 1
     )
     return ProjectorReport(
@@ -209,6 +220,7 @@ def validate_projector(p, dim: int | None = None) -> ProjectorReport:
         trace=trace,
         dim=int(dim),
         passes=passes,
+        norm=norm,
     )
 
 
@@ -227,21 +239,21 @@ class Projector:
     _report: ProjectorReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = as_matrix(self.matrix, "matrix")
+        m = _freeze(self.matrix)
         expected = self.factorization.dim
         if m.shape != (expected, expected):
             raise InputError(
                 f"projector shape {m.shape} does not match factorization "
                 f"{self.factorization.d1}x{self.factorization.d2}"
             )
-        m = _freeze(m)
         report = validate_projector(m, dim=self.dim)
         if not report.passes:
             raise InputError(
                 "matrix fails projector validation: "
                 f"hermiticity={report.hermiticity:.3e}, "
                 f"idempotency={report.idempotency:.3e}, "
-                f"trace defect={report.trace:.3e}, dim={report.dim}"
+                f"trace defect={report.trace:.3e}, "
+                f"norm defect={report.norm:.3e}, dim={report.dim}"
             )
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "matrix", m)

@@ -9,14 +9,14 @@ ORTHONORMALITY_TOL = 1e-10
 PROJECTOR_HERMITICITY_TOL = 1e-10
 PROJECTOR_IDEMPOTENCY_TOL = 1e-10
 PROJECTOR_TRACE_TOL = 1e-8
+REALIGN_NORM_TOL = 1e-10  # | ||P||_F / sqrt(dim) - 1 |
 
 # linalg
-HERMITICITY_TOL = 1e-10  # Frobenius norm of h - h^dagger
+HERMITICITY_TOL = 1e-10  # ||h - h^dagger||_F
 EIGENVALUE_SUM_TOL = 1e-10  # eigenvalue sum vs trace, relative to max(1, |trace|)
 DROP_TOL = 1e-10  # Gram-Schmidt residual norm below which a vector is dependent
 
 # schmidt
-REALIGN_NORM_TOL = 1e-10  # | ||A||_F - 1 |
 NEGATIVE_EIGENVALUE_FLOOR = 1e-10  # values down to -floor are clamped to zero
 STRING_SUM_TOL = 1e-9
 DEFAULT_ZERO_THRESHOLD = 1e-10

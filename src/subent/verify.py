@@ -79,7 +79,7 @@ def _string_deviation(a: SchmidtString, b: SchmidtString) -> float:
     return float(np.max(np.abs(a.padded(n) - b.padded(n))))
 
 
-def verify_antisym(max_n: int = 12, tol: float = STRING_TOL) -> FamilyReport:
+def verify_antisym(max_n: int = 12) -> FamilyReport:
     """Pipeline vs closed form for antisymmetric subspaces, n = 2..max_n."""
     if max_n < 2:
         raise InputError(f"max_n must be >= 2, got {max_n}")
@@ -88,15 +88,14 @@ def verify_antisym(max_n: int = 12, tol: float = STRING_TOL) -> FamilyReport:
         p = projector_from_basis(antisymmetric_subspace(n))
         numeric = schmidt_string(p)
         closed = antisym_string_closed(n)
-        checks.append(
-            Check(f"antisym n={n} string", _string_deviation(numeric, closed), tol)
-        )
+        dev = _string_deviation(numeric, closed)
+        checks.append(Check(f"antisym n={n} string", dev, STRING_TOL))
         dev = _measure_deviation(measures(numeric), closed_measures("antisym", n))
         checks.append(Check(f"antisym n={n} measures", dev, MEASURE_TOL))
     return FamilyReport(family="antisym", checks=tuple(checks))
 
 
-def verify_sym(max_n: int = 12, tol: float = STRING_TOL) -> FamilyReport:
+def verify_sym(max_n: int = 12) -> FamilyReport:
     """Pipeline vs closed form for symmetric subspaces, n = 1..max_n."""
     if max_n < 1:
         raise InputError(f"max_n must be >= 1, got {max_n}")
@@ -105,9 +104,8 @@ def verify_sym(max_n: int = 12, tol: float = STRING_TOL) -> FamilyReport:
         p = projector_from_basis(symmetric_subspace(n))
         numeric = schmidt_string(p)
         closed = sym_string_closed(n)
-        checks.append(
-            Check(f"sym n={n} string", _string_deviation(numeric, closed), tol)
-        )
+        dev = _string_deviation(numeric, closed)
+        checks.append(Check(f"sym n={n} string", dev, STRING_TOL))
         dev = _measure_deviation(measures(numeric), closed_measures("sym", n))
         checks.append(Check(f"sym n={n} measures", dev, MEASURE_TOL))
     return FamilyReport(family="sym", checks=tuple(checks))
@@ -131,11 +129,7 @@ def _expected_q_matrix(two_j: int) -> np.ndarray:
     return m
 
 
-def verify_spin(
-    max_two_j: int = 20,
-    tol: float = STRING_TOL,
-    q_tol: float = Q_MATRIX_TOL,
-) -> FamilyReport:
+def verify_spin(max_two_j: int = 20) -> FamilyReport:
     """Pipeline vs closed form for both coupling branches, 2j = 1..max_two_j.
 
     Besides the strings this checks the spin-side reduced matrix of the plus
@@ -156,7 +150,7 @@ def verify_spin(
                 Check(
                     f"spin 2j={two_j} {branch} string",
                     _string_deviation(numeric, closed),
-                    tol,
+                    STRING_TOL,
                 )
             )
             dev = _measure_deviation(
@@ -166,7 +160,7 @@ def verify_spin(
 
         q = reduced_superop(plus, side=2)
         q_dev = float(np.max(np.abs(q - _expected_q_matrix(two_j))))
-        checks.append(Check(f"spin 2j={two_j} Q matrix", q_dev, q_tol))
+        checks.append(Check(f"spin 2j={two_j} Q matrix", q_dev, Q_MATRIX_TOL))
 
         x = spin_x_operator(s)
         spectrum = hermitian_eigenvalues(x)
@@ -174,7 +168,7 @@ def verify_spin(
             [np.full(two_j + 2, s.j), np.full(two_j, -(s.j + 1.0))]
         )
         x_dev = float(np.max(np.abs(spectrum - expected)))
-        checks.append(Check(f"spin 2j={two_j} X spectrum", x_dev, tol))
+        checks.append(Check(f"spin 2j={two_j} X spectrum", x_dev, STRING_TOL))
 
         eye = np.eye(2 * s.dim)
         comp_dev = float(np.max(np.abs(plus.matrix + minus.matrix - eye)))
@@ -198,7 +192,7 @@ def hydrogen_chain_expected(n: int) -> tuple[str, ...]:
     return tuple(plus + ["S_0"] + minus)
 
 
-def verify_hydrogen(max_n: int = 8, tol: float = STRING_TOL) -> FamilyReport:
+def verify_hydrogen(max_n: int = 8) -> FamilyReport:
     """Pipeline strings and chain order for hydrogen-like levels, n = 1..max_n."""
     if max_n < 1:
         raise InputError(f"max_n must be >= 1, got {max_n}")
@@ -222,7 +216,7 @@ def verify_hydrogen(max_n: int = 8, tol: float = STRING_TOL) -> FamilyReport:
                 Check(
                     f"hydrogen n={n} {entry.label} string",
                     _string_deviation(numeric, entry.string),
-                    tol,
+                    STRING_TOL,
                 )
             )
         chain = sort_chain(

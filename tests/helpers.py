@@ -61,6 +61,18 @@ def random_basis(
     return SubspaceBasis(factorization=f, vectors=gram_schmidt(raw))
 
 
+def off_norm_projector() -> np.ndarray:
+    """A matrix over 10x10 within every entrywise projector tolerance whose
+    P / sqrt(dim) misses unit norm by 5e-9.
+
+    With u the uniform unit vector it is (1 + 5e-9) u u^dagger
+    - 5e-11 (I - u u^dagger), whose trace rounds to dim 1.
+    """
+    u = np.full(100, 0.1)
+    uu = np.outer(u, u)
+    return (1 + 5e-9) * uu - 5e-11 * (np.eye(100) - uu)
+
+
 def random_distribution(rng: np.random.Generator, length: int) -> np.ndarray:
     p = rng.dirichlet(np.ones(length))
     return np.sort(p)[::-1]

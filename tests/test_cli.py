@@ -7,6 +7,8 @@ import pytest
 
 from subent import NumericalError
 from subent.cli import main
+
+from .helpers import off_norm_projector
 from subent import cli as cli_module
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -409,6 +411,34 @@ class TestVerify:
         assert code == 2
         assert "input error" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["--family", "spin", "--max-n", "3"],
+                "--max-n does not apply to --family spin",
+            ),
+            (
+                ["--family", "hydrogen", "--max-two-j", "3"],
+                "--max-two-j does not apply to --family hydrogen",
+            ),
+            (
+                ["--family", "antisym", "--max-two-j", "3"],
+                "--max-two-j does not apply to --family antisym",
+            ),
+        ],
+    )
+    def test_range_the_family_does_not_sweep(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_spin_range_is_read(self, capsys):
+        code, out, _ = run(capsys, "verify", "--family", "spin", "--max-two-j", "3")
+        assert code == 0
+        assert "checks=21" in out
+
     def test_max_n_zero_is_not_the_default(self, capsys):
         code, out, err = run(capsys, "verify", "--max-n", "0")
         assert code == 2
@@ -463,21 +493,36 @@ class TestExitCodes:
         assert out == ""
         assert message in err
 
-    def test_unit_norm_gate_is_exit_3(self, capsys, monkeypatch, tmp_path):
-        # a validator that lets 2*I through leaves realign's norm gate
+    def test_unit_norm_defect_prints_no_string(self, capsys, monkeypatch, tmp_path):
+        # 2*I in 2x2 infers dim 8, and 2*I / sqrt(8) has norm sqrt(2)
         from subent import ProjectorReport, spaces
 
-        monkeypatch.setattr(
-            spaces,
-            "validate_projector",
-            lambda m, dim=None: ProjectorReport(0.0, 0.0, 0.0, int(dim), True),
-        )
         two_eye = [[[2.0 if i == k else 0.0, 0.0] for k in range(4)] for i in range(4)]
         path = write_doc(tmp_path, "p.json", {"d1": 2, "d2": 2, "projector": two_eye})
         code, out, err = run(capsys, "schmidt", path)
-        assert code == 3
+        assert code == 2
         assert out == ""
-        assert "Frobenius norm" in err
+        assert "norm defect=4.142e-01" in err
+        # a validator that lets it through still gets no string printed
+        monkeypatch.setattr(
+            spaces,
+            "validate_projector",
+            lambda m, dim=None: ProjectorReport(0.0, 0.0, 0.0, int(dim), True, 0.0),
+        )
+        code, out, err = run(capsys, "schmidt", path)
+        assert code != 0
+        assert out == ""
+
+    def test_norm_defect_within_entrywise_tolerances_is_exit_2(
+        self, capsys, tmp_path
+    ):
+        m = off_norm_projector()
+        pairs = np.stack([m.real, m.imag], axis=-1).tolist()
+        path = write_doc(tmp_path, "p.json", {"d1": 10, "d2": 10, "projector": pairs})
+        code, out, err = run(capsys, "schmidt", path)
+        assert code == 2
+        assert out == ""
+        assert "norm defect=5.000e-09" in err
 
     def test_no_args_shows_usage(self, capsys):
         # a bare invocation is treated as invalid input

@@ -62,13 +62,15 @@ class TestHermitianEigenvalues:
         with pytest.raises(InputError, match="not Hermitian"):
             hermitian_eigenvalues(m)
 
-    def test_tolerance_is_respected(self):
+    def test_tolerance_is_respected(self, monkeypatch):
         h = np.eye(2, dtype=complex)
         h[0, 1] = 1e-12
-        # defect ~1.4e-12 passes the default gate, fails a tight one
+        # defect ~1.4e-12 passes the default gate, fails a tight one; the
+        # gate reads the table constant when it runs
         assert np.allclose(hermitian_eigenvalues(h), [1, 1])
-        with pytest.raises(InputError):
-            hermitian_eigenvalues(h, tol=1e-13)
+        monkeypatch.setattr("subent.linalg.HERMITICITY_TOL", 1e-13)
+        with pytest.raises(InputError, match="exceeds tol 1.000e-13"):
+            hermitian_eigenvalues(h)
 
 
 class TestGramSchmidt:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subent import (
     Factorization,
@@ -21,10 +23,25 @@ from subent import (
     reduced_superop,
     schmidt_string,
     symmetric_subspace,
+    validate_projector,
     vector_schmidt,
 )
 
-from .helpers import partial_trace_coefficients, random_basis
+from subent.tolerances import (
+    PROJECTOR_HERMITICITY_TOL,
+    PROJECTOR_IDEMPOTENCY_TOL,
+    PROJECTOR_TRACE_TOL,
+    REALIGN_NORM_TOL,
+)
+
+from .helpers import (
+    off_norm_projector,
+    partial_trace_coefficients,
+    random_basis,
+    random_hermitian,
+    random_unitary,
+    string_deviation,
+)
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
 
@@ -200,6 +217,36 @@ class TestSchmidtStringPipeline:
             schmidt_string(singlet_projector(), zero_threshold=-1.0)
 
 
+@st.composite
+def perturbed_projectors(draw):
+    """A random projector (d1, d2 <= 4) with perturbations that each reach up
+    to 1.5x the projector tolerance they probe: a scale (1 + a) P against
+    the norm, idempotency or trace tolerance, a complement shift b (I - P)
+    against the trace tolerance, Hermitian noise against the idempotency
+    tolerance and anti-Hermitian noise against the Hermiticity tolerance.
+    """
+    f = Factorization(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    dim = draw(st.integers(1, f.dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = projector_from_basis(random_basis(rng, f, dim)).matrix
+    a, b, c, e = draw(st.lists(st.floats(-1.5, 1.5), min_size=4, max_size=4))
+    a *= draw(
+        st.sampled_from(
+            [
+                REALIGN_NORM_TOL,
+                PROJECTOR_IDEMPOTENCY_TOL / np.max(np.abs(p)),
+                PROJECTOR_TRACE_TOL / dim,
+            ]
+        )
+    )
+    b *= PROJECTOR_TRACE_TOL / max(f.dim - dim, 1)
+    h, k = random_hermitian(rng, f.dim), 1j * random_hermitian(rng, f.dim)
+    m = (1 + a) * p + b * (np.eye(f.dim) - p)
+    m = m + c * PROJECTOR_IDEMPOTENCY_TOL * h / np.max(np.abs(h))
+    m = m + e * PROJECTOR_HERMITICITY_TOL / 2 * k / np.max(np.abs(k))
+    return f, m, dim
+
+
 def fake_spectrum(monkeypatch, ascending):
     """Make the eigensolver return `ascending`, as eigvalsh orders it."""
     monkeypatch.setattr(
@@ -237,14 +284,12 @@ class TestStringFromEigenvalues:
 
 
 class TestGates:
-    def test_realign_norm_gate(self):
-        # a projector whose dim no longer matches its trace: A is not a
-        # unit vector, and realign is the one gate that checks it
-        p = singlet_projector()
-        object.__setattr__(p, "dim", 2)
-        for stage in (realign, lambda q: reduced_superop(q, 1), schmidt_string):
-            with pytest.raises(NumericalError, match="Frobenius norm"):
-                stage(p)
+    def test_norm_defect_fails_validation(self):
+        # the singlet projector taken as 2-dimensional: P / sqrt(2) is not a
+        # unit vector, and projector validation is the one gate that checks it
+        report = validate_projector(singlet_projector(), dim=2)
+        assert report.norm == pytest.approx(1 - 1 / math.sqrt(2), abs=1e-15)
+        assert not report.passes
 
     def test_validated_projector_near_tolerance_gets_string(self):
         # passes validation with idempotency and trace defects just inside
@@ -255,6 +300,15 @@ class TestGates:
         s = schmidt_string(p)
         assert s.k == 1
         assert s.probs[0] == pytest.approx(1.0, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=perturbed_projectors())
+    @example(case=(Factorization(10, 10), off_norm_projector(), 1))
+    def test_every_validated_matrix_gets_a_string(self, case):
+        f, m, dim = case
+        if validate_projector(m, dim).passes:
+            s = schmidt_string(Projector(f, m, dim))
+            assert len(s) == f.schmidt_length
 
     def test_flooring_real_weight_names_threshold(self):
         with pytest.raises(InputError, match="zero_threshold 0.2 floored weight"):
@@ -399,6 +453,30 @@ class TestProperties:
             s = schmidt_string(p)
             assert s.probs[0] == pytest.approx(1.0, abs=1e-9)
             assert np.max(s.probs[1:]) < 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d1=st.integers(1, 4),
+        d2=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_local_unitary_and_swap_invariance(self, d1, d2, seed, data):
+        # the string of (U1 (x) U2) V, and of V with its factors swapped
+        # (index i*d2+k -> k*d1+i over d2 x d1), is the string of V
+        rng = np.random.default_rng(seed)
+        f = Factorization(d1, d2)
+        size = data.draw(st.integers(1, f.dim))
+        v = random_basis(rng, f, size).vectors
+        s = schmidt_string(projector_from_basis(SubspaceBasis(f, v)))
+        u = np.kron(random_unitary(rng, d1), random_unitary(rng, d2))
+        swapped = v.reshape(size, d1, d2).transpose(0, 2, 1).reshape(size, -1)
+        for other in (
+            SubspaceBasis(f, v @ u.T),
+            SubspaceBasis(Factorization(d2, d1), swapped),
+        ):
+            t = schmidt_string(projector_from_basis(other))
+            assert string_deviation(s, t) <= 1e-12
 
     def test_factor_two_entropy_law(self):
         # Property 3: subspace entropy doubles the vector entropy

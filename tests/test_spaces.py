@@ -18,9 +18,15 @@ from subent.tolerances import (
     PROJECTOR_HERMITICITY_TOL,
     PROJECTOR_IDEMPOTENCY_TOL,
     PROJECTOR_TRACE_TOL,
+    REALIGN_NORM_TOL,
 )
 
-from .helpers import random_basis, random_hermitian, random_unitary
+from .helpers import (
+    off_norm_projector,
+    random_basis,
+    random_hermitian,
+    random_unitary,
+)
 
 # the singlet vector (e_0 e_1 - e_1 e_0)/sqrt(2) in 2x2, composite
 # indices 1 and 2, and its projector with entries in {0, +-1/2}
@@ -129,6 +135,18 @@ class TestProjector:
         with pytest.raises(InputError, match="fails projector validation"):
             Projector(Factorization(2, 2), np.eye(4) / 2.0, dim=2)
 
+    def test_rejects_norm_defect_within_entrywise_tolerances(self):
+        m = off_norm_projector()
+        report = validate_projector(m)
+        assert report.dim == 1
+        assert report.hermiticity <= PROJECTOR_HERMITICITY_TOL
+        assert report.idempotency <= PROJECTOR_IDEMPOTENCY_TOL
+        assert report.trace <= PROJECTOR_TRACE_TOL
+        assert report.norm == pytest.approx(5e-9, rel=1e-3)
+        assert not report.passes
+        with pytest.raises(InputError, match="norm defect=5.000e-09"):
+            Projector.from_matrix(Factorization(10, 10), m)
+
     def test_caller_array_stays_writable(self):
         m = np.eye(4, dtype=np.complex128)
         p = Projector(Factorization(2, 2), m, dim=4)
@@ -221,22 +239,25 @@ def dense_report(m, dim):
     hermiticity = float(np.max(np.abs(m - m.conj().T)))
     idempotency = float(np.max(np.abs(m @ m - m)))
     trace = float(abs(complex(np.trace(m)) - dim))
+    norm = abs(np.linalg.norm(m) / np.sqrt(dim) - 1.0) if dim >= 1 else np.inf
     passes = (
         hermiticity <= PROJECTOR_HERMITICITY_TOL
         and idempotency <= PROJECTOR_IDEMPOTENCY_TOL
         and trace <= PROJECTOR_TRACE_TOL
+        and norm <= REALIGN_NORM_TOL
         and dim >= 1
     )
-    return hermiticity, idempotency, trace, passes
+    return hermiticity, idempotency, trace, norm, passes
 
 
 def assert_matches_dense(m):
     report = validate_projector(m)
-    hermiticity, idempotency, trace, passes = dense_report(m, report.dim)
+    hermiticity, idempotency, trace, norm, passes = dense_report(m, report.dim)
     assert report.passes == passes
     assert abs(report.hermiticity - hermiticity) <= 1e-15
     assert abs(report.idempotency - idempotency) <= 1e-15
     assert report.trace == trace
+    assert report.norm == pytest.approx(norm, abs=1e-15)
 
 
 def pattern_labels(m):
@@ -311,7 +332,7 @@ class TestBlockwiseValidation:
         p = projector_from_basis(random_basis(rng, Factorization(4, 5), 7))
         assert not np.any(pattern_labels(p.matrix))
         report = validate_projector(p.matrix)
-        hermiticity, idempotency, _, _ = dense_report(p.matrix, 7)
+        hermiticity, idempotency, _, _, _ = dense_report(p.matrix, 7)
         assert report.idempotency == idempotency
         assert report.hermiticity == hermiticity
 

@@ -73,9 +73,10 @@ class TestFamilies:
         with pytest.raises(InputError):
             verify_hydrogen(max_n=0)
 
-    def test_tightened_tolerance_fails(self):
+    def test_tightened_tolerance_fails(self, monkeypatch):
         # machine noise exceeds an absurd tolerance, proving checks are live
-        report = verify_antisym(max_n=8, tol=0.0)
+        monkeypatch.setattr("subent.verify.STRING_TOL", 0.0)
+        report = verify_antisym(max_n=8)
         assert not report.passed
         assert report.failures()
 
