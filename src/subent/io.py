@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -45,17 +46,55 @@ class SubspaceDocument:
     projector: np.ndarray | None
 
 
-def _parse_pair(value, where: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in value)
-    ):
-        raise InputError(f"{where}: expected a [re, im] pair, got {value!r}")
-    re, im = float(value[0]), float(value[1])
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise InputError(f"{where}: non-finite entry {value!r}")
-    return complex(re, im)
+def _raise_first_bad_entry(rows: list, dim: int, key: str, row_name: str) -> None:
+    """Raise the InputError naming the first malformed row or entry, in
+    document order; return when every row holds `dim` finite pairs."""
+    for a, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            raise InputError(f"{row_name} {a} must be a list of {dim} [re, im] pairs")
+        for b, pair in enumerate(row):
+            where = f"{key}[{a}][{b}]"
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2 or any(
+                isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair
+            ):
+                raise InputError(f"{where}: expected a [re, im] pair, got {pair!r}")
+            try:
+                finite = all(math.isfinite(x) for x in pair)
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
+                raise InputError(f"{where}: non-finite entry {pair!r}")
+
+
+def _pair_matrix(rows, shape: tuple[int, int], key: str, row_name: str) -> np.ndarray:
+    """The complex matrix of a list of rows of [re, im] pairs, or of the
+    float64 (..., 2) array a document builder holds.
+
+    A list goes through ``np.array`` in one call when its rows are lists, its
+    pairs lists or tuples and its leaves exactly float or int: ``np.array``
+    alone would also take ``true``, ``"1.5"`` and ``null``.  Anything else,
+    and any result of the wrong shape or with a non-finite value, goes to the
+    per-entry walk, which names the first bad entry.
+    """
+    a = None
+    try:
+        if isinstance(rows, np.ndarray):
+            a = np.array(rows, dtype=np.float64)
+        elif (
+            all(isinstance(row, list) for row in rows)
+            and set(map(type, chain.from_iterable(rows))) <= {list, tuple}
+            and set(map(type, chain.from_iterable(chain.from_iterable(rows))))
+            <= {float, int}
+        ):
+            a = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if a is None or a.shape != (*shape, 2) or not np.isfinite(a).all():
+        listed = rows.tolist() if isinstance(rows, np.ndarray) else rows
+        _raise_first_bad_entry(listed, shape[1], key, row_name)
+        # valid, with leaves of other int or float types (numpy scalars)
+        a = np.array(listed, dtype=np.float64)
+    return a.view(np.complex128).reshape(shape)
 
 
 def _parse_int(data: dict, key: str) -> int:
@@ -84,39 +123,29 @@ def parse_subspace_document(data) -> SubspaceDocument:
     if label is not None and not isinstance(label, str):
         raise InputError(f"label must be a string, got {label!r}")
     has_basis = "basis" in data
-    has_projector = "projector" in data
-    if has_basis == has_projector:
+    if has_basis == ("projector" in data):
         raise InputError("document must contain exactly one of 'basis' or 'projector'")
 
+    key = "basis" if has_basis else "projector"
+    rows = data[key]
+    # basis_document and projector_document hold float64 (rows, D, 2) arrays
+    listed = isinstance(rows, list) or (
+        isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 3
+    )
     if has_basis:
-        rows = data["basis"]
-        if not isinstance(rows, list) or not rows:
+        if not listed or not len(rows):
             raise InputError("basis must be a non-empty list of vectors")
-        basis = np.zeros((len(rows), f.dim), dtype=np.complex128)
-        for a, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != f.dim:
-                raise InputError(
-                    f"basis vector {a} must be a list of {f.dim} [re, im] pairs"
-                )
-            for b, pair in enumerate(row):
-                basis[a, b] = _parse_pair(pair, f"basis[{a}][{b}]")
-        return SubspaceDocument(
-            factorization=f, label=label, basis=basis, projector=None
-        )
-
-    rows = data["projector"]
-    if not isinstance(rows, list) or len(rows) != f.dim:
-        raise InputError(f"projector must be a list of {f.dim} rows")
-    matrix = np.zeros((f.dim, f.dim), dtype=np.complex128)
-    for a, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != f.dim:
-            raise InputError(
-                f"projector row {a} must be a list of {f.dim} [re, im] pairs"
-            )
-        for b, pair in enumerate(row):
-            matrix[a, b] = _parse_pair(pair, f"projector[{a}][{b}]")
+        shape, row_name = (len(rows), f.dim), "basis vector"
+    else:
+        if not listed or len(rows) != f.dim:
+            raise InputError(f"projector must be a list of {f.dim} rows")
+        shape, row_name = (f.dim, f.dim), "projector row"
+    matrix = _pair_matrix(rows, shape, key, row_name)
     return SubspaceDocument(
-        factorization=f, label=label, basis=None, projector=matrix
+        factorization=f,
+        label=label,
+        basis=matrix if has_basis else None,
+        projector=None if has_basis else matrix,
     )
 
 
@@ -127,29 +156,33 @@ def load_subspace_document(path) -> SubspaceDocument:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, a file that is not UTF-8, or an integer literal
+        # past the interpreter's digit limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     return parse_subspace_document(data)
-
-
-def _matrix_pairs(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
 def _subspace_document(
     f: Factorization, label: str | None, key: str, matrix: np.ndarray
 ) -> dict:
     head = {} if label is None else {"label": label}
-    return {**head, "d1": f.d1, "d2": f.d2, key: _matrix_pairs(matrix)}
+    pairs = np.stack([matrix.real, matrix.imag], axis=-1)
+    return {**head, "d1": f.d1, "d2": f.d2, key: pairs}
 
 
 def basis_document(basis: SubspaceBasis, label: str | None = None) -> dict:
-    """Subspace document dict for an orthonormal basis."""
+    """Subspace document dict for an orthonormal basis.
+
+    The vectors are held as one float64 (m, D, 2) array of [re, im] pairs,
+    which `dumps_json` writes as its ``.tolist()``.
+    """
     return _subspace_document(basis.factorization, label, "basis", basis.vectors)
 
 
 def projector_document(p: Projector, label: str | None = None) -> dict:
-    """Subspace document dict for a validated projector."""
+    """Subspace document dict for a validated projector, held as
+    `basis_document` holds its vectors."""
     return _subspace_document(p.factorization, label, "projector", p.matrix)
 
 
@@ -164,8 +197,36 @@ def _format_float(x: float, spec: str) -> str:
     return "0" if out in ("-0", "0") else out
 
 
+def _float_array(a: np.ndarray, depth: int) -> str:
+    """A float64 array with no empty axis, as `dumps_json` writes a.tolist()."""
+    bad = ~np.isfinite(a)
+    if bad.any():
+        raise InputError(f"cannot serialize non-finite float {a[bad][0].item()!r}")
+    # + 0.0 turns -0.0 into 0.0, as _format_float does
+    flat = (a + 0.0).ravel().tolist()
+    n = a.shape[-1]
+    if n <= 2:  # innermost rows of one or two values stay on one line
+        row = "[" + ", ".join([f"%{JSON_DIGITS}"] * n) + "]"
+        items = list(map(row.__mod__, zip(*[iter(flat)] * n)))
+        axes = a.ndim - 1
+    else:
+        items = [format(x, JSON_DIGITS) for x in flat]
+        axes = a.ndim
+    for axis in reversed(range(axes)):
+        n = a.shape[axis]
+        pad = "  " * (depth + axis)
+        head, sep, tail = f"[\n{pad}  ", f",\n{pad}  ", f"\n{pad}]"
+        items = [
+            head + sep.join(items[i : i + n]) + tail for i in range(0, len(items), n)
+        ]
+    return items[0]
+
+
 def dumps_json(obj) -> str:
-    """Serialize nested dicts/lists, two spaces per level, 17-digit floats."""
+    """Serialize nested dicts/lists, two spaces per level, 17-digit floats.
+
+    A float64 ndarray is written exactly as its ``.tolist()`` would be.
+    """
 
     def emit(value, depth: int) -> str:
         pad = "  " * depth
@@ -188,6 +249,9 @@ def dumps_json(obj) -> str:
                 for k, v in value.items()
             ]
             return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+        floats = isinstance(value, np.ndarray) and value.dtype == np.float64
+        if floats and value.ndim and value.size:
+            return _float_array(value, depth)
         if isinstance(value, (list, tuple, np.ndarray)):
             seq = list(value)
             if not seq:

@@ -72,11 +72,13 @@ def hermitian_eigenvalues(h) -> np.ndarray:
 
 
 def gram_schmidt(vectors) -> np.ndarray:
-    """Orthonormalize a spanning set with modified Gram-Schmidt.
+    """Orthonormalize a spanning set with classical Gram-Schmidt, run twice.
 
-    Runs two projection sweeps per vector (a single re-orthogonalization
-    pass), which keeps the result orthonormal to near machine precision even
-    for nearly dependent inputs.  Vectors whose residual norm falls below
+    Each vector is projected off all kept vectors at once, as two
+    matrix-vector products, and the sweep is repeated once; two sweeps keep
+    the result orthonormal to near machine precision even for nearly
+    dependent inputs ("twice is enough": Giraud, Langou and Rozloznik,
+    Comput. Math. Appl. 50, 2005).  Vectors whose residual norm falls below
     `DROP_TOL` are dropped and the rank reduction is reported through a
     ``RankDeficiencyWarning``.
 
@@ -102,25 +104,26 @@ def gram_schmidt(vectors) -> np.ndarray:
         if not np.all(np.isfinite(v)):
             raise InputError("vector contains non-finite entries")
 
-    kept: list[np.ndarray] = []
-    dropped = 0
+    q = np.empty((len(rows), dim[0]), dtype=np.complex128)
+    kept = dropped = 0
     for v in rows:
         w = v.copy()
         for _ in range(2):
-            for u in kept:
-                w = w - np.vdot(u, w) * u
+            block = q[:kept]
+            w -= block.T @ (block.conj() @ w)
         norm = float(np.linalg.norm(w))
         if norm < DROP_TOL:
             dropped += 1
             continue
-        kept.append(w / norm)
+        q[kept] = w / norm
+        kept += 1
     if not kept:
         raise InputError("no linearly independent vectors above the drop tolerance")
     if dropped:
         warnings.warn(
             f"gram_schmidt dropped {dropped} linearly dependent vector(s); "
-            f"rank is {len(kept)}",
+            f"rank is {kept}",
             RankDeficiencyWarning,
             stacklevel=2,
         )
-    return np.array(kept)
+    return q[:kept]

@@ -197,12 +197,19 @@ def validate_projector(p, dim: int | None = None) -> ProjectorReport:
             raise InputError(f"projector must be square, got shape {matrix.shape}")
         if dim is None:
             dim = int(round(float(np.trace(matrix).real)))
-    rows, cols = np.divmod(np.flatnonzero(matrix != 0), matrix.shape[0])
-    values = matrix[rows, cols]
-    hermiticity = float(
-        np.max(np.abs(values - matrix[cols, rows].conj()), initial=0.0)
-    )
-    idempotency = _idempotency_defect(matrix, rows, cols)
+    nonzero = np.flatnonzero(matrix != 0)
+    if nonzero.size == matrix.size:
+        # a full pattern is one block: the dense formulas, with no gather
+        values = matrix.ravel()
+        hermiticity = float(np.max(np.abs(matrix - matrix.conj().T)))
+        idempotency = float(np.max(np.abs(matrix @ matrix - matrix)))
+    else:
+        rows, cols = np.divmod(nonzero, matrix.shape[0])
+        values = matrix[rows, cols]
+        hermiticity = float(
+            np.max(np.abs(values - matrix[cols, rows].conj()), initial=0.0)
+        )
+        idempotency = _idempotency_defect(matrix, rows, cols)
     trace = float(abs(complex(np.trace(matrix)) - dim))
     norm = math.inf
     if dim >= 1:
@@ -263,13 +270,22 @@ class Projector:
     def from_matrix(
         cls, factorization: Factorization, matrix, dim: int | None = None
     ) -> "Projector":
-        """Build a projector from a raw matrix, inferring `dim` from the trace."""
-        m = as_matrix(matrix, "matrix")
-        if dim is None:
-            dim = int(round(float(np.trace(m).real)))
-        if dim < 1:
-            raise InputError(f"projector trace rounds to {dim}, expected >= 1")
-        return cls(factorization=factorization, matrix=m, dim=dim)
+        """Build a projector from a raw matrix, inferring `dim` from the trace.
+
+        The constructor's validation is the one finiteness pass; a matrix
+        that is not 2-D, empty or finite still gets the message `as_matrix`
+        gives it, whichever check tripped first.
+        """
+        m = np.asarray(matrix, dtype=np.complex128)
+        try:
+            if dim is None:
+                dim = int(round(float(np.trace(m).real)))
+            if dim < 1:
+                raise InputError(f"projector trace rounds to {dim}, expected >= 1")
+            return cls(factorization=factorization, matrix=m, dim=dim)
+        except (InputError, TypeError, ValueError, OverflowError):
+            as_matrix(m, "matrix")
+            raise
 
     def report(self) -> ProjectorReport:
         """Defects measured when the projector was validated."""

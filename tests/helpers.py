@@ -8,10 +8,20 @@ recomputed from the partial trace of the full density matrix.
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import mpmath
 import numpy as np
 
-from subent import Factorization, SubspaceBasis, gram_schmidt
+from subent import (
+    Factorization,
+    InputError,
+    RankDeficiencyWarning,
+    SubspaceBasis,
+    gram_schmidt,
+)
+from subent.tolerances import DROP_TOL
 
 
 def char_poly_eigenvalues(h: np.ndarray) -> np.ndarray:
@@ -101,3 +111,73 @@ def string_deviation(a, b) -> float:
     return float(
         np.max(np.abs(np.pad(pa, (0, n - pa.size)) - np.pad(pb, (0, n - pb.size))))
     )
+
+
+def gram_schmidt_reference(vectors) -> np.ndarray:
+    """Modified Gram-Schmidt, one vdot per kept vector and sweep, twice.
+
+    The per-vector loop `gram_schmidt` ran before it projected against all
+    kept vectors at once; same drop rule and warning.
+    """
+    kept: list[np.ndarray] = []
+    dropped = 0
+    for v in vectors:
+        w = np.array(v, dtype=np.complex128)
+        for _ in range(2):
+            for u in kept:
+                w = w - np.vdot(u, w) * u
+        norm = float(np.linalg.norm(w))
+        if norm < DROP_TOL:
+            dropped += 1
+            continue
+        kept.append(w / norm)
+    if not kept:
+        raise InputError("no linearly independent vectors above the drop tolerance")
+    if dropped:
+        warnings.warn(
+            f"gram_schmidt dropped {dropped} linearly dependent vector(s); "
+            f"rank is {len(kept)}",
+            RankDeficiencyWarning,
+            stacklevel=2,
+        )
+    return np.array(kept)
+
+
+def _reference_pair(value, where: str) -> complex:
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != 2
+        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in value)
+    ):
+        raise InputError(f"{where}: expected a [re, im] pair, got {value!r}")
+    try:
+        re, im = float(value[0]), float(value[1])
+    except OverflowError:
+        raise InputError(f"{where}: non-finite entry {value!r}") from None
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise InputError(f"{where}: non-finite entry {value!r}")
+    return complex(re, im)
+
+
+def pair_matrix_reference(data: dict) -> np.ndarray:
+    """The basis or projector of a subspace document, parsed entry by entry
+    into a preallocated matrix, as `parse_subspace_document` did before it
+    parsed whole arrays (an integer beyond the float range is reported as a
+    non-finite entry).  Expects valid d1, d2 and exactly one matrix key.
+    """
+    dim = data["d1"] * data["d2"]
+    if "basis" in data:
+        rows, key, row_name = data["basis"], "basis", "basis vector"
+        if not isinstance(rows, list) or not rows:
+            raise InputError("basis must be a non-empty list of vectors")
+    else:
+        rows, key, row_name = data["projector"], "projector", "projector row"
+        if not isinstance(rows, list) or len(rows) != dim:
+            raise InputError(f"projector must be a list of {dim} rows")
+    matrix = np.zeros((len(rows), dim), dtype=np.complex128)
+    for a, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            raise InputError(f"{row_name} {a} must be a list of {dim} [re, im] pairs")
+        for b, pair in enumerate(row):
+            matrix[a, b] = _reference_pair(pair, f"{key}[{a}][{b}]")
+    return matrix

@@ -218,6 +218,25 @@ class TestSchmidt:
         assert code == 2
         assert "not valid JSON" in err
 
+    def test_tiny_document_large_factorization(self, capsys, tmp_path):
+        # a 1-pair row against D = 10^10 is an input error, not a 149 GiB
+        # allocation
+        doc = {"d1": 100000, "d2": 100000, "basis": [[[1, 0]]]}
+        code, out, err = run(capsys, "schmidt", write_doc(tmp_path, "big.json", doc))
+        assert code == 2
+        assert out == ""
+        assert (
+            "basis vector 0 must be a list of 10000000000 [re, im] pairs" in err
+        )
+
+    def test_huge_integer_entry(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"d1": 1, "d2": 2, "basis": [[[1' + "0" * 400 + ", 0], [0, 1]]]}")
+        code, out, err = run(capsys, "schmidt", str(path))
+        assert code == 2
+        assert out == ""
+        assert "input error: basis[0][0]: non-finite entry" in err
+
     def test_bad_format_choice(self, capsys):
         code, _, err = run(
             capsys, "schmidt", "--preset", "antisym", "--n", "2",

@@ -11,7 +11,7 @@ from subent import (
     hermitian_eigenvalues,
 )
 
-from .helpers import char_poly_eigenvalues, random_hermitian
+from .helpers import char_poly_eigenvalues, gram_schmidt_reference, random_hermitian
 
 
 def complex_matrices(rows, cols, scale=1.0):
@@ -132,3 +132,61 @@ class TestGramSchmidt:
         for v in vecs:
             proj = sum(np.vdot(u, v) * u for u in out)
             assert np.linalg.norm(proj - v) < 1e-10 * np.linalg.norm(v)
+
+
+@st.composite
+def planted_dependencies(draw):
+    """Random complex vectors, some replaced by combinations of earlier ones
+    (exact dependencies) or by zero vectors."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 16))
+    vecs = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
+    # DROP_TOL is absolute, so the scale stays where an exact dependency's
+    # rounding residual lies far below it
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e2]))
+    for i in draw(st.lists(st.integers(1, max(1, m - 1)), max_size=m)):
+        if i < m:
+            coef = rng.standard_normal(i) + 1j * rng.standard_normal(i)
+            vecs[i] = coef @ vecs[:i] if draw(st.booleans()) else 0.0
+    return scale * vecs
+
+
+class TestGramSchmidtReference:
+    """Two whole-block sweeps against the per-vector modified loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(vecs=planted_dependencies())
+    def test_matches_modified_gram_schmidt(self, vecs):
+        import warnings
+
+        outcomes = []
+        for orthonormalize in (gram_schmidt, gram_schmidt_reference):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    out = orthonormalize(vecs)
+                except InputError as exc:
+                    out = str(exc)
+            outcomes.append((out, [str(w.message) for w in caught]))
+        (got, got_warnings), (want, want_warnings) = outcomes
+        assert got_warnings == want_warnings
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13
+        gram = got @ got.conj().T
+        assert np.max(np.abs(gram - np.eye(got.shape[0]))) <= 1e-12
+
+    def test_deficient_rank_and_warning(self):
+        rng = np.random.default_rng(23)
+        free = rng.standard_normal((40, 60)) + 1j * rng.standard_normal((40, 60))
+        coef = rng.standard_normal((10, 40)) + 1j * rng.standard_normal((10, 40))
+        vecs = np.concatenate([free, coef @ free])[rng.permutation(50)]
+        with pytest.warns(RankDeficiencyWarning, match="dropped 10 .* rank is 40"):
+            out = gram_schmidt(vecs)
+        with pytest.warns(RankDeficiencyWarning):
+            want = gram_schmidt_reference(vecs)
+        assert out.shape == (40, 60)
+        assert np.max(np.abs(out - want)) <= 1e-13

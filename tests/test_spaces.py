@@ -167,6 +167,40 @@ class TestProjector:
         with pytest.raises(InputError):
             Projector.from_matrix(Factorization(2, 2), np.zeros((4, 4)))
 
+    def test_from_matrix_coerces_once(self, monkeypatch):
+        calls = []
+        original = spaces.as_matrix
+
+        def counting(a, name="matrix"):
+            calls.append(name)
+            return original(a, name)
+
+        monkeypatch.setattr(spaces, "as_matrix", counting)
+        p = Projector.from_matrix(Factorization(2, 2), SINGLET_PROJECTOR)
+        assert p.dim == 1
+        assert calls == ["projector"]
+
+    @pytest.mark.parametrize("dim", [None, 1])
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            ((0, 1), np.nan, "matrix contains non-finite entries"),
+            ((1, 1), np.nan, "matrix contains non-finite entries"),
+            ((1, 1), np.inf, "matrix contains non-finite entries"),
+            (None, np.ones(4), "matrix must be 2-dimensional, got ndim=1"),
+            (None, np.ones((2, 2, 2)), "matrix must be 2-dimensional, got ndim=3"),
+            (None, np.zeros((0, 0)), "matrix must be non-empty"),
+        ],
+    )
+    def test_from_matrix_names_malformed_matrix(self, where, value, message, dim):
+        m = SINGLET_PROJECTOR.copy()
+        if where is None:
+            m = value
+        else:
+            m[where] = value
+        with pytest.raises(InputError, match=f"^{message}$"):
+            Projector.from_matrix(Factorization(2, 2), m, dim)
+
 
 class TestValidateProjector:
     def test_identity_passes(self):
@@ -335,6 +369,27 @@ class TestBlockwiseValidation:
         hermiticity, idempotency, _, _, _ = dense_report(p.matrix, 7)
         assert report.idempotency == idempotency
         assert report.hermiticity == hermiticity
+
+    def test_full_pattern_skips_the_gather(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        p = projector_from_basis(random_basis(rng, Factorization(4, 5), 7))
+        m = p.matrix
+        assert np.all(m != 0)
+
+        def no_blocks(*args):
+            raise AssertionError("a full pattern needs no block search")
+
+        monkeypatch.setattr(spaces, "_idempotency_defect", no_blocks)
+        report = validate_projector(m)
+        # the gathered formulas give the same bits
+        rows, cols = np.nonzero(m)
+        values = m[rows, cols]
+        assert report.hermiticity == float(
+            np.max(np.abs(values - m[cols, rows].conj()))
+        )
+        assert report.norm == abs(float(np.linalg.norm(values)) / np.sqrt(7) - 1.0)
+        assert report.idempotency == dense_report(m, 7)[1]
+        assert report.passes
 
     def test_zero_matrix(self):
         report = validate_projector(np.zeros((3, 3)))
