@@ -63,7 +63,6 @@ from .verify import (
     Check,
     FamilyReport,
     hydrogen_chain_expected,
-    verify_all,
     verify_antisym,
     verify_hydrogen,
     verify_spin,
@@ -124,7 +123,6 @@ __all__ = [
     "verify_sym",
     "verify_spin",
     "verify_hydrogen",
-    "verify_all",
     "hydrogen_chain_expected",
     "__version__",
 ]

@@ -33,6 +33,32 @@ FAMILIES = ("antisym", "sym", "spin_plus", "spin_minus")
 
 
 # --- antisymmetric and symmetric subspaces ---------------------------------
+# Both are eigenspaces of the factor swap e_k e_l -> e_l e_k: sign -1 gives
+# the antisymmetric subspace, sign +1 the symmetric one.
+
+
+def _exchange_n(n, sign: int, what: str) -> int:
+    least = 1 if sign > 0 else 2
+    if not is_integer(n) or n < least:
+        name = "symmetric" if sign > 0 else "antisymmetric"
+        raise InputError(f"{name} {what} needs integer n >= {least}, got {n!r}")
+    return int(n)
+
+
+def _exchange_subspace(n, sign: int) -> SubspaceBasis:
+    """Rows e_k e_k (sign +1 only), then (e_k e_l + sign e_l e_k) / sqrt(2)
+    for k < l in row-major order."""
+    n = _exchange_n(n, sign, "subspace")
+    # allocated first, so that a size which cannot fit fails at once
+    vectors = np.zeros((n * (n + sign) // 2, n * n), dtype=np.complex128)
+    if sign > 0:
+        vectors[np.arange(n), np.arange(0, n * n, n + 1)] = 1.0
+    k, l = np.triu_indices(n, 1)
+    rows = np.arange(vectors.shape[0] - k.size, vectors.shape[0])
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    vectors[rows, k * n + l] = inv_sqrt2
+    vectors[rows, l * n + k] = sign * inv_sqrt2
+    return SubspaceBasis(factorization=Factorization(n, n), vectors=vectors)
 
 
 def antisymmetric_subspace(n: int) -> SubspaceBasis:
@@ -41,20 +67,7 @@ def antisymmetric_subspace(n: int) -> SubspaceBasis:
     Spanned by (e_k e_l - e_l e_k) / sqrt(2) for k < l; dimension n(n-1)/2.
     Requires n >= 2.
     """
-    if not is_integer(n) or n < 2:
-        raise InputError(f"antisymmetric subspace needs integer n >= 2, got {n!r}")
-    n = int(n)
-    f = Factorization(n, n)
-    count = n * (n - 1) // 2
-    vectors = np.zeros((count, n * n), dtype=np.complex128)
-    row = 0
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for k in range(n):
-        for l in range(k + 1, n):
-            vectors[row, k * n + l] = inv_sqrt2
-            vectors[row, l * n + k] = -inv_sqrt2
-            row += 1
-    return SubspaceBasis(factorization=f, vectors=vectors)
+    return _exchange_subspace(n, -1)
 
 
 def symmetric_subspace(n: int) -> SubspaceBasis:
@@ -63,23 +76,15 @@ def symmetric_subspace(n: int) -> SubspaceBasis:
     Spanned by e_k e_k together with (e_k e_l + e_l e_k) / sqrt(2) for k < l;
     dimension n(n+1)/2.  Requires n >= 1.
     """
-    if not is_integer(n) or n < 1:
-        raise InputError(f"symmetric subspace needs integer n >= 1, got {n!r}")
-    n = int(n)
-    f = Factorization(n, n)
-    count = n * (n + 1) // 2
-    vectors = np.zeros((count, n * n), dtype=np.complex128)
-    row = 0
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for k in range(n):
-        vectors[row, k * n + k] = 1.0
-        row += 1
-    for k in range(n):
-        for l in range(k + 1, n):
-            vectors[row, k * n + l] = inv_sqrt2
-            vectors[row, l * n + k] = inv_sqrt2
-            row += 1
-    return SubspaceBasis(factorization=f, vectors=vectors)
+    return _exchange_subspace(n, 1)
+
+
+def _exchange_string(n, sign: int) -> SchmidtString:
+    n = _exchange_n(n, sign, "string")
+    denom = 2.0 * n * (n + sign)
+    values = np.full(n * n, 1.0 / denom)
+    values[0] = (n + sign) ** 2 / denom
+    return SchmidtString.from_probs(values, length=n * n)
 
 
 def antisym_string_closed(n: int) -> SchmidtString:
@@ -88,13 +93,7 @@ def antisym_string_closed(n: int) -> SchmidtString:
     One entry (n-1)^2 / (2n(n-1)) followed by n^2 - 1 entries of
     1 / (2n(n-1)); length n^2.
     """
-    if not is_integer(n) or n < 2:
-        raise InputError(f"antisymmetric string needs integer n >= 2, got {n!r}")
-    n = int(n)
-    denom = 2.0 * n * (n - 1)
-    values = np.full(n * n, 1.0 / denom)
-    values[0] = (n - 1) ** 2 / denom
-    return SchmidtString.from_probs(values, length=n * n)
+    return _exchange_string(n, -1)
 
 
 def sym_string_closed(n: int) -> SchmidtString:
@@ -103,13 +102,7 @@ def sym_string_closed(n: int) -> SchmidtString:
     One entry (n+1)^2 / (2n(n+1)) followed by n^2 - 1 entries of
     1 / (2n(n+1)); length n^2.
     """
-    if not is_integer(n) or n < 1:
-        raise InputError(f"symmetric string needs integer n >= 1, got {n!r}")
-    n = int(n)
-    denom = 2.0 * n * (n + 1)
-    values = np.full(n * n, 1.0 / denom)
-    values[0] = (n + 1) ** 2 / denom
-    return SchmidtString.from_probs(values, length=n * n)
+    return _exchange_string(n, 1)
 
 
 # --- spin-orbit coupling ----------------------------------------------------

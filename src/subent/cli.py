@@ -41,10 +41,10 @@ from .io import (
 )
 from .linalg import gram_schmidt
 from .majorization import compare, partial_sums, sort_chain
-from .schmidt import SchmidtString, measures, schmidt_string
+from .schmidt import SchmidtString, schmidt_string
 from .spaces import Projector, SubspaceBasis, projector_from_basis
 from .tolerances import DEFAULT_COMPARE_TOL, DEFAULT_ZERO_THRESHOLD
-from .verify import verify_antisym, verify_hydrogen, verify_spin, verify_sym
+from .verify import FAMILY_SWEEPS
 
 _FORMATS = click.Choice(["json", "csv", "table"])
 
@@ -151,11 +151,7 @@ def cmd_schmidt(
         source_label, projector = _preset_projector(preset, number, branch)
     string = schmidt_string(projector, zero_threshold=zero_threshold)
     doc = result_document(
-        label if label is not None else source_label,
-        projector,
-        string,
-        measures(string),
-        projector.report(),
+        label if label is not None else source_label, projector, string
     )
     render = {"json": dumps_json, "csv": result_csv, "table": result_table}[fmt]
     click.echo(render(doc), nl=False)
@@ -240,7 +236,7 @@ def cmd_hydrogen(n: int, fmt: str) -> None:
 @cli.command(name="verify")
 @click.option(
     "--family",
-    type=click.Choice(["all", "antisym", "sym", "spin", "hydrogen"]),
+    type=click.Choice(["all", *FAMILY_SWEEPS]),
     default="all",
     show_default=True,
 )
@@ -258,21 +254,18 @@ def cmd_verify(family: str, max_n: int | None, max_two_j: int | None) -> int:
     """Recompute catalog strings numerically and diff against closed forms."""
     # an unset range keeps each family's own default; a range the chosen
     # family does not read is an error, not a silent default
-    if max_n is not None and family == "spin":
-        raise InputError("--max-n does not apply to --family spin")
-    if max_two_j is not None and family not in ("all", "spin"):
-        raise InputError(f"--max-two-j does not apply to --family {family}")
-    n_range = {} if max_n is None else {"max_n": max_n}
-    j_range = {} if max_two_j is None else {"max_two_j": max_two_j}
-    reports = []
-    if family in ("all", "antisym"):
-        reports.append(verify_antisym(**n_range))
-    if family in ("all", "sym"):
-        reports.append(verify_sym(**n_range))
-    if family in ("all", "spin"):
-        reports.append(verify_spin(**j_range))
-    if family in ("all", "hydrogen"):
-        reports.append(verify_hydrogen(**n_range))
+    ranges = {"max_n": max_n, "max_two_j": max_two_j}
+    names = list(FAMILY_SWEEPS) if family == "all" else [family]
+    sweeps = [FAMILY_SWEEPS[name] for name in names]
+    reads = {key for _, key in sweeps}
+    for key, value in ranges.items():
+        if value is not None and key not in reads:
+            option = "--" + key.replace("_", "-")
+            raise InputError(f"{option} does not apply to --family {family}")
+    reports = [
+        sweep(**({} if ranges[key] is None else {key: ranges[key]}))
+        for sweep, key in sweeps
+    ]
 
     failed = False
     for report in reports:
@@ -309,6 +302,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         click.echo(f"numerical error: {exc}", err=True)
         return 3
+    except MemoryError as exc:
+        # a size too large to allocate is bad input; exit 1 means a failed check
+        click.echo(f"input error: {exc or 'out of memory'}", err=True)
+        return 2
     return int(rv) if isinstance(rv, int) else 0
 
 

@@ -23,14 +23,8 @@ import numpy as np
 from .catalog import HydrogenLevel
 from .errors import InputError
 from .majorization import ChainResult, Verdict
-from .schmidt import Measures, SchmidtString, measures
-from .spaces import (
-    Factorization,
-    Projector,
-    ProjectorReport,
-    SubspaceBasis,
-    is_integer,
-)
+from .schmidt import SchmidtString, measures
+from .spaces import Factorization, Projector, SubspaceBasis, is_integer
 
 JSON_DIGITS = ".17g"
 TABLE_DIGITS = ".12g"
@@ -268,8 +262,9 @@ def dumps_json(obj) -> str:
     return emit(obj, 0) + "\n"
 
 
-def _string_fields(string: SchmidtString, meas: Measures) -> dict:
+def _string_fields(string: SchmidtString) -> dict:
     """The schmidt_string, k and measures fields of every result record."""
+    meas = measures(string)
     return {
         "schmidt_string": [float(x) for x in string.probs],
         "k": string.k,
@@ -278,20 +273,17 @@ def _string_fields(string: SchmidtString, meas: Measures) -> dict:
 
 
 def result_document(
-    label: str | None,
-    projector: Projector,
-    string: SchmidtString,
-    meas: Measures,
-    report: ProjectorReport,
+    label: str | None, projector: Projector, string: SchmidtString
 ) -> dict:
     """Assemble the result of a Schmidt string computation as plain data."""
     f = projector.factorization
+    report = projector.report()
     return {
         "label": label,
         "d1": f.d1,
         "d2": f.d2,
         "dim": projector.dim,
-        **_string_fields(string, meas),
+        **_string_fields(string),
         "projector_defects": {
             "hermiticity": report.hermiticity,
             "idempotency": report.idempotency,
@@ -366,7 +358,7 @@ def hydrogen_document(
             "d1": 2 * e.l + 1,
             "d2": 2,
             "dim": e.dim,
-            **_string_fields(e.string, measures(e.string)),
+            **_string_fields(e.string),
         }
         for e in level.entries
     ]
@@ -378,7 +370,7 @@ def hydrogen_document(
         "limiting": {
             "label": "S_0",
             "rank": rank["S_0"],
-            **_string_fields(limiting, measures(limiting)),
+            **_string_fields(limiting),
         },
     }
 

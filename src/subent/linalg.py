@@ -78,9 +78,10 @@ def gram_schmidt(vectors) -> np.ndarray:
     matrix-vector products, and the sweep is repeated once; two sweeps keep
     the result orthonormal to near machine precision even for nearly
     dependent inputs ("twice is enough": Giraud, Langou and Rozloznik,
-    Comput. Math. Appl. 50, 2005).  Vectors whose residual norm falls below
-    `DROP_TOL` are dropped and the rank reduction is reported through a
-    ``RankDeficiencyWarning``.
+    Comput. Math. Appl. 50, 2005).  A vector v whose residual norm falls
+    below ``DROP_TOL * max(1, ||v||)`` is dropped, so that an exact
+    dependency is dropped at any scale, and the rank reduction is reported
+    through a ``RankDeficiencyWarning``.
 
     Parameters
     ----------
@@ -112,7 +113,7 @@ def gram_schmidt(vectors) -> np.ndarray:
             block = q[:kept]
             w -= block.T @ (block.conj() @ w)
         norm = float(np.linalg.norm(w))
-        if norm < DROP_TOL:
+        if norm < DROP_TOL * max(1.0, float(np.linalg.norm(v))):
             dropped += 1
             continue
         q[kept] = w / norm

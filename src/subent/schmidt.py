@@ -21,7 +21,7 @@ operator space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,11 +41,12 @@ class SchmidtString:
     """Descending probability string of squared Schmidt coefficients.
 
     `probs` has the full factorization length min(d1^2, d2^2), padded with
-    exact zeros past the first `k` positive entries; `k` is the Schmidt rank.
+    exact zeros past the first `k` positive entries; `k`, the Schmidt rank,
+    is counted from `probs`.
     """
 
     probs: np.ndarray
-    k: int
+    k: int = field(init=False)
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probs, dtype=np.float64)
@@ -60,13 +61,10 @@ class SchmidtString:
             raise InputError(
                 f"probs sum to {total:.17g}, expected 1 within {STRING_SUM_TOL:g}"
             )
-        k = int(np.count_nonzero(p))
-        if self.k != k:
-            raise InputError(f"k={self.k} does not match {k} positive entries")
         p = np.ascontiguousarray(p)
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k", int(np.count_nonzero(p)))
 
     def __len__(self) -> int:
         return int(self.probs.size)
@@ -107,7 +105,7 @@ class SchmidtString:
             padded[: p.size] = p
             p = padded
         try:
-            return cls(probs=p, k=int(np.count_nonzero(p)))
+            return cls(probs=p)
         except InputError as exc:
             if floored > 0:
                 raise InputError(

@@ -149,18 +149,15 @@ def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray 
     return None
 
 
-def _idempotency_defect(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
-    """max |P @ P - P|, taken block by block on the nonzero pattern (rows, cols).
+def _idempotency_defect(m: np.ndarray, lab: np.ndarray) -> float:
+    """max |P @ P - P|, taken block by block on the component labels `lab`
+    of the nonzero pattern of P | P^T.
 
-    An entry of P @ P whose row and column lie in different connected
-    components of the pattern of P | P^T is a sum of exact zeros, as is the
-    entry of P, so only the diagonal blocks can contribute.  All blocks of
-    one size go through a single stacked matmul.  A single block, or labels
-    that did not settle, take the dense product.
+    An entry of P @ P whose row and column lie in different components is a
+    sum of exact zeros, as is the entry of P, so only the diagonal blocks
+    can contribute.  All blocks of one size go through a single stacked
+    matmul.
     """
-    lab = _component_labels(rows, cols, m.shape[0])
-    if lab is None or lab.max() == 0:
-        return float(np.max(np.abs(m @ m - m)))
     order = np.argsort(lab, kind="stable")
     _, starts, sizes = np.unique(lab[order], return_index=True, return_counts=True)
     defect = 0.0
@@ -198,18 +195,21 @@ def validate_projector(p, dim: int | None = None) -> ProjectorReport:
         if dim is None:
             dim = int(round(float(np.trace(matrix).real)))
     nonzero = np.flatnonzero(matrix != 0)
-    if nonzero.size == matrix.size:
-        # a full pattern is one block: the dense formulas, with no gather
+    lab = None
+    if nonzero.size < matrix.size:
+        rows, cols = np.divmod(nonzero, matrix.shape[0])
+        lab = _component_labels(rows, cols, matrix.shape[0])
+    if lab is None or lab.max() == 0:
+        # one block (a full pattern is one) or unsettled labels: no gather
         values = matrix.ravel()
         hermiticity = float(np.max(np.abs(matrix - matrix.conj().T)))
         idempotency = float(np.max(np.abs(matrix @ matrix - matrix)))
     else:
-        rows, cols = np.divmod(nonzero, matrix.shape[0])
         values = matrix[rows, cols]
         hermiticity = float(
             np.max(np.abs(values - matrix[cols, rows].conj()), initial=0.0)
         )
-        idempotency = _idempotency_defect(matrix, rows, cols)
+        idempotency = _idempotency_defect(matrix, lab)
     trace = float(abs(complex(np.trace(matrix)) - dim))
     norm = math.inf
     if dim >= 1:

@@ -14,7 +14,7 @@ REALIGN_NORM_TOL = 1e-10  # | ||P||_F / sqrt(dim) - 1 |
 # linalg
 HERMITICITY_TOL = 1e-10  # ||h - h^dagger||_F
 EIGENVALUE_SUM_TOL = 1e-10  # eigenvalue sum vs trace, relative to max(1, |trace|)
-DROP_TOL = 1e-10  # Gram-Schmidt residual norm below which a vector is dependent
+DROP_TOL = 1e-10  # Gram-Schmidt drops v if its residual < DROP_TOL * max(1, ||v||)
 
 # schmidt
 NEGATIVE_EIGENVALUE_FLOOR = 1e-10  # values down to -floor are clamped to zero

@@ -79,36 +79,32 @@ def _string_deviation(a: SchmidtString, b: SchmidtString) -> float:
     return float(np.max(np.abs(a.padded(n) - b.padded(n))))
 
 
+def _verify_exchange(family: str, max_n: int) -> FamilyReport:
+    """Pipeline vs closed form for antisym (n = 2..max_n) or sym (n = 1..max_n)."""
+    if family == "antisym":
+        least, build, closed_string = 2, antisymmetric_subspace, antisym_string_closed
+    else:
+        least, build, closed_string = 1, symmetric_subspace, sym_string_closed
+    if max_n < least:
+        raise InputError(f"max_n must be >= {least}, got {max_n}")
+    checks: list[Check] = []
+    for n in range(least, max_n + 1):
+        numeric = schmidt_string(projector_from_basis(build(n)))
+        dev = _string_deviation(numeric, closed_string(n))
+        checks.append(Check(f"{family} n={n} string", dev, STRING_TOL))
+        dev = _measure_deviation(measures(numeric), closed_measures(family, n))
+        checks.append(Check(f"{family} n={n} measures", dev, MEASURE_TOL))
+    return FamilyReport(family=family, checks=tuple(checks))
+
+
 def verify_antisym(max_n: int = 12) -> FamilyReport:
     """Pipeline vs closed form for antisymmetric subspaces, n = 2..max_n."""
-    if max_n < 2:
-        raise InputError(f"max_n must be >= 2, got {max_n}")
-    checks: list[Check] = []
-    for n in range(2, max_n + 1):
-        p = projector_from_basis(antisymmetric_subspace(n))
-        numeric = schmidt_string(p)
-        closed = antisym_string_closed(n)
-        dev = _string_deviation(numeric, closed)
-        checks.append(Check(f"antisym n={n} string", dev, STRING_TOL))
-        dev = _measure_deviation(measures(numeric), closed_measures("antisym", n))
-        checks.append(Check(f"antisym n={n} measures", dev, MEASURE_TOL))
-    return FamilyReport(family="antisym", checks=tuple(checks))
+    return _verify_exchange("antisym", max_n)
 
 
 def verify_sym(max_n: int = 12) -> FamilyReport:
     """Pipeline vs closed form for symmetric subspaces, n = 1..max_n."""
-    if max_n < 1:
-        raise InputError(f"max_n must be >= 1, got {max_n}")
-    checks: list[Check] = []
-    for n in range(1, max_n + 1):
-        p = projector_from_basis(symmetric_subspace(n))
-        numeric = schmidt_string(p)
-        closed = sym_string_closed(n)
-        dev = _string_deviation(numeric, closed)
-        checks.append(Check(f"sym n={n} string", dev, STRING_TOL))
-        dev = _measure_deviation(measures(numeric), closed_measures("sym", n))
-        checks.append(Check(f"sym n={n} measures", dev, MEASURE_TOL))
-    return FamilyReport(family="sym", checks=tuple(checks))
+    return _verify_exchange("sym", max_n)
 
 
 def _expected_q_matrix(two_j: int) -> np.ndarray:
@@ -230,13 +226,10 @@ def verify_hydrogen(max_n: int = 8) -> FamilyReport:
     return FamilyReport(family="hydrogen", checks=tuple(checks))
 
 
-def verify_all(
-    max_n: int = 12, max_two_j: int = 20, max_hydrogen_n: int = 8
-) -> list[FamilyReport]:
-    """Run every family verification at the standard ranges."""
-    return [
-        verify_antisym(max_n=max_n),
-        verify_sym(max_n=max_n),
-        verify_spin(max_two_j=max_two_j),
-        verify_hydrogen(max_n=max_hydrogen_n),
-    ]
+# Each family of the `verify` command: its sweep and the range keyword it reads.
+FAMILY_SWEEPS = {
+    "antisym": (verify_antisym, "max_n"),
+    "sym": (verify_sym, "max_n"),
+    "spin": (verify_spin, "max_two_j"),
+    "hydrogen": (verify_hydrogen, "max_n"),
+}

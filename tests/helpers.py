@@ -117,7 +117,8 @@ def gram_schmidt_reference(vectors) -> np.ndarray:
     """Modified Gram-Schmidt, one vdot per kept vector and sweep, twice.
 
     The per-vector loop `gram_schmidt` ran before it projected against all
-    kept vectors at once; same drop rule and warning.
+    kept vectors at once; same drop rule (residual below
+    DROP_TOL * max(1, ||v||)) and warning.
     """
     kept: list[np.ndarray] = []
     dropped = 0
@@ -127,7 +128,7 @@ def gram_schmidt_reference(vectors) -> np.ndarray:
             for u in kept:
                 w = w - np.vdot(u, w) * u
         norm = float(np.linalg.norm(w))
-        if norm < DROP_TOL:
+        if norm < DROP_TOL * max(1.0, float(np.linalg.norm(v))):
             dropped += 1
             continue
         kept.append(w / norm)
@@ -141,6 +142,25 @@ def gram_schmidt_reference(vectors) -> np.ndarray:
             stacklevel=2,
         )
     return np.array(kept)
+
+
+def exchange_subspace_reference(n: int, sign: int) -> np.ndarray:
+    """Basis rows of the antisymmetric (sign -1) or symmetric (sign +1)
+    subspace of C^n (x) C^n, filled pair by pair as the catalog once did."""
+    count = n * (n + sign) // 2
+    vectors = np.zeros((count, n * n), dtype=np.complex128)
+    row = 0
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    if sign > 0:
+        for k in range(n):
+            vectors[row, k * n + k] = 1.0
+            row += 1
+    for k in range(n):
+        for l in range(k + 1, n):
+            vectors[row, k * n + l] = inv_sqrt2
+            vectors[row, l * n + k] = inv_sqrt2 if sign > 0 else -inv_sqrt2
+            row += 1
+    return vectors
 
 
 def _reference_pair(value, where: str) -> complex:

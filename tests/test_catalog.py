@@ -29,7 +29,7 @@ from subent import (
     validate_projector,
 )
 
-from .helpers import string_deviation
+from .helpers import exchange_subspace_reference, string_deviation
 
 SINGLET = np.zeros(4, dtype=np.complex128)
 SINGLET[1] = 1.0 / math.sqrt(2.0)
@@ -121,6 +121,16 @@ class TestSymmetricSubspace:
     def test_domain(self):
         with pytest.raises(InputError):
             symmetric_subspace(0)
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_exchange_bases_match_pair_loop(n):
+    # the vectorized fill gives the old per-pair loop's vectors bit for bit
+    for build, sign in ((antisymmetric_subspace, -1), (symmetric_subspace, 1)):
+        if n == 1 and sign < 0:
+            continue
+        want = exchange_subspace_reference(n, sign)
+        assert build(n).vectors.tobytes() == want.tobytes()
 
 
 class TestClosedStrings:

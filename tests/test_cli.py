@@ -543,6 +543,21 @@ class TestExitCodes:
         assert out == ""
         assert "norm defect=5.000e-09" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 589 TiB for the basis alone, beyond any 128 TiB address space,
+            # so the allocation fails before it touches memory
+            ["schmidt", "--preset", "antisym", "--n", "3000"],
+            ["compare", "antisym:3000", "sym:2"],
+        ],
+    )
+    def test_size_that_cannot_fit_is_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
     def test_no_args_shows_usage(self, capsys):
         # a bare invocation is treated as invalid input
         code, _, err = run(capsys)

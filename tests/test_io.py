@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from subent import Branch, InputError, measures, schmidt_string, spin_projector
+from subent import Branch, InputError, schmidt_string, spin_projector
 from subent.io import (
     basis_document,
     dumps_json,
@@ -36,8 +36,7 @@ SINGLET_DOC = {
 
 def make_result():
     p = spin_projector(1, Branch.MINUS)
-    s = schmidt_string(p)
-    return result_document("singlet", p, s, measures(s), p.report())
+    return result_document("singlet", p, schmidt_string(p))
 
 
 class TestParse:

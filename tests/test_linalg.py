@@ -90,6 +90,15 @@ class TestGramSchmidt:
             out = gram_schmidt([v, 2 * v, np.array([0, 1.0, 0])])
         assert out.shape == (2, 3)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e6, 1e8])
+    def test_exact_dependency_dropped_at_any_scale(self, scale):
+        rng = np.random.default_rng(24)
+        vecs = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
+        vecs[4] = vecs[0] + vecs[1]
+        with pytest.warns(RankDeficiencyWarning, match="dropped 1 .* rank is 4"):
+            out = gram_schmidt(scale * vecs)
+        assert out.shape == (4, 8)
+
     def test_empty_input_rejected(self):
         with pytest.raises(InputError, match="at least one"):
             gram_schmidt([])
@@ -142,9 +151,9 @@ def planted_dependencies(draw):
     dim = draw(st.integers(1, 12))
     m = draw(st.integers(1, 16))
     vecs = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
-    # DROP_TOL is absolute, so the scale stays where an exact dependency's
-    # rounding residual lies far below it
-    scale = draw(st.sampled_from([1e-6, 1.0, 1e2]))
+    # the drop rule is relative to max(1, ||v||), so an exact dependency's
+    # rounding residual lies far below it at every scale
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e2, 1e6, 1e8]))
     for i in draw(st.lists(st.integers(1, max(1, m - 1)), max_size=m)):
         if i < m:
             coef = rng.standard_normal(i) + 1j * rng.standard_normal(i)

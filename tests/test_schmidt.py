@@ -62,9 +62,15 @@ class TestSchmidtStringType:
         with pytest.raises(InputError, match="sum"):
             SchmidtString.from_probs([0.5, 0.4])
 
+    def test_rank_is_derived_from_probs(self):
+        s = SchmidtString(probs=np.array([0.75, 0.25, 0.0]))
+        assert s.k == 2
+        with pytest.raises(TypeError):
+            SchmidtString(probs=np.array([1.0]), k=1)
+
     def test_rejects_increasing_order(self):
         with pytest.raises(InputError, match="non-increasing"):
-            SchmidtString(probs=np.array([0.25, 0.75]), k=2)
+            SchmidtString(probs=np.array([0.25, 0.75]))
 
     def test_rejects_negative(self):
         with pytest.raises(InputError, match="negative"):

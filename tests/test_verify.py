@@ -5,7 +5,6 @@ from subent import (
     FamilyReport,
     InputError,
     hydrogen_chain_expected,
-    verify_all,
     verify_antisym,
     verify_hydrogen,
     verify_spin,
@@ -57,11 +56,6 @@ class TestFamilies:
         assert report.passed, report.failures()
         # per n: 2n-1 entry strings + 1 chain check
         assert len(report.checks) == sum(2 * n for n in range(1, 5))
-
-    def test_all_default_ranges(self):
-        reports = verify_all(max_n=4, max_two_j=4, max_hydrogen_n=3)
-        assert [r.family for r in reports] == ["antisym", "sym", "spin", "hydrogen"]
-        assert all(r.passed for r in reports)
 
     def test_range_validation(self):
         with pytest.raises(InputError):
