@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InputError
 from .schmidt import Measures, SchmidtString
-from .spaces import Factorization, Projector, SubspaceBasis, is_integer
+from .spaces import Factorization, Projector, SubspaceBasis, _Fresh, is_integer
 
 SPIN_STRING_LENGTH = 4
 
@@ -203,7 +203,9 @@ def spin_projector(s: SpinLabel | int, branch: Branch) -> Projector:
     matrix[2 * k - 1, 2 * k] = off
     matrix[2 * k, 2 * k - 1] = off
     return Projector(
-        factorization=Factorization(s.dim, 2), matrix=matrix, dim=dim
+        factorization=Factorization(s.dim, 2),
+        matrix=matrix.view(_Fresh),
+        dim=dim,
     )
 
 

@@ -16,6 +16,11 @@ H2 labels.  Squared singular values of A form the string; they are obtained
 as eigenvalues of the smaller of the two Gram matrices A A^dagger, A^dagger A,
 which are the reduced states of P / sqrt(dim V) viewed as a unit vector in
 operator space.
+
+A symmetry that makes P block diagonal (total m, U (x) U invariance) also
+makes A sparse and the Gram block diagonal.  So a P with zero entries is
+realigned from its nonzeros alone, without the all-zero rows (or columns)
+of A that the Gram sums over, and the eigenvalues are taken block by block.
 """
 
 from __future__ import annotations
@@ -177,7 +182,23 @@ def reduced_superop(p: Projector, side: int) -> np.ndarray:
     """
     if side not in (1, 2):
         raise InputError(f"side must be 1 or 2, got {side!r}")
-    a = realign(p)
+    m = p.matrix
+    nonzero = np.flatnonzero(m != 0)
+    if nonzero.size == m.size:
+        a = realign(p)
+    else:
+        # scatter the nonzeros of P into A, dropping its all-zero rows for
+        # side 2 and its all-zero columns for side 1: neither Gram changes
+        d1, d2 = p.factorization.d1, p.factorization.d2
+        (i, k), (j, l) = (np.divmod(x, d2) for x in np.divmod(nonzero, m.shape[0]))
+        rows, cols = i * d1 + j, k * d2 + l
+        if side == 1:
+            kept, cols = np.unique(cols, return_inverse=True)
+            a = np.zeros((d1 * d1, kept.size), dtype=np.complex128)
+        else:
+            kept, rows = np.unique(rows, return_inverse=True)
+            a = np.zeros((kept.size, d2 * d2), dtype=np.complex128)
+        a[rows, cols] = m.ravel()[nonzero] / math.sqrt(p.dim)
     if side == 1:
         return a @ a.conj().T
     return a.conj().T @ a

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .linalg import as_matrix
+from .linalg import _blocks, as_matrix
 from .tolerances import (
     ORTHONORMALITY_TOL,
     PROJECTOR_HERMITICITY_TOL,
@@ -28,10 +28,18 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+class _Fresh(np.ndarray):
+    """A complex128 C-ordered matrix that a builder made for one Projector
+    and keeps no other reference to: the Projector adopts it, not a copy."""
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
-    # a private copy: the caller's array stays writable, and writing to it
-    # cannot change what was validated
-    out = np.array(a, dtype=np.complex128, order="C", copy=True)
+    if type(a) is _Fresh:
+        out = a.view(np.ndarray)
+    else:
+        # a private copy: the caller's array stays writable, and writing to
+        # it cannot change what was validated
+        out = np.array(a, dtype=np.complex128, order="C", copy=True)
     out.setflags(write=False)
     return out
 
@@ -127,47 +135,6 @@ class ProjectorReport:
     norm: float
 
 
-def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray | None:
-    """Connected components of the graph on n vertices with edges (rows, cols).
-
-    Label propagation in both edge directions with one pointer jump per
-    round (Shiloach & Vishkin, J. Algorithms 3, 57, 1982).  Labels only
-    decrease and always name a vertex of their own component, so labels
-    that survive a round unchanged are the component minima, and labels
-    that are all 0 already show a single component.  Returns None when the
-    labels have not settled within 2 * bit_length(n) + 2 rounds.
-    """
-    lab = np.arange(n)
-    for _ in range(2 * n.bit_length() + 2):
-        new = lab.copy()
-        np.minimum.at(new, rows, new[cols])
-        np.minimum.at(new, cols, new[rows])
-        new = new[new]
-        if new.max() == 0 or np.array_equal(new, lab):
-            return new
-        lab = new
-    return None
-
-
-def _idempotency_defect(m: np.ndarray, lab: np.ndarray) -> float:
-    """max |P @ P - P|, taken block by block on the component labels `lab`
-    of the nonzero pattern of P | P^T.
-
-    An entry of P @ P whose row and column lie in different components is a
-    sum of exact zeros, as is the entry of P, so only the diagonal blocks
-    can contribute.  All blocks of one size go through a single stacked
-    matmul.
-    """
-    order = np.argsort(lab, kind="stable")
-    _, starts, sizes = np.unique(lab[order], return_index=True, return_counts=True)
-    defect = 0.0
-    for size in np.unique(sizes):
-        idx = order[starts[sizes == size, None] + np.arange(size)]
-        b = m[idx[:, :, None], idx[:, None, :]]
-        defect = max(defect, float(np.max(np.abs(b @ b - b))))
-    return defect
-
-
 def validate_projector(p, dim: int | None = None) -> ProjectorReport:
     """Check a matrix against the orthogonal projector contract.
 
@@ -194,22 +161,20 @@ def validate_projector(p, dim: int | None = None) -> ProjectorReport:
             raise InputError(f"projector must be square, got shape {matrix.shape}")
         if dim is None:
             dim = int(round(float(np.trace(matrix).real)))
-    nonzero = np.flatnonzero(matrix != 0)
-    lab = None
-    if nonzero.size < matrix.size:
-        rows, cols = np.divmod(nonzero, matrix.shape[0])
-        lab = _component_labels(rows, cols, matrix.shape[0])
-    if lab is None or lab.max() == 0:
-        # one block (a full pattern is one) or unsettled labels: no gather
+    nonzero, blocks = _blocks(matrix)
+    if blocks is None:
         values = matrix.ravel()
         hermiticity = float(np.max(np.abs(matrix - matrix.conj().T)))
         idempotency = float(np.max(np.abs(matrix @ matrix - matrix)))
     else:
+        rows, cols = np.divmod(nonzero, matrix.shape[0])
         values = matrix[rows, cols]
         hermiticity = float(
             np.max(np.abs(values - matrix[cols, rows].conj()), initial=0.0)
         )
-        idempotency = _idempotency_defect(matrix, lab)
+        # an entry of P @ P between two blocks is a sum of exact zeros, as
+        # is the entry of P
+        idempotency = max(float(np.max(np.abs(b @ b - b))) for b in blocks)
     trace = float(abs(complex(np.trace(matrix)) - dim))
     norm = math.inf
     if dim >= 1:
@@ -295,7 +260,7 @@ class Projector:
 def projector_from_basis(basis: SubspaceBasis) -> Projector:
     """Orthogonal projector P = sum_a |v_a><v_a| onto the span of `basis`."""
     v = basis.vectors
-    matrix = v.T @ v.conj()
+    matrix = (v.T @ v.conj()).view(_Fresh)
     return Projector(factorization=basis.factorization, matrix=matrix, dim=basis.dim)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from subent import (
     Factorization,
     InputError,
+    Projector,
     RankDeficiencyWarning,
     SubspaceBasis,
     gram_schmidt,
@@ -69,6 +70,73 @@ def random_basis(
         (size, f.dim)
     )
     return SubspaceBasis(factorization=f, vectors=gram_schmidt(raw))
+
+
+def permuted_block_basis(
+    rng: np.random.Generator, f: Factorization, max_block: int = 4
+) -> SubspaceBasis:
+    """A basis whose projector is block diagonal under a random permutation
+    of the product basis: blocks of 1 to `max_block` product basis vectors,
+    each holding a random subspace of random rank (at least one nonzero)."""
+    perm = rng.permutation(f.dim)
+    vectors = []
+    start = 0
+    while start < f.dim:
+        idx = perm[start : start + int(rng.integers(1, max_block + 1))]
+        start += idx.size
+        # the last block is nonzero if all before it were zero
+        low = 0 if vectors or start < f.dim else 1
+        rank = int(rng.integers(low, idx.size + 1))
+        for column in random_unitary(rng, idx.size)[:, :rank].T:
+            v = np.zeros(f.dim, dtype=np.complex128)
+            v[idx] = column
+            vectors.append(v)
+    return SubspaceBasis(factorization=f, vectors=np.array(vectors))
+
+
+def realigned_gram_eigenvalues_mp(p: Projector) -> np.ndarray:
+    """Eigenvalues of A A^dagger at 50 digits, descending, where A is built
+    entry by entry from its definition A[(i, j), (k, l)] = P[(i, k), (j, l)]
+    / sqrt(dim), with no reshape or transpose."""
+    d1, d2 = p.factorization.d1, p.factorization.d2
+    with mpmath.workdps(50):
+        a = mpmath.matrix(d1 * d1, d2 * d2)
+        scale = mpmath.sqrt(p.dim)
+        for i in range(d1):
+            for j in range(d1):
+                for k in range(d2):
+                    for l in range(d2):
+                        entry = complex(p.matrix[i * d2 + k, j * d2 + l])
+                        a[i * d1 + j, k * d2 + l] = mpmath.mpc(entry) / scale
+        w = mpmath.eighe(a * a.H, eigvals_only=True)
+        return np.sort(np.array([float(x) for x in w]))[::-1]
+
+
+def stride_path_hermitian(rng: np.random.Generator, n: int = 64) -> np.ndarray:
+    """A Hermitian matrix whose pattern is a path visiting the vertices in
+    strides of 7, which label propagation cannot settle within its cap."""
+    path = np.arange(n) * 7 % n
+    h = np.zeros((n, n), dtype=np.complex128)
+    h[path, path] = rng.standard_normal(n)
+    values = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    h[path[:-1], path[1:]] = values
+    h[path[1:], path[:-1]] = values.conj()
+    return h
+
+
+def tiles_upb() -> np.ndarray:
+    """The five orthonormal product vectors of the Tiles unextendible
+    product basis in 3 x 3 (Bennett et al., PRL 82, 5385, 1999), as rows."""
+    e = np.eye(3)
+    s = np.ones(3) / math.sqrt(3.0)
+    pairs = [
+        (e[0], (e[0] - e[1]) / math.sqrt(2.0)),
+        ((e[0] - e[1]) / math.sqrt(2.0), e[2]),
+        (e[2], (e[1] - e[2]) / math.sqrt(2.0)),
+        ((e[1] - e[2]) / math.sqrt(2.0), e[0]),
+        (s, s),
+    ]
+    return np.array([np.kron(a, b) for a, b in pairs], dtype=np.complex128)
 
 
 def off_norm_projector() -> np.ndarray:

@@ -512,6 +512,23 @@ class TestExitCodes:
         assert out == ""
         assert message in err
 
+    def test_faulty_blockwise_eigensolver_is_exit_3(self, capsys, monkeypatch):
+        # the antisym n=3 Gram has blocks of sizes 1 and 3, solved as two
+        # stacks; each stack losing a tenth of its weight trips the sum gate
+        original = np.linalg.eigvalsh
+        stacks = []
+
+        def lossy(h):
+            stacks.append(h.shape)
+            return 0.9 * original(h)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", lossy)
+        code, out, err = run(capsys, "schmidt", "--preset", "antisym", "--n", "3")
+        assert code == 3
+        assert out == ""
+        assert "eigenvalue sum" in err
+        assert stacks == [(6, 1, 1), (1, 3, 3)]
+
     def test_unit_norm_defect_prints_no_string(self, capsys, monkeypatch, tmp_path):
         # 2*I in 2x2 infers dim 8, and 2*I / sqrt(8) has norm sqrt(2)
         from subent import ProjectorReport, spaces

@@ -9,9 +9,15 @@ from subent import (
     RankDeficiencyWarning,
     gram_schmidt,
     hermitian_eigenvalues,
+    linalg,
 )
 
-from .helpers import char_poly_eigenvalues, gram_schmidt_reference, random_hermitian
+from .helpers import (
+    char_poly_eigenvalues,
+    gram_schmidt_reference,
+    random_hermitian,
+    stride_path_hermitian,
+)
 
 
 def complex_matrices(rows, cols, scale=1.0):
@@ -71,6 +77,43 @@ class TestHermitianEigenvalues:
         monkeypatch.setattr("subent.linalg.HERMITICITY_TOL", 1e-13)
         with pytest.raises(InputError, match="exceeds tol 1.000e-13"):
             hermitian_eigenvalues(h)
+
+
+class TestBlockwiseSpectrum:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 6), min_size=2, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_permuted_blocks_match_dense(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        h = np.zeros((n, n), dtype=np.complex128)
+        start = 0
+        for size in sizes:
+            h[start : start + size, start : start + size] = random_hermitian(rng, size)
+            start += size
+        perm = rng.permutation(n)
+        h = h[np.ix_(perm, perm)] / np.linalg.norm(h, 2)
+        assert linalg._blocks(h)[1] is not None
+        w = hermitian_eigenvalues(h)
+        assert np.max(np.abs(w - np.linalg.eigvalsh(h)[::-1])) <= 1e-14
+
+    @pytest.mark.parametrize("pattern", ["stride path", "full", "single block"])
+    def test_whole_matrix_patterns_take_dense_solve(self, pattern):
+        rng = np.random.default_rng(41)
+        if pattern == "stride path":
+            h = stride_path_hermitian(rng)
+            rows, cols = np.nonzero(h)
+            assert linalg._component_labels(rows, cols, h.shape[0]) is None
+        elif pattern == "full":
+            h = random_hermitian(rng, 12)
+            assert np.all(h != 0)
+        else:
+            h = np.diag(rng.standard_normal(12)).astype(np.complex128)
+            h += np.diag(np.ones(11), 1) + np.diag(np.ones(11), -1)
+        assert linalg._blocks(h)[1] is None
+        assert np.array_equal(hermitian_eigenvalues(h), np.linalg.eigvalsh(h)[::-1])
 
 
 class TestGramSchmidt:

@@ -37,10 +37,13 @@ from subent.tolerances import (
 from .helpers import (
     off_norm_projector,
     partial_trace_coefficients,
+    permuted_block_basis,
     random_basis,
     random_hermitian,
     random_unitary,
+    realigned_gram_eigenvalues_mp,
     string_deviation,
+    tiles_upb,
 )
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
@@ -183,6 +186,158 @@ class TestReducedSuperop:
         expected[1, 1] = expected[2, 2] = 1.0 / 9.0
         expected[0, 3] = expected[3, 0] = 5.0 / 18.0
         assert np.max(np.abs(q - expected)) < 1e-12
+
+
+def full_realignment_gram(p: Projector, side: int) -> np.ndarray:
+    """The Gram of the whole realigned matrix, zero rows and columns kept."""
+    a = realign(p)
+    return a @ a.conj().T if side == 1 else a.conj().T @ a
+
+
+def catalog_projector(name: str, size: int) -> Projector:
+    from subent import Branch, spin_projector
+
+    if name == "antisym":
+        return projector_from_basis(antisymmetric_subspace(size))
+    if name == "sym":
+        return projector_from_basis(symmetric_subspace(size))
+    return spin_projector(size, Branch.PLUS if name == "plus" else Branch.MINUS)
+
+
+CATALOG_CASES = [
+    ("antisym", 2),
+    ("antisym", 3),
+    ("antisym", 6),
+    ("sym", 2),
+    ("sym", 3),
+    ("sym", 6),
+    ("plus", 1),
+    ("plus", 2),
+    ("plus", 7),
+    ("plus", 20),
+    ("minus", 2),
+    ("minus", 7),
+    ("minus", 20),
+]
+
+
+class TestCompressedRealignment:
+    # a sparse P is scattered into A without its all-zero rows (side 2) or
+    # columns (side 1); both Grams must be those of the whole realignment
+
+    @staticmethod
+    def assert_matches_full_realignment(p: Projector):
+        pattern = (realign(p) != 0).astype(np.int64)
+        for side in (1, 2):
+            g = reduced_superop(p, side)
+            assert np.max(np.abs(g - full_realignment_gram(p, side))) <= 1e-15
+            # rows (side 1) or columns (side 2) of A with no common nonzero
+            shared = pattern @ pattern.T if side == 1 else pattern.T @ pattern
+            assert np.all(g[shared == 0] == 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.sampled_from([(1, 3), (2, 3), (2, 4), (3, 3), (4, 4), (3, 2), (4, 1)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_permuted_block_subspaces(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        p = projector_from_basis(permuted_block_basis(rng, Factorization(*shape)))
+        self.assert_matches_full_realignment(p)
+
+    @pytest.mark.parametrize("name, size", CATALOG_CASES)
+    def test_catalog_projectors(self, name, size):
+        p = catalog_projector(name, size)
+        assert np.any(p.matrix == 0)
+        self.assert_matches_full_realignment(p)
+
+    def test_full_pattern_keeps_the_full_realignment(self):
+        rng = np.random.default_rng(29)
+        p = projector_from_basis(random_basis(rng, Factorization(3, 4), 5))
+        assert np.all(p.matrix != 0)
+        for side in (1, 2):
+            assert np.array_equal(reduced_superop(p, side), full_realignment_gram(p, side))
+
+
+class TestDefinitionOracle:
+    # A[(i, j), (k, l)] = P[(i, k), (j, l)] / sqrt(dim), built entry by entry
+    # at 50 digits: the string is the spectrum of A A^dagger
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d1=st.integers(1, 3),
+        d2=st.integers(1, 3),
+        blocks=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_random_subspaces(self, d1, d2, blocks, seed, data):
+        rng = np.random.default_rng(seed)
+        f = Factorization(d1, d2)
+        if blocks:
+            basis = permuted_block_basis(rng, f)
+        else:
+            basis = random_basis(rng, f, data.draw(st.integers(1, f.dim)))
+        p = projector_from_basis(basis)
+        w = realigned_gram_eigenvalues_mp(p)
+        assert string_deviation(schmidt_string(p), w) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "name, size",
+        [("antisym", 2), ("antisym", 3), ("sym", 2), ("sym", 3), ("plus", 2), ("minus", 2)],
+    )
+    def test_catalog_projectors(self, name, size):
+        p = catalog_projector(name, size)
+        w = realigned_gram_eigenvalues_mp(p)
+        assert string_deviation(schmidt_string(p), w) <= 1e-13
+
+
+class TestRealignmentCriterion:
+    # Chen & Wu (quant-ph/0205017): a separable rho has ||R(rho)||_tr <= 1.
+    # For rho = P / dim that norm is sum_i sqrt(p_i) / sqrt(dim).
+
+    @staticmethod
+    def root_sum(p: Projector) -> float:
+        return float(np.sqrt(schmidt_string(p).probs).sum())
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d1=st.integers(1, 4),
+        d2=st.integers(1, 4),
+        rotated=st.sampled_from(["none", "second", "both"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_product_vector_spans_are_separable(self, d1, d2, rotated, seed, data):
+        # u_a (x) v_ab over an orthonormal basis u of H1 and one orthonormal
+        # basis v_a of H2 per a are orthonormal product vectors
+        rng = np.random.default_rng(seed)
+        f = Factorization(d1, d2)
+        u = random_unitary(rng, d1) if rotated == "both" else np.eye(d1)
+        rows = []
+        for a in range(d1):
+            v = np.eye(d2) if rotated == "none" else random_unitary(rng, d2)
+            rows += [np.kron(u[:, a], v[:, b]) for b in range(d2)]
+        picked = data.draw(
+            st.lists(st.integers(0, f.dim - 1), min_size=1, max_size=f.dim, unique=True)
+        )
+        p = projector_from_basis(SubspaceBasis(f, np.array(rows)[picked]))
+        assert self.root_sum(p) <= math.sqrt(p.dim) + 1e-12
+
+    def test_tiles_upb_span_is_separable(self):
+        p = projector_from_basis(SubspaceBasis(Factorization(3, 3), tiles_upb()))
+        assert self.root_sum(p) / math.sqrt(5) == pytest.approx(0.8964, abs=1e-4)
+
+    def test_tiles_upb_complement_is_detected(self):
+        # the complement of an unextendible product basis is PPT yet
+        # entangled (Bennett et al., PRL 82, 5385, 1999)
+        f = Factorization(3, 3)
+        upb = projector_from_basis(SubspaceBasis(f, tiles_upb()))
+        p = Projector.from_matrix(f, np.eye(9) - upb.matrix)
+        assert p.dim == 4
+        norm = self.root_sum(p) / 2.0
+        assert norm > 1.0
+        assert norm == pytest.approx(1.087412, abs=1e-6)
 
 
 class TestSchmidtStringPipeline:

@@ -10,6 +10,7 @@ from subent import (
     SubspaceBasis,
     embed,
     gram_schmidt,
+    linalg,
     projector_from_basis,
     spaces,
     validate_projector,
@@ -26,6 +27,7 @@ from .helpers import (
     random_basis,
     random_hermitian,
     random_unitary,
+    stride_path_hermitian,
 )
 
 # the singlet vector (e_0 e_1 - e_1 e_0)/sqrt(2) in 2x2, composite
@@ -158,6 +160,18 @@ class TestProjector:
         assert np.array_equal(p.matrix, np.eye(4))
         assert p.report() == report
         assert validate_projector(p.matrix).passes
+
+    def test_builders_adopt_their_matrix(self):
+        # the builders' matrices are frozen in place; a caller's is copied
+        from subent import Branch, spin_projector
+
+        basis = SubspaceBasis(Factorization(2, 2), SINGLET.reshape(1, 4))
+        for p in (projector_from_basis(basis), spin_projector(3, Branch.PLUS)):
+            assert type(p.matrix) is np.ndarray
+            assert not p.matrix.flags.writeable
+            assert not p.matrix.flags.owndata
+        copied = Projector(Factorization(2, 2), SINGLET_PROJECTOR, dim=1)
+        assert copied.matrix.flags.owndata
 
     def test_from_matrix_infers_dim(self):
         p = Projector.from_matrix(Factorization(2, 2), np.eye(4))
@@ -296,7 +310,7 @@ def assert_matches_dense(m):
 
 def pattern_labels(m):
     rows, cols = np.nonzero(m)
-    return spaces._component_labels(rows, cols, m.shape[0])
+    return linalg._component_labels(rows, cols, m.shape[0])
 
 
 @st.composite
@@ -347,16 +361,10 @@ class TestBlockwiseValidation:
     def test_unsettled_path_pattern_takes_dense_product(self):
         # a path visiting the vertices in strides of 7 defeats label
         # propagation within its round cap
-        rng = np.random.default_rng(31)
-        n = 64
-        path = np.arange(n) * 7 % n
-        m = np.zeros((n, n), dtype=np.complex128)
-        m[path, path] = rng.standard_normal(n)
-        values = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
-        m[path[:-1], path[1:]] = values
-        m[path[1:], path[:-1]] = values.conj()
+        m = stride_path_hermitian(np.random.default_rng(31))
         assert pattern_labels(m) is None
         assert_matches_dense(m)
+        path = np.arange(64) * 7 % 64
         m[path[1:], path[:-1]] = 0.0
         assert pattern_labels(m) is None
         assert_matches_dense(m)
@@ -376,10 +384,10 @@ class TestBlockwiseValidation:
         m = p.matrix
         assert np.all(m != 0)
 
-        def no_blocks(*args):
+        def no_search(*args):
             raise AssertionError("a full pattern needs no block search")
 
-        monkeypatch.setattr(spaces, "_idempotency_defect", no_blocks)
+        monkeypatch.setattr(linalg, "_component_labels", no_search)
         report = validate_projector(m)
         # the gathered formulas give the same bits
         rows, cols = np.nonzero(m)
