@@ -17,7 +17,6 @@ from subent import (
     SubspaceBasis,
     gram_schmidt,
     projector_from_basis,
-    validate_projector,
     schmidt_string,
     vector_schmidt,
     pure_subspace_string,
@@ -43,7 +42,7 @@ print("orthonormalized", len(vectors), "vectors in", f.d1, "x", f.d2)
 # The projector is validated on construction; the report shows the
 # Hermiticity, idempotency and trace defects actually measured.
 p = projector_from_basis(basis)
-report = validate_projector(p)
+report = p.report()
 print(f"projector defects: hermiticity {report.hermiticity:.2e}, "
       f"idempotency {report.idempotency:.2e}, trace {report.trace:.2e}")
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InputError
 from .schmidt import Measures, SchmidtString
-from .spaces import Factorization, Projector, SubspaceBasis, _Fresh, is_integer
+from .spaces import Factorization, Projector, SubspaceBasis, _Fresh, as_count
 
 SPIN_STRING_LENGTH = 4
 
@@ -37,18 +37,10 @@ FAMILIES = ("antisym", "sym", "spin_plus", "spin_minus")
 # the antisymmetric subspace, sign +1 the symmetric one.
 
 
-def _exchange_n(n, sign: int, what: str) -> int:
-    least = 1 if sign > 0 else 2
-    if not is_integer(n) or n < least:
-        name = "symmetric" if sign > 0 else "antisymmetric"
-        raise InputError(f"{name} {what} needs integer n >= {least}, got {n!r}")
-    return int(n)
-
-
 def _exchange_subspace(n, sign: int) -> SubspaceBasis:
     """Rows e_k e_k (sign +1 only), then (e_k e_l + sign e_l e_k) / sqrt(2)
     for k < l in row-major order."""
-    n = _exchange_n(n, sign, "subspace")
+    n = as_count(n, "n", least=1 if sign > 0 else 2)
     # allocated first, so that a size which cannot fit fails at once
     vectors = np.zeros((n * (n + sign) // 2, n * n), dtype=np.complex128)
     if sign > 0:
@@ -80,7 +72,7 @@ def symmetric_subspace(n: int) -> SubspaceBasis:
 
 
 def _exchange_string(n, sign: int) -> SchmidtString:
-    n = _exchange_n(n, sign, "string")
+    n = as_count(n, "n", least=1 if sign > 0 else 2)
     denom = 2.0 * n * (n + sign)
     values = np.full(n * n, 1.0 / denom)
     values[0] = (n + sign) ** 2 / denom
@@ -115,9 +107,7 @@ class SpinLabel:
     two_j: int
 
     def __post_init__(self) -> None:
-        if not is_integer(self.two_j) or self.two_j < 1:
-            raise InputError(f"two_j must be an integer >= 1, got {self.two_j!r}")
-        object.__setattr__(self, "two_j", int(self.two_j))
+        object.__setattr__(self, "two_j", as_count(self.two_j, "two_j"))
 
     @property
     def j(self) -> float:
@@ -245,27 +235,19 @@ def closed_measures(family: str, parameter: int) -> Measures:
     """
     if family not in FAMILIES:
         raise InputError(f"unknown family {family!r}, expected one of {FAMILIES}")
-    if not is_integer(parameter):
-        raise InputError(f"parameter must be an integer, got {parameter!r}")
-    p = int(parameter)
+    p = as_count(parameter, "parameter", least=2 if family == "antisym" else 1)
     if family == "antisym":
-        if p < 2:
-            raise InputError(f"antisym needs n >= 2, got {p}")
         n = p
         e_d = math.sqrt(2.0 * (1.0 - math.sqrt((n - 1) / (2.0 * n))))
         e_i = math.log2(2.0 * n * (n - 1) ** (1.0 / n))
         e_t = (n + 1) * (3 * n - 4) / (4.0 * n * (n - 1))
         return Measures(e_d=e_d, e_i=e_i, e_t=e_t)
     if family == "sym":
-        if p < 1:
-            raise InputError(f"sym needs n >= 1, got {p}")
         n = p
         e_d = math.sqrt(2.0 * (1.0 - math.sqrt((n + 1) / (2.0 * n))))
         e_i = math.log2(2.0 * n / (n + 1) ** (1.0 / n))
         e_t = (n - 1) * (3 * n + 4) / (4.0 * n * (n + 1))
         return Measures(e_d=e_d, e_i=e_i, e_t=e_t)
-    if p < 1:
-        raise InputError(f"{family} needs 2j >= 1, got {p}")
     j = p / 2.0
     denom = 2.0 * j + 1.0
     if family == "spin_plus":
@@ -338,9 +320,7 @@ def hydrogen_level(n: int) -> HydrogenLevel:
     branch first.  The l = 0 space is an unentangled doublet with string
     (1, 0, 0, 0).
     """
-    if not is_integer(n) or n < 1:
-        raise InputError(f"hydrogen level needs integer n >= 1, got {n!r}")
-    n = int(n)
+    n = as_count(n, "n")
     entries: list[HydrogenEntry] = []
     entries.append(
         HydrogenEntry(

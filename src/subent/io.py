@@ -24,7 +24,7 @@ from .catalog import HydrogenLevel
 from .errors import InputError
 from .majorization import ChainResult, Verdict
 from .schmidt import SchmidtString, measures
-from .spaces import Factorization, Projector, SubspaceBasis, is_integer
+from .spaces import Factorization, Projector, SubspaceBasis
 
 JSON_DIGITS = ".17g"
 TABLE_DIGITS = ".12g"
@@ -61,10 +61,9 @@ def _raise_first_bad_entry(rows: list, dim: int, key: str, row_name: str) -> Non
 
 
 def _pair_matrix(rows, shape: tuple[int, int], key: str, row_name: str) -> np.ndarray:
-    """The complex matrix of a list of rows of [re, im] pairs, or of the
-    float64 (..., 2) array a document builder holds.
+    """The complex matrix of a list of rows of [re, im] pairs.
 
-    A list goes through ``np.array`` in one call when its rows are lists, its
+    The list goes through ``np.array`` in one call when its rows are lists, its
     pairs lists or tuples and its leaves exactly float or int: ``np.array``
     alone would also take ``true``, ``"1.5"`` and ``null``.  Anything else,
     and any result of the wrong shape or with a non-finite value, goes to the
@@ -72,9 +71,7 @@ def _pair_matrix(rows, shape: tuple[int, int], key: str, row_name: str) -> np.nd
     """
     a = None
     try:
-        if isinstance(rows, np.ndarray):
-            a = np.array(rows, dtype=np.float64)
-        elif (
+        if (
             all(isinstance(row, list) for row in rows)
             and set(map(type, chain.from_iterable(rows))) <= {list, tuple}
             and set(map(type, chain.from_iterable(chain.from_iterable(rows))))
@@ -84,35 +81,28 @@ def _pair_matrix(rows, shape: tuple[int, int], key: str, row_name: str) -> np.nd
     except (TypeError, ValueError, OverflowError):
         a = None
     if a is None or a.shape != (*shape, 2) or not np.isfinite(a).all():
-        listed = rows.tolist() if isinstance(rows, np.ndarray) else rows
-        _raise_first_bad_entry(listed, shape[1], key, row_name)
+        _raise_first_bad_entry(rows, shape[1], key, row_name)
         # valid, with leaves of other int or float types (numpy scalars)
-        a = np.array(listed, dtype=np.float64)
+        a = np.array(rows, dtype=np.float64)
     return a.view(np.complex128).reshape(shape)
 
 
-def _parse_int(data: dict, key: str) -> int:
-    if key not in data:
-        raise InputError(f"missing required key {key!r}")
-    value = data[key]
-    if not is_integer(value):
-        raise InputError(f"{key} must be an integer, got {value!r}")
-    if value < 1:
-        raise InputError(f"{key} must be >= 1, got {value}")
-    return value
-
-
 def parse_subspace_document(data) -> SubspaceDocument:
-    """Validate a decoded JSON object into a SubspaceDocument."""
+    """Validate a decoded JSON object into a SubspaceDocument.
+
+    Takes what ``json.loads`` returns: the float64 arrays that
+    `basis_document` and `projector_document` hold are for `dumps_json`.
+    """
     if not isinstance(data, dict):
         raise InputError(f"document must be a JSON object, got {type(data).__name__}")
     allowed = {"label", "d1", "d2", "basis", "projector"}
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise InputError(f"unknown document keys: {', '.join(unknown)}")
-    d1 = _parse_int(data, "d1")
-    d2 = _parse_int(data, "d2")
-    f = Factorization(d1, d2)
+    for key in ("d1", "d2"):
+        if key not in data:
+            raise InputError(f"missing required key {key!r}")
+    f = Factorization(data["d1"], data["d2"])
     label = data.get("label")
     if label is not None and not isinstance(label, str):
         raise InputError(f"label must be a string, got {label!r}")
@@ -122,12 +112,9 @@ def parse_subspace_document(data) -> SubspaceDocument:
 
     key = "basis" if has_basis else "projector"
     rows = data[key]
-    # basis_document and projector_document hold float64 (rows, D, 2) arrays
-    listed = isinstance(rows, list) or (
-        isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 3
-    )
+    listed = isinstance(rows, list)
     if has_basis:
-        if not listed or not len(rows):
+        if not listed or not rows:
             raise InputError("basis must be a non-empty list of vectors")
         shape, row_name = (len(rows), f.dim), "basis vector"
     else:

@@ -21,7 +21,10 @@ class RankDeficiencyWarning(UserWarning):
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D complex128 array with finite entries."""
-    m = np.asarray(a, dtype=np.complex128)
+    try:
+        m = np.asarray(a, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{name} cannot be read as a complex array") from None
     if m.ndim != 2:
         raise InputError(f"{name} must be 2-dimensional, got ndim={m.ndim}")
     if m.size == 0:
@@ -146,7 +149,10 @@ def gram_schmidt(vectors) -> np.ndarray:
     numpy.ndarray
         Array of shape (k, dim) whose rows are orthonormal.
     """
-    rows = [np.asarray(v, dtype=np.complex128) for v in vectors]
+    try:
+        rows = [np.asarray(v, dtype=np.complex128) for v in vectors]
+    except (TypeError, ValueError, OverflowError):
+        raise InputError("vectors cannot be read as complex vectors") from None
     if not rows:
         raise InputError("gram_schmidt requires at least one vector")
     dim = rows[0].shape

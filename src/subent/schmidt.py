@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .linalg import hermitian_eigenvalues
-from .spaces import Factorization, Projector
+from .spaces import Factorization, Projector, as_count
 from .tolerances import (
     DEFAULT_ZERO_THRESHOLD,
     NEGATIVE_EIGENVALUE_FLOOR,
@@ -104,6 +104,7 @@ class SchmidtString:
         p[below] = 0.0
         p = np.sort(p)[::-1]
         if length is not None:
+            length = as_count(length, "length")
             if length < p.size:
                 raise InputError(f"length {length} shorter than {p.size} values")
             padded = np.zeros(length, dtype=np.float64)
@@ -118,18 +119,6 @@ class SchmidtString:
                     f"{floored:.3e}: {exc}"
                 ) from None
             raise
-
-    def padded(self, length: int) -> np.ndarray:
-        """Probabilities padded (or zero-truncated) to `length`."""
-        if length >= len(self):
-            out = np.zeros(length, dtype=np.float64)
-            out[: len(self)] = self.probs
-            return out
-        if np.any(self.probs[length:] != 0.0):
-            raise InputError(
-                f"cannot truncate to {length}: positive entries beyond it"
-            )
-        return self.probs[:length].copy()
 
 
 @dataclass(frozen=True)
@@ -148,6 +137,8 @@ class Measures:
 
 def measures(s: SchmidtString) -> Measures:
     """Evaluate all three measures on a Schmidt string."""
+    if not isinstance(s, SchmidtString):
+        raise InputError(f"measures needs a SchmidtString, got {type(s).__name__}")
     p = s.probs
     p1 = float(p[0])
     # p1 may exceed 1 by up to the string sum tolerance; clamp the radicand.
@@ -180,7 +171,7 @@ def reduced_superop(p: Projector, side: int) -> np.ndarray:
     returned as computed, Hermitian to rounding;
     :func:`subent.linalg.hermitian_eigenvalues` symmetrizes it.
     """
-    if side not in (1, 2):
+    if isinstance(side, bool) or side not in (1, 2):
         raise InputError(f"side must be 1 or 2, got {side!r}")
     m = p.matrix
     nonzero = np.flatnonzero(m != 0)

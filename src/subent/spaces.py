@@ -23,9 +23,16 @@ from .tolerances import (
 )
 
 
-def is_integer(value) -> bool:
-    """True for Python and numpy integers; bools are not integers here."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def as_count(value, name: str, least: int = 1) -> int:
+    """`value` as an int when it is a Python or numpy integer of at least
+    `least`; bools are not integers here."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or value < least
+    ):
+        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 class _Fresh(np.ndarray):
@@ -52,12 +59,8 @@ class Factorization:
     d2: int
 
     def __post_init__(self) -> None:
-        for name, value in (("d1", self.d1), ("d2", self.d2)):
-            if not is_integer(value):
-                raise InputError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise InputError(f"{name} must be >= 1, got {value}")
-            object.__setattr__(self, name, int(value))
+        object.__setattr__(self, "d1", as_count(self.d1, "d1"))
+        object.__setattr__(self, "d2", as_count(self.d2, "d2"))
 
     @property
     def dim(self) -> int:
@@ -68,14 +71,6 @@ class Factorization:
     def schmidt_length(self) -> int:
         """Length of Schmidt strings over this factorization: min(d1^2, d2^2)."""
         return min(self.d1 ** 2, self.d2 ** 2)
-
-    def composite_index(self, i: int, k: int) -> int:
-        """Composite index of e_i (x) e_k (0-based, H1 index slow)."""
-        if not 0 <= i < self.d1:
-            raise InputError(f"i must be in [0, {self.d1}), got {i}")
-        if not 0 <= k < self.d2:
-            raise InputError(f"k must be in [0, {self.d2}), got {k}")
-        return i * self.d2 + k
 
 
 @dataclass(frozen=True)
@@ -136,31 +131,27 @@ class ProjectorReport:
 
 
 def validate_projector(p, dim: int | None = None) -> ProjectorReport:
-    """Check a matrix against the orthogonal projector contract.
+    """Check a square matrix against the orthogonal projector contract.
 
-    Accepts either a :class:`Projector` or a raw square matrix.  When `dim`
-    is omitted it is inferred as the rounded real trace.  The report passes
-    when Hermiticity and idempotency defects are at most 1e-10 entrywise,
-    the trace is within 1e-8 of `dim`, P / sqrt(dim) has norm within 1e-10
-    of 1, and `dim` is at least 1.  A
-    :class:`Projector` was validated when it was built; its report is
-    returned without recomputing it unless a different `dim` is asked for.
+    A given `dim` must be an integer >= 0; when it is omitted it is
+    inferred as the rounded real trace.  The report passes when Hermiticity
+    and idempotency defects are at most 1e-10 entrywise, the trace is within
+    1e-8 of `dim`, P / sqrt(dim) has norm within 1e-10 of 1, and `dim` is at
+    least 1.  A :class:`Projector` was validated when it was built; its
+    :meth:`Projector.report` holds the result.
 
     The defects are measured on the nonzero entries: the norm over them,
     Hermiticity over the pairs (P[r, c], P[c, r]) with either entry nonzero,
     idempotency on the connected blocks of the nonzero pattern.  The values
     are those of the dense ``P - P^dagger`` and ``P @ P - P``.
     """
-    if isinstance(p, Projector):
-        if dim is None or dim == p.dim:
-            return p.report()
-        matrix = p.matrix
+    matrix = as_matrix(p, "projector")
+    if matrix.shape[0] != matrix.shape[1]:
+        raise InputError(f"projector must be square, got shape {matrix.shape}")
+    if dim is None:
+        dim = int(round(float(np.trace(matrix).real)))
     else:
-        matrix = as_matrix(p, "projector")
-        if matrix.shape[0] != matrix.shape[1]:
-            raise InputError(f"projector must be square, got shape {matrix.shape}")
-        if dim is None:
-            dim = int(round(float(np.trace(matrix).real)))
+        dim = as_count(dim, "dim", least=0)
     nonzero, blocks = _blocks(matrix)
     if blocks is None:
         values = matrix.ravel()
@@ -190,7 +181,7 @@ def validate_projector(p, dim: int | None = None) -> ProjectorReport:
         hermiticity=hermiticity,
         idempotency=idempotency,
         trace=trace,
-        dim=int(dim),
+        dim=dim,
         passes=passes,
         norm=norm,
     )
@@ -211,6 +202,7 @@ class Projector:
     _report: ProjectorReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        dim = as_count(self.dim, "dim")
         m = _freeze(self.matrix)
         expected = self.factorization.dim
         if m.shape != (expected, expected):
@@ -218,7 +210,7 @@ class Projector:
                 f"projector shape {m.shape} does not match factorization "
                 f"{self.factorization.d1}x{self.factorization.d2}"
             )
-        report = validate_projector(m, dim=self.dim)
+        report = validate_projector(m, dim=dim)
         if not report.passes:
             raise InputError(
                 "matrix fails projector validation: "
@@ -227,7 +219,7 @@ class Projector:
                 f"trace defect={report.trace:.3e}, "
                 f"norm defect={report.norm:.3e}, dim={report.dim}"
             )
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_report", report)
 
@@ -238,18 +230,18 @@ class Projector:
         """Build a projector from a raw matrix, inferring `dim` from the trace.
 
         The constructor's validation is the one finiteness pass; a matrix
-        that is not 2-D, empty or finite still gets the message `as_matrix`
-        gives it, whichever check tripped first.
+        that is not numeric, 2-D, non-empty and finite still gets the
+        message `as_matrix` gives it, whichever check tripped first.
         """
-        m = np.asarray(matrix, dtype=np.complex128)
         try:
+            m = np.asarray(matrix, dtype=np.complex128)
             if dim is None:
                 dim = int(round(float(np.trace(m).real)))
-            if dim < 1:
-                raise InputError(f"projector trace rounds to {dim}, expected >= 1")
+                if dim < 1:
+                    raise InputError(f"projector trace rounds to {dim}, expected >= 1")
             return cls(factorization=factorization, matrix=m, dim=dim)
         except (InputError, TypeError, ValueError, OverflowError):
-            as_matrix(m, "matrix")
+            as_matrix(matrix, "matrix")
             raise
 
     def report(self) -> ProjectorReport:
@@ -272,12 +264,12 @@ def embed(basis: SubspaceBasis, d1: int, d2: int) -> SubspaceBasis:
     preserved exactly, so the result is again orthonormal.
     """
     f = basis.factorization
-    if d1 < f.d1 or d2 < f.d2:
+    target = Factorization(d1, d2)
+    if target.d1 < f.d1 or target.d2 < f.d2:
         raise InputError(
             f"cannot embed {f.d1}x{f.d2} into {d1}x{d2}: "
             "target factors must not shrink"
         )
-    target = Factorization(d1, d2)
     old = basis.vectors.reshape(basis.dim, f.d1, f.d2)
     new = np.zeros((basis.dim, d1, d2), dtype=np.complex128)
     new[:, : f.d1, : f.d2] = old

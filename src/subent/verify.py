@@ -26,11 +26,10 @@ from .catalog import (
     sym_string_closed,
     symmetric_subspace,
 )
-from .errors import InputError
 from .linalg import hermitian_eigenvalues
 from .majorization import sort_chain
 from .schmidt import Measures, SchmidtString, measures, reduced_superop, schmidt_string
-from .spaces import Factorization, SubspaceBasis, projector_from_basis
+from .spaces import Factorization, SubspaceBasis, as_count, projector_from_basis
 from .tolerances import COMPLETENESS_TOL, MEASURE_TOL, Q_MATRIX_TOL, STRING_TOL
 
 
@@ -59,10 +58,6 @@ class FamilyReport:
         return all(c.ok for c in self.checks)
 
     @property
-    def max_deviation(self) -> float:
-        return max(c.deviation for c in self.checks)
-
-    @property
     def worst(self) -> Check:
         return max(self.checks, key=lambda c: c.deviation)
 
@@ -76,7 +71,8 @@ def _measure_deviation(a: Measures, b: Measures) -> float:
 
 def _string_deviation(a: SchmidtString, b: SchmidtString) -> float:
     n = max(len(a), len(b))
-    return float(np.max(np.abs(a.padded(n) - b.padded(n))))
+    pa, pb = (np.pad(s.probs, (0, n - len(s))) for s in (a, b))
+    return float(np.max(np.abs(pa - pb)))
 
 
 def _verify_exchange(family: str, max_n: int) -> FamilyReport:
@@ -85,8 +81,7 @@ def _verify_exchange(family: str, max_n: int) -> FamilyReport:
         least, build, closed_string = 2, antisymmetric_subspace, antisym_string_closed
     else:
         least, build, closed_string = 1, symmetric_subspace, sym_string_closed
-    if max_n < least:
-        raise InputError(f"max_n must be >= {least}, got {max_n}")
+    max_n = as_count(max_n, "max_n", least)
     checks: list[Check] = []
     for n in range(least, max_n + 1):
         numeric = schmidt_string(projector_from_basis(build(n)))
@@ -132,8 +127,7 @@ def verify_spin(max_two_j: int = 20) -> FamilyReport:
     projector entrywise, the spectrum of the coupling operator X, and the
     completeness relation P(plus) + P(minus) = identity.
     """
-    if max_two_j < 1:
-        raise InputError(f"max_two_j must be >= 1, got {max_two_j}")
+    max_two_j = as_count(max_two_j, "max_two_j")
     checks: list[Check] = []
     for two_j in range(1, max_two_j + 1):
         s = SpinLabel(two_j)
@@ -181,8 +175,7 @@ def hydrogen_chain_expected(n: int) -> tuple[str, ...]:
     increasing j, then S_0, then the minus branches Vt_{n-3/2} .. Vt_1/2 in
     decreasing j.
     """
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    n = as_count(n, "n")
     plus = [f"V_{2 * l + 1}/2" for l in range(n)]
     minus = [f"Vt_{2 * l - 1}/2" for l in range(n - 1, 0, -1)]
     return tuple(plus + ["S_0"] + minus)
@@ -190,8 +183,7 @@ def hydrogen_chain_expected(n: int) -> tuple[str, ...]:
 
 def verify_hydrogen(max_n: int = 8) -> FamilyReport:
     """Pipeline strings and chain order for hydrogen-like levels, n = 1..max_n."""
-    if max_n < 1:
-        raise InputError(f"max_n must be >= 1, got {max_n}")
+    max_n = as_count(max_n, "max_n")
     checks: list[Check] = []
     for n in range(1, max_n + 1):
         level = hydrogen_level(n)

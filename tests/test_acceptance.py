@@ -82,7 +82,7 @@ def test_criterion_1_antisymmetric_oracle(announce):
     ok = report.passed and abs(spot - 5.0 / 6.0) < 1e-15
     detail = (
         f"n=2..12, {len(report.checks)} checks, "
-        f"max deviation {report.max_deviation:.3e}"
+        f"max deviation {report.worst.deviation:.3e}"
     )
     announce(f"[criterion 1] antisymmetric family oracle: "
              f"{'PASS' if ok else 'FAIL'} ({detail})")
@@ -94,7 +94,7 @@ def test_criterion_2_symmetric_oracle(announce):
     ok = report.passed
     detail = (
         f"n=1..12, {len(report.checks)} checks, "
-        f"max deviation {report.max_deviation:.3e}"
+        f"max deviation {report.worst.deviation:.3e}"
     )
     announce(f"[criterion 2] symmetric family oracle: "
              f"{'PASS' if ok else 'FAIL'} ({detail})")
@@ -130,7 +130,7 @@ def test_criterion_4_spin_oracle(announce):
     detail = (
         f"2j=1..20, {len(report.checks)} checks "
         f"(strings, measures, reduced spin-side matrix, coupling spectrum, "
-        f"completeness), max deviation {report.max_deviation:.3e}"
+        f"completeness), max deviation {report.worst.deviation:.3e}"
     )
     announce(f"[criterion 4] spin coupling oracle: "
              f"{'PASS' if ok else 'FAIL'} ({detail})")

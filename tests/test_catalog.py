@@ -62,8 +62,8 @@ class TestAntisymmetricSubspace:
     def test_n5_projector_valid(self):
         basis = antisymmetric_subspace(5)
         assert basis.vectors.shape == (10, 25)
-        report = validate_projector(projector_from_basis(basis), dim=10)
-        assert report.passes
+        report = projector_from_basis(basis).report()
+        assert report.passes and report.dim == 10
 
     def test_swap_eigenvalue(self):
         # every basis vector picks up a -1 under factor exchange

@@ -391,6 +391,15 @@ class TestHydrogen:
         (["hydrogen", "--n", "3", "--format", "csv"], "hydrogen_n3.csv"),
         (["hydrogen", "--n", "3", "--format", "table"], "hydrogen_n3_table.txt"),
         (["compare", "antisym:3", "sym:2"], "compare_antisym3_sym2.txt"),
+        (
+            ["schmidt", "--preset", "spin", "--two-j", "7", "--branch", "minus"],
+            "schmidt_spin7_minus.json",
+        ),
+        (
+            ["schmidt", "--preset", "antisym", "--n", "4", "--format", "csv"],
+            "schmidt_antisym4.csv",
+        ),
+        (["verify", "--family", "spin", "--max-two-j", "3"], "verify_spin_max3.txt"),
     ],
 )
 def test_golden_output(capsys, argv, name):
@@ -398,6 +407,53 @@ def test_golden_output(capsys, argv, name):
     assert code == 0
     assert err == ""
     assert out == (GOLDEN / name).read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["schmidt", "--preset", "antisym", "--n", "1"],
+            "n must be an integer >= 2, got 1",
+        ),
+        (
+            ["schmidt", "--preset", "sym", "--n", "0"],
+            "n must be an integer >= 1, got 0",
+        ),
+        (
+            ["schmidt", "--preset", "spin", "--two-j", "0", "--branch", "plus"],
+            "two_j must be an integer >= 1, got 0",
+        ),
+        (["compare", "antisym:1", "sym:2"], "n must be an integer >= 2, got 1"),
+        (["hydrogen", "--n", "0"], "n must be an integer >= 1, got 0"),
+        (
+            ["verify", "--family", "spin", "--max-two-j", "0"],
+            "max_two_j must be an integer >= 1, got 0",
+        ),
+        (
+            ["verify", "--family", "hydrogen", "--max-n", "0"],
+            "max_n must be an integer >= 1, got 0",
+        ),
+    ],
+)
+def test_count_errors_share_one_form(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"input error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"d1": 0, "d2": 2, "basis": [[[1.0, 0.0]]]},
+            "d1 must be an integer >= 1, got 0",
+        ),
+        ({"d1": 2, "d2": 2.0, "basis": []}, "d2 must be an integer >= 1, got 2.0"),
+        ({"d1": "2", "basis": []}, "missing required key 'd2'"),
+    ],
+)
+def test_document_count_errors(capsys, tmp_path, doc, message):
+    path = write_doc(tmp_path, "doc.json", doc)
+    assert run(capsys, "schmidt", path) == (2, "", f"input error: {message}\n")
 
 
 class TestVerify:
@@ -462,7 +518,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--max-n", "0")
         assert code == 2
         assert out == ""
-        assert "max_n must be >= 2, got 0" in err
+        assert "max_n must be an integer >= 2, got 0" in err
 
 
 @pytest.mark.parametrize(

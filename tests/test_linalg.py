@@ -5,11 +5,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from subent import (
+    Factorization,
     InputError,
+    Projector,
     RankDeficiencyWarning,
+    SubspaceBasis,
     gram_schmidt,
     hermitian_eigenvalues,
     linalg,
+    validate_projector,
 )
 
 from .helpers import (
@@ -242,3 +246,45 @@ class TestGramSchmidtReference:
             want = gram_schmidt_reference(vecs)
         assert out.shape == (40, 60)
         assert np.max(np.abs(out - want)) <= 1e-13
+
+
+
+# Inputs numpy cannot convert to complex128, and the message naming the
+# argument that each call raises instead of numpy's TypeError or ValueError.
+UNCONVERTIBLE = {
+    "eigenvalues of a string": (
+        lambda: hermitian_eigenvalues("abc"),
+        "h cannot be read as a complex array",
+    ),
+    "ragged basis": (
+        lambda: SubspaceBasis(Factorization(1, 2), [[1], [1, 0]]),
+        "vectors cannot be read as a complex array",
+    ),
+    "validate an object": (
+        lambda: validate_projector(object()),
+        "projector cannot be read as a complex array",
+    ),
+    "validate a Projector": (
+        lambda: validate_projector(Projector(Factorization(1, 1), np.eye(1), 1)),
+        "projector cannot be read as a complex array",
+    ),
+    "from_matrix of a string": (
+        lambda: Projector.from_matrix(Factorization(1, 1), "abc"),
+        "matrix cannot be read as a complex array",
+    ),
+    "gram_schmidt of a string": (
+        lambda: gram_schmidt(["ab"]),
+        "vectors cannot be read as complex vectors",
+    ),
+    "gram_schmidt past the float range": (
+        lambda: gram_schmidt([[1.0], [10**400]]),
+        "vectors cannot be read as complex vectors",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", UNCONVERTIBLE)
+def test_unconvertible_input_names_the_argument(case):
+    call, message = UNCONVERTIBLE[case]
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call()

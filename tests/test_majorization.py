@@ -193,6 +193,11 @@ class TestMeasureConsistency:
                 antisym_string_closed(3),
             )
 
+    def test_raw_strings_rejected(self):
+        # compare takes raw arrays; the measures need SchmidtString objects
+        with pytest.raises(InputError, match="needs a SchmidtString, got list"):
+            measure_consistency([0.5, 0.5], [1.0])
+
     def test_random_transform_pairs(self):
         rng = np.random.default_rng(11)
         for _ in range(200):

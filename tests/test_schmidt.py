@@ -90,13 +90,6 @@ class TestSchmidtStringType:
         )
         assert s.k == 1
 
-    def test_padded_roundtrip(self):
-        s = SchmidtString.from_probs([1.0], length=4)
-        assert list(s.padded(6)) == [1.0, 0, 0, 0, 0, 0]
-        assert list(s.padded(1)) == [1.0]
-        with pytest.raises(InputError):
-            SchmidtString.from_probs([0.5, 0.5]).padded(1)
-
     def test_probs_read_only(self):
         s = SchmidtString.from_probs([1.0])
         with pytest.raises(ValueError):
@@ -147,6 +140,10 @@ class TestReducedSuperop:
     def test_invalid_side(self):
         with pytest.raises(InputError, match="side"):
             reduced_superop(singlet_projector(), 3)
+
+    def test_bool_side_rejected(self):
+        with pytest.raises(InputError, match="side must be 1 or 2, got True"):
+            reduced_superop(singlet_projector(), side=True)
 
     def test_unit_trace_and_psd(self):
         rng = np.random.default_rng(20)
@@ -448,7 +445,7 @@ class TestGates:
     def test_norm_defect_fails_validation(self):
         # the singlet projector taken as 2-dimensional: P / sqrt(2) is not a
         # unit vector, and projector validation is the one gate that checks it
-        report = validate_projector(singlet_projector(), dim=2)
+        report = validate_projector(singlet_projector().matrix, dim=2)
         assert report.norm == pytest.approx(1 - 1 / math.sqrt(2), abs=1e-15)
         assert not report.passes
 
@@ -599,7 +596,8 @@ class TestProperties:
             basis = random_basis(rng, f, size)
             s_small = schmidt_string(projector_from_basis(basis))
             s_big = schmidt_string(projector_from_basis(embed(basis, 5, 4)))
-            assert np.max(np.abs(s_big.padded(16) - s_small.padded(16))) < 1e-9
+            small = np.pad(s_small.probs, (0, len(s_big) - len(s_small)))
+            assert np.max(np.abs(s_big.probs - small)) < 1e-9
 
     def test_product_subspace_unentangled(self):
         # Property 2: V1 (x) V2 with factor subspaces is unentangled

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +10,17 @@ from subent import (
     Factorization,
     InputError,
     Projector,
+    SchmidtString,
     SubspaceBasis,
     embed,
     gram_schmidt,
+    hydrogen_chain_expected,
     linalg,
     projector_from_basis,
     spaces,
     validate_projector,
+    verify_antisym,
+    verify_spin,
 )
 from subent.tolerances import (
     PROJECTOR_HERMITICITY_TOL,
@@ -53,21 +60,10 @@ class TestFactorization:
         assert Factorization(5, 2).schmidt_length == 4
         assert Factorization(2, 5).schmidt_length == 4
 
-    def test_composite_index_row_major(self):
-        f = Factorization(2, 3)
-        assert f.composite_index(0, 0) == 0
-        assert f.composite_index(0, 2) == 2
-        assert f.composite_index(1, 0) == 3
-
     @pytest.mark.parametrize("bad", [0, -1, 2.5, "3", True])
     def test_rejects_bad_factors(self, bad):
         with pytest.raises(InputError):
             Factorization(bad, 2)
-
-    def test_composite_index_bounds(self):
-        f = Factorization(2, 2)
-        with pytest.raises(InputError):
-            f.composite_index(2, 0)
 
 
 class TestSubspaceBasis:
@@ -246,15 +242,12 @@ class TestValidateProjector:
         from subent import antisymmetric_subspace
 
         p = projector_from_basis(antisymmetric_subspace(4))
-        report = validate_projector(p)
+        report = validate_projector(p.matrix)
+        assert report == p.report()
         assert report.passes
         assert report.hermiticity < 1e-12
         assert report.idempotency < 1e-12
         assert report.trace < 1e-12
-
-    def test_accepts_projector_instance(self):
-        p = projector_from_basis(SubspaceBasis(Factorization(2, 2), np.eye(4)))
-        assert validate_projector(p).passes
 
     def test_projector_validated_once(self, monkeypatch):
         from subent import spaces
@@ -269,15 +262,14 @@ class TestValidateProjector:
         monkeypatch.setattr(spaces, "validate_projector", counting)
         p = Projector(Factorization(2, 2), SINGLET_PROJECTOR, dim=1)
         assert len(calls) == 1
-        # the report kept at construction is what report() and the validator return
+        # the report kept at construction is what report() returns
         assert p.report() is p.report()
-        assert original(p) is p.report()
-        assert original(p, dim=1) is p.report()
+        assert original(p.matrix, dim=1) == p.report()
         assert not p.matrix.flags.writeable
 
     def test_projector_revalidated_for_other_dim(self):
         p = Projector(Factorization(2, 2), SINGLET_PROJECTOR, dim=1)
-        report = validate_projector(p, dim=2)
+        report = validate_projector(p.matrix, dim=2)
         assert not report.passes
         assert report.trace == pytest.approx(1.0)
 
@@ -433,3 +425,61 @@ class TestEmbed:
         b = SubspaceBasis(Factorization(3, 3), np.eye(9)[:2])
         with pytest.raises(InputError, match="shrink"):
             embed(b, 2, 3)
+
+
+
+# Count arguments the constructors and sweeps once let through or crashed
+# on; each now raises the one InputError form of spaces.as_count.
+COUNT_HOLES = {
+    "Projector dim float": (
+        lambda: Projector(Factorization(2, 2), np.eye(4), 4.0),
+        "dim must be an integer >= 1, got 4.0",
+    ),
+    "Projector dim bool": (
+        lambda: Projector(Factorization(1, 1), np.eye(1), True),
+        "dim must be an integer >= 1, got True",
+    ),
+    "from_matrix dim float": (
+        lambda: Projector.from_matrix(Factorization(2, 2), np.eye(4), 4.0),
+        "dim must be an integer >= 1, got 4.0",
+    ),
+    "validate_projector dim float": (
+        lambda: validate_projector(np.eye(4), 2.5),
+        "dim must be an integer >= 0, got 2.5",
+    ),
+    "validate_projector dim nan": (
+        lambda: validate_projector(np.eye(4), math.nan),
+        "dim must be an integer >= 0, got nan",
+    ),
+    "from_probs length float": (
+        lambda: SchmidtString.from_probs([1.0], length=2.5),
+        "length must be an integer >= 1, got 2.5",
+    ),
+    "from_probs length bool": (
+        lambda: SchmidtString.from_probs([1.0], length=True),
+        "length must be an integer >= 1, got True",
+    ),
+    "verify_antisym float": (
+        lambda: verify_antisym(2.5),
+        "max_n must be an integer >= 2, got 2.5",
+    ),
+    "verify_spin str": (
+        lambda: verify_spin("3"),
+        "max_two_j must be an integer >= 1, got '3'",
+    ),
+    "hydrogen_chain_expected float": (
+        lambda: hydrogen_chain_expected(2.5),
+        "n must be an integer >= 1, got 2.5",
+    ),
+    "embed str": (
+        lambda: embed(SubspaceBasis(Factorization(2, 2), np.eye(4)), "3", 3),
+        "d1 must be an integer >= 1, got '3'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", COUNT_HOLES)
+def test_count_arguments_are_checked(case):
+    call, message = COUNT_HOLES[case]
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()

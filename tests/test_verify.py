@@ -22,7 +22,7 @@ class TestCheck:
         bad = Check("b", 1e-3, 1e-9)
         report = FamilyReport(family="demo", checks=(good, bad))
         assert not report.passed
-        assert report.max_deviation == 1e-3
+        assert report.worst.deviation == 1e-3
         assert report.worst is bad
         assert report.failures() == (bad,)
         assert FamilyReport(family="demo", checks=(good,)).passed
@@ -35,7 +35,7 @@ class TestFamilies:
         assert report.passed, report.failures()
         # one string and one measure check per n
         assert len(report.checks) == 2 * 5
-        assert report.max_deviation < 1e-9
+        assert report.worst.deviation < 1e-9
 
     def test_sym_small(self):
         report = verify_sym(max_n=6)
