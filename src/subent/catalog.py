@@ -42,7 +42,10 @@ def _exchange_subspace(n, sign: int) -> SubspaceBasis:
     for k < l in row-major order."""
     n = as_count(n, "n", least=1 if sign > 0 else 2)
     # allocated first, so that a size which cannot fit fails at once
-    vectors = np.zeros((n * (n + sign) // 2, n * n), dtype=np.complex128)
+    try:
+        vectors = np.zeros((n * (n + sign) // 2, n * n), dtype=np.complex128)
+    except ValueError:  # a shape numpy cannot describe
+        raise InputError(f"n={n} is too large for an array") from None
     if sign > 0:
         vectors[np.arange(n), np.arange(0, n * n, n + 1)] = 1.0
     k, l = np.triu_indices(n, 1)

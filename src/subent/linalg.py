@@ -19,12 +19,23 @@ class RankDeficiencyWarning(UserWarning):
     """Emitted when orthonormalization drops linearly dependent vectors."""
 
 
+def as_array(a, name: str, dtype=np.complex128) -> np.ndarray:
+    """`a` as an array of `dtype` (complex128 or float64); what numpy
+    cannot convert, or would make real only by dropping imaginary parts, is
+    an InputError naming `name`."""
+    kind = "complex" if dtype is np.complex128 else "real"
+    try:
+        m = np.asarray(a, dtype=dtype if kind == "complex" else None)
+        if kind == "complex" or m.dtype.kind != "c":
+            return m.astype(dtype, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputError(f"{name} cannot be read as a {kind} array")
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D complex128 array with finite entries."""
-    try:
-        m = np.asarray(a, dtype=np.complex128)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{name} cannot be read as a complex array") from None
+    m = as_array(a, name)
     if m.ndim != 2:
         raise InputError(f"{name} must be 2-dimensional, got ndim={m.ndim}")
     if m.size == 0:
@@ -56,16 +67,16 @@ def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray 
     return None
 
 
-def _blocks(m: np.ndarray) -> tuple[np.ndarray, list[np.ndarray] | None]:
-    """Flat indices of the nonzero entries of the square matrix `m`, and its
-    diagonal blocks on the connected components of that pattern, stacked as
-    one (count, size, size) array per block size; entries between blocks
-    are zero.  The blocks are None when the pattern is full, forms a single
-    block, or its labels have not settled: the caller then takes `m` whole.
+def _blocks(m: np.ndarray) -> tuple[np.ndarray | None, list[np.ndarray] | None]:
+    """Flat indices of the nonzero entries of the square matrix `m`, None
+    when all are, and its diagonal blocks on the connected components of
+    that pattern, stacked as one (count, size, size) array per block size;
+    entries between blocks are zero.  The blocks are None when the pattern
+    is full, forms a single block, or its labels have not settled.
     """
     nonzero = np.flatnonzero(m != 0)
     if nonzero.size == m.size:
-        return nonzero, None
+        return None, None
     lab = _component_labels(*np.divmod(nonzero, m.shape[0]), m.shape[0])
     if lab is None or lab.max() == 0:
         return nonzero, None

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError
+from .linalg import as_array
 from .schmidt import SchmidtString, measures
 from .tolerances import DEFAULT_COMPARE_TOL, DEFAULT_MEASURE_SLACK
 
@@ -33,7 +34,7 @@ class Verdict(enum.Enum):
 def _descending(x) -> np.ndarray:
     if isinstance(x, SchmidtString):
         return np.asarray(x.probs, dtype=np.float64)
-    p = np.asarray(x, dtype=np.float64).ravel()
+    p = as_array(x, "probability string", np.float64).ravel()
     if p.size == 0:
         raise InputError("cannot compare an empty string")
     if np.any(p < 0) or not np.all(np.isfinite(p)):

@@ -19,8 +19,9 @@ operator space.
 
 A symmetry that makes P block diagonal (total m, U (x) U invariance) also
 makes A sparse and the Gram block diagonal.  So a P with zero entries is
-realigned from its nonzeros alone, without the all-zero rows (or columns)
-of A that the Gram sums over, and the eigenvalues are taken block by block.
+realigned from its nonzeros alone, as found once by projector validation,
+without the all-zero rows (or columns) of A that the Gram sums over, and
+the eigenvalues are taken block by block.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .linalg import hermitian_eigenvalues
+from .linalg import as_array, hermitian_eigenvalues
 from .spaces import Factorization, Projector, as_count
 from .tolerances import (
     DEFAULT_ZERO_THRESHOLD,
@@ -54,7 +55,7 @@ class SchmidtString:
     k: int = field(init=False)
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=np.float64)
+        p = as_array(self.probs, "probs", np.float64)
         if p.ndim != 1 or p.size == 0:
             raise InputError("probs must be a non-empty 1-D array")
         if np.any(p < 0):
@@ -93,7 +94,7 @@ class SchmidtString:
             raise InputError(
                 f"zero_threshold must be finite and >= 0, got {zero_threshold!r}"
             )
-        p = np.array(values, dtype=np.float64).ravel()
+        p = as_array(values, "probs", np.float64).ravel()
         if p.size == 0:
             raise InputError("probability string must be non-empty")
         if np.any(p < -NEGATIVE_EIGENVALUE_FLOOR):
@@ -167,21 +168,22 @@ def reduced_superop(p: Projector, side: int) -> np.ndarray:
 
     Side 1 returns A A^dagger (shape d1^2 x d1^2); side 2 returns
     A^dagger A (shape d2^2 x d2^2).  Both are positive semidefinite and
-    unit-trace, and they share their nonzero spectrum.  The Gram product is
-    returned as computed, Hermitian to rounding;
+    unit-trace, and they share their nonzero spectrum.  A is built from the
+    nonzero pattern that validation kept on the projector, and by
+    :func:`realign` only when every entry of P is nonzero.  The Gram product
+    is returned as computed, Hermitian to rounding;
     :func:`subent.linalg.hermitian_eigenvalues` symmetrizes it.
     """
     if isinstance(side, bool) or side not in (1, 2):
         raise InputError(f"side must be 1 or 2, got {side!r}")
-    m = p.matrix
-    nonzero = np.flatnonzero(m != 0)
-    if nonzero.size == m.size:
+    nonzero = p.report()._nonzero
+    if nonzero is None:
         a = realign(p)
     else:
         # scatter the nonzeros of P into A, dropping its all-zero rows for
         # side 2 and its all-zero columns for side 1: neither Gram changes
         d1, d2 = p.factorization.d1, p.factorization.d2
-        (i, k), (j, l) = (np.divmod(x, d2) for x in np.divmod(nonzero, m.shape[0]))
+        (i, k), (j, l) = (np.divmod(x, d2) for x in np.divmod(nonzero, d1 * d2))
         rows, cols = i * d1 + j, k * d2 + l
         if side == 1:
             kept, cols = np.unique(cols, return_inverse=True)
@@ -189,7 +191,7 @@ def reduced_superop(p: Projector, side: int) -> np.ndarray:
         else:
             kept, rows = np.unique(rows, return_inverse=True)
             a = np.zeros((kept.size, d2 * d2), dtype=np.complex128)
-        a[rows, cols] = m.ravel()[nonzero] / math.sqrt(p.dim)
+        a[rows, cols] = p.matrix.ravel()[nonzero] / math.sqrt(p.dim)
     if side == 1:
         return a @ a.conj().T
     return a.conj().T @ a
@@ -226,7 +228,7 @@ def vector_schmidt(v, factorization: Factorization) -> np.ndarray:
     before decomposition, so the returned coefficients sum to 1 at machine
     precision.  Returned descending, length min(d1, d2).
     """
-    vec = np.asarray(v, dtype=np.complex128).ravel()
+    vec = as_array(v, "vector").ravel()
     if vec.size != factorization.dim:
         raise InputError(
             f"vector length {vec.size} does not match composite dimension "
@@ -255,7 +257,7 @@ def pure_subspace_string(
     :func:`vector_schmidt`); the projector string is then all pairwise
     products, sorted descending and padded to min(d1^2, d2^2).
     """
-    c = np.asarray(coefficients, dtype=np.float64).ravel()
+    c = as_array(coefficients, "coefficients", np.float64).ravel()
     if c.size == 0:
         raise InputError("coefficient list must be non-empty")
     if c.size > min(factorization.d1, factorization.d2):

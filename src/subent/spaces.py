@@ -128,6 +128,8 @@ class ProjectorReport:
     dim: int
     passes: bool
     norm: float
+    # the nonzero pattern validation found, which realignment reads
+    _nonzero: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def validate_projector(p, dim: int | None = None) -> ProjectorReport:
@@ -177,14 +179,7 @@ def validate_projector(p, dim: int | None = None) -> ProjectorReport:
         and norm <= REALIGN_NORM_TOL
         and dim >= 1
     )
-    return ProjectorReport(
-        hermiticity=hermiticity,
-        idempotency=idempotency,
-        trace=trace,
-        dim=dim,
-        passes=passes,
-        norm=norm,
-    )
+    return ProjectorReport(hermiticity, idempotency, trace, dim, passes, norm, nonzero)
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,61 @@ def t_transform(rng: np.random.Generator, p: np.ndarray) -> np.ndarray:
     return np.sort(out)[::-1]
 
 
+def padded_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Two strings or raw arrays sorted descending, zero padded to one length."""
+    rows = [np.asarray(getattr(s, "probs", s), dtype=np.float64) for s in (x, y)]
+    n = max(r.size for r in rows)
+    x, y = (np.sort(np.pad(r, (0, n - r.size)))[::-1] for r in rows)
+    return x, y
+
+
+def majorization_certificate(x, y, tol: float):
+    """Witness for or against "x is majorized by y" within `tol`.
+
+    Works on :func:`padded_pair`, of common length n.  When some partial
+    sum of x exceeds y's by more than `tol`, returns (None, i) with i the
+    first such index.  Otherwise returns (transforms, None): at most n - 1
+    T-transforms (j, k, lam), each the map lam * I + (1 - lam) * (swap of
+    entries j and k), whose product takes y to x (Hardy, Littlewood and
+    Polya; Marshall, Olkin and Arnold, "Inequalities", lemma 2.B.1).  Each
+    step takes k as the first entry short of x after the first entry above
+    it, and j as the last entry above x before k, and moves mass from j to
+    k until one of them matches x.  With a positive `tol` the result may
+    miss x by up to `tol` plus the difference of the totals in any entry.
+    """
+    x, y = padded_pair(x, y)
+    cx, cy = np.cumsum(x), np.cumsum(y)
+    violated = np.flatnonzero(~(cx <= cy + tol))
+    if violated.size:
+        return None, int(violated[0])
+    z, transforms = y.copy(), []
+    while True:
+        d = z - x
+        surplus, short = np.flatnonzero(d > 0), np.flatnonzero(d < 0)
+        later = short[short > surplus[0]] if surplus.size else short
+        if not (surplus.size and later.size):
+            return transforms, None
+        k = later[0]
+        j = surplus[surplus < k][-1]
+        delta = min(d[j], -d[k])
+        transforms.append((int(j), int(k), float(1.0 - delta / (z[j] - z[k]))))
+        z[j], z[k] = z[j] - delta, z[k] + delta
+        if delta == d[j]:
+            z[j] = x[j]
+        if delta == -d[k]:
+            z[k] = x[k]
+
+
+def apply_t_transforms(z: np.ndarray, transforms) -> np.ndarray:
+    """z mapped by each T-transform in turn, as an explicit n x n matrix."""
+    n = z.size
+    for j, k, lam in transforms:
+        swap = np.eye(n)
+        swap[[j, k]] = swap[[k, j]]
+        z = (lam * np.eye(n) + (1.0 - lam) * swap) @ z
+    return z
+
+
 def string_deviation(a, b) -> float:
     pa = np.asarray(getattr(a, "probs", a), dtype=np.float64)
     pb = np.asarray(getattr(b, "probs", b), dtype=np.float64)

@@ -400,6 +400,14 @@ class TestHydrogen:
             "schmidt_antisym4.csv",
         ),
         (["verify", "--family", "spin", "--max-two-j", "3"], "verify_spin_max3.txt"),
+        (
+            ["schmidt", "--preset", "spin", "--two-j", "1000", "--branch", "plus"],
+            "schmidt_spin1000_plus.json",
+        ),
+        (
+            ["schmidt", "--preset", "sym", "--n", "8", "--format", "csv"],
+            "schmidt_sym8.csv",
+        ),
     ],
 )
 def test_golden_output(capsys, argv, name):
@@ -623,6 +631,10 @@ class TestExitCodes:
             # so the allocation fails before it touches memory
             ["schmidt", "--preset", "antisym", "--n", "3000"],
             ["compare", "antisym:3000", "sym:2"],
+            # shapes whose element count numpy cannot represent
+            ["schmidt", "--preset", "sym", "--n", "99999999999"],
+            ["schmidt", "--preset", "antisym", "--n", "4000000000"],
+            ["compare", "sym:99999999999", "sym:2"],
         ],
     )
     def test_size_that_cannot_fit_is_exit_2(self, capsys, argv):

@@ -1,0 +1,162 @@
+"""In-process fuzz of the CLI option space.
+
+Every argv, valid or not, must end in an exit code the CLI documents (0, 1,
+2 or 3) with no exception escaping `main` and no traceback on stderr.  Sizes
+are capped (n <= 12, 2j <= 60, hydrogen n <= 30) so each call stays small;
+no subprocess is started.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from subent.cli import main
+
+JUNK = ["", "x", "1.5", "0x10", " 3", "1e2", "-0", "nan"]
+REALS = ["nan", "inf", "-inf", "-1", "-0.0", "0", "1e-300", "1e-9", "0.5", "1e400", "x"]
+
+
+def numbers(least: int, most: int):
+    return st.one_of(st.integers(least, most).map(str), st.sampled_from(JUNK))
+
+
+def reals():
+    return st.one_of(st.sampled_from(REALS), st.floats().map(repr))
+
+
+def options(draw, table: dict) -> list[str]:
+    """Some of the options in `table` (name -> value strategy, or None for a
+    flag), in a drawn order, each with a drawn value."""
+    names = draw(st.lists(st.sampled_from(sorted(table)), unique=True))
+    argv = []
+    for name in names:
+        argv.append(name)
+        if table[name] is not None:
+            argv.append(draw(table[name]))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory) -> list[str]:
+    root = tmp_path_factory.mktemp("fuzz")
+    inv = 1.0 / math.sqrt(2.0)
+    singlet = [[0.0, 0.0], [inv, 0.0], [-inv, 0.0], [0.0, 0.0]]
+    eye = [[[float(i == k), 0.0] for k in range(4)] for i in range(4)]
+    docs = {
+        "basis.json": {"d1": 2, "d2": 2, "basis": [singlet]},
+        "projector.json": {"d1": 2, "d2": 2, "projector": eye},
+        "bad_dims.json": {"d1": 3, "d2": 2, "basis": [singlet]},
+    }
+    for name, doc in docs.items():
+        (root / name).write_text(json.dumps(doc))
+    (root / "not_json.json").write_text("{")
+    return [str(root / name) for name in docs] + [
+        str(root / "not_json.json"),
+        str(root / "missing.json"),
+        str(root),
+    ]
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def check(argv: list[str]) -> None:
+    code, err = run(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+
+
+PRESET = st.sampled_from(["antisym", "sym", "spin", "bogus"])
+BRANCH = st.sampled_from(["plus", "minus", "up", ""])
+FORMAT = st.sampled_from(["json", "csv", "table", "xml"])
+
+
+@st.composite
+def schmidt_argv(draw, documents):
+    argv = ["schmidt"]
+    if draw(st.booleans()):
+        argv.append(draw(st.sampled_from(documents)))
+    return argv + options(
+        draw,
+        {
+            "--preset": PRESET,
+            "--n": numbers(-3, 12),
+            "--two-j": numbers(-3, 60),
+            "--branch": BRANCH,
+            "--zero-threshold": reals(),
+            "--format": FORMAT,
+            "--label": st.text(max_size=8),
+            "--no-orthonormalize": None,
+        },
+    )
+
+
+@st.composite
+def compare_token(draw, documents):
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(documents))
+    kind = draw(st.sampled_from(["antisym", "sym", "spin", "Sym", ""]))
+    cap = 60 if kind == "spin" else 12
+    parts = draw(st.lists(st.one_of(numbers(-3, cap), BRANCH), max_size=3))
+    return ":".join([kind, *parts])
+
+
+@st.composite
+def compare_argv(draw, documents):
+    tokens = [draw(compare_token(documents)) for _ in range(draw(st.integers(0, 3)))]
+    flags = options(draw, {"--tol": reals(), "--zero-threshold": reals()})
+    return ["compare", *tokens, *flags]
+
+
+HYDROGEN_ARGV = st.builds(
+    lambda n, fmt: ["hydrogen", *n, *fmt],
+    st.one_of(st.just([]), numbers(-3, 30).map(lambda v: ["--n", v])),
+    st.one_of(st.just([]), FORMAT.map(lambda v: ["--format", v])),
+)
+
+
+@st.composite
+def verify_argv(draw):
+    family = st.sampled_from(["all", "antisym", "sym", "spin", "hydrogen", "bogus"])
+    return ["verify"] + options(
+        draw,
+        {
+            "--family": family,
+            "--max-n": numbers(-2, 12),
+            "--max-two-j": numbers(-2, 60),
+        },
+    )
+
+
+FUZZ = settings(deadline=None)
+
+
+class TestOptionSpace:
+    @settings(FUZZ, max_examples=150)
+    @given(data=st.data())
+    def test_schmidt(self, documents, data):
+        check(data.draw(schmidt_argv(documents)))
+
+    @settings(FUZZ, max_examples=150)
+    @given(data=st.data())
+    def test_compare(self, documents, data):
+        check(data.draw(compare_argv(documents)))
+
+    @settings(FUZZ, max_examples=60)
+    @given(argv=HYDROGEN_ARGV)
+    def test_hydrogen(self, argv):
+        check(argv)
+
+    @settings(FUZZ, max_examples=30)
+    @given(argv=verify_argv())
+    def test_verify(self, argv):
+        check(argv)

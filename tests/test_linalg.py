@@ -9,11 +9,17 @@ from subent import (
     InputError,
     Projector,
     RankDeficiencyWarning,
+    SchmidtString,
     SubspaceBasis,
+    compare,
     gram_schmidt,
     hermitian_eigenvalues,
     linalg,
+    partial_sums,
+    pure_subspace_string,
+    sort_chain,
     validate_projector,
+    vector_schmidt,
 )
 
 from .helpers import (
@@ -286,5 +292,50 @@ UNCONVERTIBLE = {
 @pytest.mark.parametrize("case", UNCONVERTIBLE)
 def test_unconvertible_input_names_the_argument(case):
     call, message = UNCONVERTIBLE[case]
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call()
+
+
+# The string and vector entry points go through the same coercion.
+UNCONVERTIBLE_STRINGS = {
+    "vector_schmidt": (
+        lambda: vector_schmidt("abc", Factorization(1, 3)),
+        "vector cannot be read as a complex array",
+    ),
+    "pure_subspace_string": (
+        lambda: pure_subspace_string(["a"], Factorization(2, 2)),
+        "coefficients cannot be read as a real array",
+    ),
+    "SchmidtString": (
+        lambda: SchmidtString("abc"),
+        "probs cannot be read as a real array",
+    ),
+    "from_probs": (
+        lambda: SchmidtString.from_probs(["x"]),
+        "probs cannot be read as a real array",
+    ),
+    # numpy would drop the imaginary part with only a warning
+    "complex probs": (
+        lambda: SchmidtString(np.array([0.5 + 0.5j, 0.5])),
+        "probs cannot be read as a real array",
+    ),
+    "compare": (
+        lambda: compare("abc", [1.0]),
+        "probability string cannot be read as a real array",
+    ),
+    "partial_sums": (
+        lambda: partial_sums([[1.0], "abc"]),
+        "probability string cannot be read as a real array",
+    ),
+    "sort_chain": (
+        lambda: sort_chain([("a", [1.0]), ("b", "abc")]),
+        "probability string cannot be read as a real array",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", UNCONVERTIBLE_STRINGS)
+def test_unconvertible_string_names_the_argument(case):
+    call, message = UNCONVERTIBLE_STRINGS[case]
     with pytest.raises(InputError, match=f"^{message}$"):
         call()

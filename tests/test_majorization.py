@@ -20,7 +20,13 @@ from subent import (
     sym_string_closed,
 )
 
-from .helpers import random_distribution, t_transform
+from .helpers import (
+    apply_t_transforms,
+    majorization_certificate,
+    padded_pair,
+    random_distribution,
+    t_transform,
+)
 
 INCOMPARABLE_A = np.array([0.6, 0.4, 0.0, 0.0])
 INCOMPARABLE_B = np.array([0.7, 0.1, 0.1, 0.1])
@@ -288,3 +294,71 @@ class TestSortChain:
         assert chain.ordered
         # entanglement of the plus branch grows with j
         assert chain.labels == ("plus1", "plus2", "plus3")
+
+
+def assert_certified(x, y, tol):
+    """compare(x, y) and an independent majorization witness agree."""
+    verdict = compare(x, y, tol)
+    transforms, violated = majorization_certificate(x, y, tol)
+    xs, ys = padded_pair(x, y)
+    n = xs.size
+    if verdict in (Verdict.MORE_ENTANGLED, Verdict.EQUAL):
+        assert violated is None
+        assert len(transforms) <= n - 1
+        assert all(0.0 <= lam <= 1.0 and j != k for j, k, lam in transforms)
+        z = apply_t_transforms(ys, transforms)
+        slack = tol + abs(ys.sum() - xs.sum()) + 1e-14
+        assert np.max(np.abs(z - xs), initial=0.0) <= slack
+    else:
+        assert transforms is None
+        assert np.cumsum(xs)[violated] > np.cumsum(ys)[violated] + tol
+    return verdict
+
+
+class TestCertificates:
+    # every "x is more entangled than y" comes with T-transforms taking y
+    # to x, and every other verdict with a partial sum of x above y's
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        y=distributions(max_len=8),
+        steps=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+        # not 0: x and y may differ in their totals by rounding
+        tol=st.sampled_from([1e-12, 1e-9, 0.05]),
+    )
+    def test_transformed_strings(self, y, steps, seed, tol):
+        rng = np.random.default_rng(seed)
+        x = y
+        for _ in range(steps):
+            x = t_transform(rng, x)
+        assert assert_certified(x, y, tol) in (Verdict.MORE_ENTANGLED, Verdict.EQUAL)
+        assert_certified(y, x, tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=distributions(max_len=8),
+        y=distributions(max_len=8),
+        tol=st.sampled_from([0.0, 1e-9, 0.05]),
+    )
+    def test_independent_strings(self, x, y, tol):
+        assert_certified(x, y, tol)
+        assert_certified(y, x, tol)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_hydrogen_chains(self, n):
+        strings = [e.string for e in hydrogen_level(n).entries] + [limiting_string()]
+        verdicts = [assert_certified(s, t, 1e-9) for s in strings for t in strings]
+        assert Verdict.INCOMPARABLE not in verdicts
+
+    def test_closed_form_strings(self):
+        strings = [antisym_string_closed(n) for n in range(2, 7)]
+        strings += [sym_string_closed(n) for n in range(1, 7)]
+        strings += [
+            spin_string_closed(SpinLabel(two_j), branch)
+            for two_j in range(1, 13)
+            for branch in Branch
+        ]
+        verdicts = [assert_certified(s, t, 1e-9) for s in strings for t in strings]
+        assert Verdict.MORE_ENTANGLED in verdicts
+        assert Verdict.INCOMPARABLE in verdicts

@@ -16,6 +16,7 @@ from subent import (
     embed,
     gram_schmidt,
     hermitian_eigenvalues,
+    linalg,
     measures,
     projector_from_basis,
     pure_subspace_string,
@@ -252,8 +253,40 @@ class TestCompressedRealignment:
         rng = np.random.default_rng(29)
         p = projector_from_basis(random_basis(rng, Factorization(3, 4), 5))
         assert np.all(p.matrix != 0)
+        # a dense projector keeps no index array
+        assert p.report()._nonzero is None
         for side in (1, 2):
             assert np.array_equal(reduced_superop(p, side), full_realignment_gram(p, side))
+
+    @pytest.mark.parametrize("name, size", CATALOG_CASES)
+    def test_pattern_is_the_one_validation_found(self, name, size):
+        p = catalog_projector(name, size)
+        assert np.array_equal(p.report()._nonzero, np.flatnonzero(p.matrix))
+
+    def test_single_block_pattern_is_compressed(self):
+        # one connected block, so validation takes P whole; the string side
+        # still scatters only the 12 nonzeros validation kept
+        m = np.array([[1, 0, 1, -1], [0, 1, 1, 1], [1, 1, 2, 0], [-1, 1, 0, 2]]) / 3
+        p = Projector(Factorization(2, 2), m, dim=2)
+        assert linalg._blocks(p.matrix)[1] is None
+        assert p.report()._nonzero.size == 12
+        self.assert_matches_full_realignment(p)
+
+    def test_large_pattern_is_not_scanned_again(self):
+        # scanning all 4,008,004 entries of P allocates a 4 MB mask; the
+        # 4,002 nonzeros kept by validation and the compressed A need far less
+        import tracemalloc
+
+        from subent import Branch, SpinLabel, spin_projector
+
+        p = spin_projector(SpinLabel(1000), Branch.PLUS)
+        tracemalloc.start()
+        try:
+            reduced_superop(p, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestDefinitionOracle:

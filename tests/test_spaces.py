@@ -267,6 +267,19 @@ class TestValidateProjector:
         assert original(p.matrix, dim=1) == p.report()
         assert not p.matrix.flags.writeable
 
+    def test_kept_pattern_is_not_part_of_the_report(self):
+        import dataclasses
+
+        p = Projector(Factorization(2, 2), SINGLET_PROJECTOR, dim=1)
+        report = p.report()
+        assert np.array_equal(report._nonzero, np.flatnonzero(SINGLET_PROJECTOR))
+        public = ["hermiticity", "idempotency", "trace", "dim", "passes", "norm"]
+        assert [f.name for f in dataclasses.fields(report) if f.repr] == public
+        assert "_nonzero" not in repr(report)
+        # equality and hashing ignore the pattern
+        bare = dataclasses.replace(report, _nonzero=None)
+        assert bare == report and hash(bare) == hash(report)
+
     def test_projector_revalidated_for_other_dim(self):
         p = Projector(Factorization(2, 2), SINGLET_PROJECTOR, dim=1)
         report = validate_projector(p.matrix, dim=2)
