@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import InputError
 from .schmidt import Measures, SchmidtString
-from .spaces import Factorization, Projector, SubspaceBasis, _Fresh, as_count
+from .linalg import _Entries
+from .spaces import Factorization, Projector, SubspaceBasis, as_count
 
 SPIN_STRING_LENGTH = 4
 
@@ -174,7 +175,8 @@ def spin_projector(s: SpinLabel | int, branch: Branch) -> Projector:
     (j I - X) / (2j + 1) with rank 2j.  X conserves total m, so it is
     tridiagonal in the product basis: 2 J3 S3 puts +-m_a at (2a, 2a) and
     (2a + 1, 2a + 1), and J+ S- + J- S+ couples the Clebsch-Gordan pair
-    (2k - 1, 2k) with sqrt(k (2j + 1 - k)).  Only those entries are filled.
+    (2k - 1, 2k) with sqrt(k (2j + 1 - k)).  Only those entries are made,
+    and the projector holds them without a dense matrix.
     """
     s = _label(s)
     if not isinstance(branch, Branch):
@@ -187,19 +189,21 @@ def spin_projector(s: SpinLabel | int, branch: Branch) -> Projector:
         diag, dim = diag + (s.j + 1.0), s.two_j + 2
     else:
         diag, off, dim = s.j - diag, -off, s.two_j
+    side = diag.size
+    flat = np.concatenate([
+        np.arange(side) * (side + 1),
+        (2 * k - 1) * side + 2 * k,
+        2 * k * side + 2 * k - 1,
+    ])
     # complex / float like the dense (X +- c I) / (2j + 1); dividing in
     # float64 differs in the last bit
-    denom = float(s.two_j + 1)
-    off = off.astype(np.complex128) / denom
-    matrix = np.zeros((diag.size, diag.size), dtype=np.complex128)
-    matrix[np.diag_indices(diag.size)] = diag.astype(np.complex128) / denom
-    matrix[2 * k - 1, 2 * k] = off
-    matrix[2 * k, 2 * k - 1] = off
-    return Projector(
-        factorization=Factorization(s.dim, 2),
-        matrix=matrix.view(_Fresh),
-        dim=dim,
-    )
+    values = np.concatenate([diag, off, off]).astype(np.complex128) / float(s.dim)
+    # row-major order, without the exact zeros of the minus branch's
+    # stretched states
+    order = np.argsort(flat)
+    order = order[values[order] != 0]
+    entries = _Entries(side, flat[order], values[order])
+    return Projector._adopt(Factorization(s.dim, 2), dim, entries)
 
 
 def spin_string_closed(s: SpinLabel | int, branch: Branch) -> SchmidtString:

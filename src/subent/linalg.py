@@ -8,6 +8,7 @@ the package relies on; they do not try to be a general-purpose wrapper.
 from __future__ import annotations
 
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,28 +68,59 @@ def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray 
     return None
 
 
-def _blocks(m: np.ndarray) -> tuple[np.ndarray | None, list[np.ndarray] | None]:
-    """Flat indices of the nonzero entries of the square matrix `m`, None
-    when all are, and its diagonal blocks on the connected components of
-    that pattern, stacked as one (count, size, size) array per block size;
-    entries between blocks are zero.  The blocks are None when the pattern
-    is full, forms a single block, or its labels have not settled.
-    """
-    nonzero = np.flatnonzero(m != 0)
+class _Entries(NamedTuple):
+    """The nonzero entries of a square complex matrix of side `side`: sorted
+    flat indices, None when every entry is nonzero, and their values."""
+
+    side: int
+    nonzero: np.ndarray | None
+    values: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        """The matrix, read-only; a view of `values` when they are all of it."""
+        m = self.values
+        if self.nonzero is not None:
+            m = np.zeros(self.side * self.side, dtype=np.complex128)
+            m[self.nonzero] = self.values
+        m = m.reshape(self.side, self.side)
+        m.setflags(write=False)
+        return m
+
+
+def _entries_of(m: np.ndarray) -> _Entries:
+    """The nonzero entries of the square complex matrix `m`."""
+    nonzero = np.flatnonzero(m)
     if nonzero.size == m.size:
-        return None, None
-    lab = _component_labels(*np.divmod(nonzero, m.shape[0]), m.shape[0])
-    if lab is None or lab.max() == 0:
-        return nonzero, None
-    order = np.argsort(lab, kind="stable")
-    sizes = np.bincount(lab)
-    sizes = sizes[sizes > 0]
-    starts = np.cumsum(sizes) - sizes
+        return _Entries(m.shape[0], None, m.ravel())
+    return _Entries(m.shape[0], nonzero, m.ravel()[nonzero])
+
+
+def _blocks(p: _Entries) -> list[np.ndarray]:
+    """Diagonal blocks of the matrix whose nonzero entries are `p`, on the
+    connected components of its pattern, scattered from the entries and
+    stacked as one (count, size, size) array per block size; entries between
+    blocks are zero.  The whole matrix is one (1, side, side) stack when the
+    pattern is full, forms a single block, or its labels have not settled.
+    """
+    side, nonzero, values = p
+    if nonzero is not None:
+        rows, cols = np.divmod(nonzero, side)
+        lab = _component_labels(rows, cols, side)
+    if nonzero is None or lab is None or lab.max() == 0:
+        return [p.dense()[None]]
+    # the vertices by block size, then by block, each block labelled by its
+    # least vertex; a block's own vertices stay in order
+    size = np.bincount(lab)[lab]
+    at = np.empty(side, dtype=np.intp)
+    at[np.lexsort((lab, size))] = np.arange(side)
     blocks = []
-    for size in np.flatnonzero(np.bincount(sizes)):
-        idx = order[starts[sizes == size, None] + np.arange(size)]
-        blocks.append(m[idx[:, :, None], idx[:, None, :]])
-    return nonzero, blocks
+    for s in np.unique(size):
+        on = size[rows] == s
+        start = np.count_nonzero(size < s)
+        b = np.zeros((np.count_nonzero(size == s), s), dtype=np.complex128)
+        b[at[rows[on]] - start, (at[cols[on]] - start) % s] = values[on]
+        blocks.append(b.reshape(-1, s, s))
+    return blocks
 
 
 def hermitian_eigenvalues(h) -> np.ndarray:
@@ -123,13 +155,9 @@ def hermitian_eigenvalues(h) -> np.ndarray:
         )
     # Symmetrize first so the solver sees an exactly Hermitian matrix.
     hs = (h + h.conj().T) / 2.0
-    _, blocks = _blocks(hs)
-    if blocks is None:
-        w = np.linalg.eigvalsh(hs)[::-1]
-    else:
-        # one stacked solve per block size; entries between blocks are zero
-        w = np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks])
-        w = np.sort(w)[::-1]
+    # one stacked solve per block size; entries between blocks are zero
+    blocks = _blocks(_entries_of(hs))
+    w = np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks]))[::-1]
     trace = float(np.trace(h).real)
     if abs(float(w.sum()) - trace) > EIGENVALUE_SUM_TOL * max(1.0, abs(trace)):
         raise NumericalError(
@@ -160,10 +188,7 @@ def gram_schmidt(vectors) -> np.ndarray:
     numpy.ndarray
         Array of shape (k, dim) whose rows are orthonormal.
     """
-    try:
-        rows = [np.asarray(v, dtype=np.complex128) for v in vectors]
-    except (TypeError, ValueError, OverflowError):
-        raise InputError("vectors cannot be read as complex vectors") from None
+    rows = [as_array(v, "vectors") for v in vectors]
     if not rows:
         raise InputError("gram_schmidt requires at least one vector")
     dim = rows[0].shape

@@ -19,9 +19,10 @@ operator space.
 
 A symmetry that makes P block diagonal (total m, U (x) U invariance) also
 makes A sparse and the Gram block diagonal.  So a P with zero entries is
-realigned from its nonzeros alone, as found once by projector validation,
-without the all-zero rows (or columns) of A that the Gram sums over, and
-the eigenvalues are taken block by block.
+realigned from the nonzero entries its projector keeps (the catalog
+builders make only those, and a dense P is scanned once, when it is
+validated), without the all-zero rows (or columns) of A that the Gram sums
+over, and the eigenvalues are taken block by block.
 """
 
 from __future__ import annotations
@@ -168,15 +169,15 @@ def reduced_superop(p: Projector, side: int) -> np.ndarray:
 
     Side 1 returns A A^dagger (shape d1^2 x d1^2); side 2 returns
     A^dagger A (shape d2^2 x d2^2).  Both are positive semidefinite and
-    unit-trace, and they share their nonzero spectrum.  A is built from the
-    nonzero pattern that validation kept on the projector, and by
-    :func:`realign` only when every entry of P is nonzero.  The Gram product
-    is returned as computed, Hermitian to rounding;
+    unit-trace, and they share their nonzero spectrum.  A is scattered from
+    the nonzero entries the projector keeps, and built by :func:`realign`
+    from the dense matrix only when every entry of P is nonzero.  The Gram
+    product is returned as computed, Hermitian to rounding;
     :func:`subent.linalg.hermitian_eigenvalues` symmetrizes it.
     """
     if isinstance(side, bool) or side not in (1, 2):
         raise InputError(f"side must be 1 or 2, got {side!r}")
-    nonzero = p.report()._nonzero
+    _, nonzero, values = p._entries
     if nonzero is None:
         a = realign(p)
     else:
@@ -191,7 +192,7 @@ def reduced_superop(p: Projector, side: int) -> np.ndarray:
         else:
             kept, rows = np.unique(rows, return_inverse=True)
             a = np.zeros((kept.size, d2 * d2), dtype=np.complex128)
-        a[rows, cols] = p.matrix.ravel()[nonzero] / math.sqrt(p.dim)
+        a[rows, cols] = values / math.sqrt(p.dim)
     if side == 1:
         return a @ a.conj().T
     return a.conj().T @ a

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .linalg import _blocks, as_matrix
+from .linalg import _blocks, _entries_of, _Entries, as_matrix
 from .tolerances import (
     ORTHONORMALITY_TOL,
     PROJECTOR_HERMITICITY_TOL,
@@ -35,18 +35,10 @@ def as_count(value, name: str, least: int = 1) -> int:
     return int(value)
 
 
-class _Fresh(np.ndarray):
-    """A complex128 C-ordered matrix that a builder made for one Projector
-    and keeps no other reference to: the Projector adopts it, not a copy."""
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    if type(a) is _Fresh:
-        out = a.view(np.ndarray)
-    else:
-        # a private copy: the caller's array stays writable, and writing to
-        # it cannot change what was validated
-        out = np.array(a, dtype=np.complex128, order="C", copy=True)
+def _freeze(a) -> np.ndarray:
+    # a private copy: the caller's array stays writable, and writing to it
+    # cannot change what was validated
+    out = np.array(a, dtype=np.complex128, order="C", copy=True)
     out.setflags(write=False)
     return out
 
@@ -128,7 +120,7 @@ class ProjectorReport:
     dim: int
     passes: bool
     norm: float
-    # the nonzero pattern validation found, which realignment reads
+    # the nonzero pattern the defects were measured on
     _nonzero: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
@@ -143,32 +135,38 @@ def validate_projector(p, dim: int | None = None) -> ProjectorReport:
     :meth:`Projector.report` holds the result.
 
     The defects are measured on the nonzero entries: the norm over them,
-    Hermiticity over the pairs (P[r, c], P[c, r]) with either entry nonzero,
-    idempotency on the connected blocks of the nonzero pattern.  The values
-    are those of the dense ``P - P^dagger`` and ``P @ P - P``.
+    Hermiticity and idempotency on the connected blocks of their pattern.
+    The values are those of the dense ``P - P^dagger`` and ``P @ P - P``.
+    The catalog builders hand over only the nonzero entries, and no dense
+    matrix is made for them.
     """
-    matrix = as_matrix(p, "projector")
-    if matrix.shape[0] != matrix.shape[1]:
-        raise InputError(f"projector must be square, got shape {matrix.shape}")
+    if not isinstance(p, _Entries):
+        matrix = as_matrix(p, "projector")
+        if matrix.shape[0] != matrix.shape[1]:
+            raise InputError(f"projector must be square, got shape {matrix.shape}")
+        p = _entries_of(matrix)
+    side, nonzero, values = p
+    if not np.all(np.isfinite(values)):
+        raise InputError("projector contains non-finite entries")
+    if nonzero is None:
+        diagonal = values[:: side + 1]
+    else:
+        on = nonzero % (side + 1) == 0
+        diagonal = np.zeros(side, dtype=np.complex128)
+        diagonal[nonzero[on] // (side + 1)] = values[on]
+    total = complex(diagonal.sum())
     if dim is None:
-        dim = int(round(float(np.trace(matrix).real)))
+        dim = int(round(total.real))
     else:
         dim = as_count(dim, "dim", least=0)
-    nonzero, blocks = _blocks(matrix)
-    if blocks is None:
-        values = matrix.ravel()
-        hermiticity = float(np.max(np.abs(matrix - matrix.conj().T)))
-        idempotency = float(np.max(np.abs(matrix @ matrix - matrix)))
-    else:
-        rows, cols = np.divmod(nonzero, matrix.shape[0])
-        values = matrix[rows, cols]
-        hermiticity = float(
-            np.max(np.abs(values - matrix[cols, rows].conj()), initial=0.0)
-        )
-        # an entry of P @ P between two blocks is a sum of exact zeros, as
-        # is the entry of P
-        idempotency = max(float(np.max(np.abs(b @ b - b))) for b in blocks)
-    trace = float(abs(complex(np.trace(matrix)) - dim))
+    trace = float(abs(total - dim))
+    # an entry of P - P^dagger or of P @ P between two blocks is a sum of
+    # exact zeros, as is the entry of P
+    blocks = _blocks(p)
+    hermiticity = max(
+        float(np.max(np.abs(b - b.conj().transpose(0, 2, 1)))) for b in blocks
+    )
+    idempotency = max(float(np.max(np.abs(b @ b - b))) for b in blocks)
     norm = math.inf
     if dim >= 1:
         norm = abs(float(np.linalg.norm(values)) / math.sqrt(dim) - 1.0)
@@ -186,26 +184,33 @@ def validate_projector(p, dim: int | None = None) -> ProjectorReport:
 class Projector:
     """Validated orthogonal projector onto a `dim`-dimensional subspace.
 
-    Construction runs :func:`validate_projector` once on the frozen matrix
-    and refuses matrices that fail it, so holding a `Projector` is proof of
-    validity.  The measured defects are kept and returned by :meth:`report`.
+    Construction runs :func:`validate_projector` once on the nonzero
+    entries of a frozen copy of `matrix` and refuses matrices that fail it,
+    so holding a `Projector` is proof of validity.  The measured defects are
+    kept and returned by :meth:`report`.  The catalog builders hand over
+    only the nonzero entries; `matrix` is then built, read-only, when it is
+    first read.
     """
 
     factorization: Factorization
     matrix: np.ndarray
     dim: int
     _report: ProjectorReport = field(init=False, repr=False, compare=False)
+    _entries: _Entries = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, entries: _Entries | None = None) -> None:
         dim = as_count(self.dim, "dim")
-        m = _freeze(self.matrix)
-        expected = self.factorization.dim
-        if m.shape != (expected, expected):
-            raise InputError(
-                f"projector shape {m.shape} does not match factorization "
-                f"{self.factorization.d1}x{self.factorization.d2}"
-            )
-        report = validate_projector(m, dim=dim)
+        if entries is None:
+            m = _freeze(self.matrix)
+            expected = self.factorization.dim
+            if m.shape != (expected, expected):
+                raise InputError(
+                    f"projector shape {m.shape} does not match factorization "
+                    f"{self.factorization.d1}x{self.factorization.d2}"
+                )
+            entries = _entries_of(as_matrix(m, "projector"))
+            object.__setattr__(self, "matrix", m)
+        report = validate_projector(entries, dim=dim)
         if not report.passes:
             raise InputError(
                 "matrix fails projector validation: "
@@ -215,8 +220,24 @@ class Projector:
                 f"norm defect={report.norm:.3e}, dim={report.dim}"
             )
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_report", report)
+        object.__setattr__(self, "_entries", entries)
+
+    @classmethod
+    def _adopt(cls, factorization, dim: int, entries: _Entries) -> "Projector":
+        """A projector on the nonzero entries that a builder made for it
+        alone: validated once, not copied; `matrix` is built when first read."""
+        p = object.__new__(cls)
+        p.__dict__.update(factorization=factorization, dim=dim)
+        p.__post_init__(entries)
+        return p
+
+    def __getattr__(self, name: str):
+        # only a projector adopted from its entries lacks `matrix`
+        if name != "matrix" or "_entries" not in vars(self):
+            raise AttributeError(name)
+        self.__dict__["matrix"] = m = self._entries.dense()
+        return m
 
     @classmethod
     def from_matrix(
@@ -247,8 +268,7 @@ class Projector:
 def projector_from_basis(basis: SubspaceBasis) -> Projector:
     """Orthogonal projector P = sum_a |v_a><v_a| onto the span of `basis`."""
     v = basis.vectors
-    matrix = (v.T @ v.conj()).view(_Fresh)
-    return Projector(factorization=basis.factorization, matrix=matrix, dim=basis.dim)
+    return Projector._adopt(basis.factorization, basis.dim, _entries_of(v.T @ v.conj()))
 
 
 def embed(basis: SubspaceBasis, d1: int, d2: int) -> SubspaceBasis:

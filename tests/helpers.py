@@ -21,6 +21,7 @@ from subent import (
     RankDeficiencyWarning,
     SubspaceBasis,
     gram_schmidt,
+    linalg,
 )
 from subent.tolerances import DROP_TOL
 
@@ -110,6 +111,12 @@ def realigned_gram_eigenvalues_mp(p: Projector) -> np.ndarray:
                         a[i * d1 + j, k * d2 + l] = mpmath.mpc(entry) / scale
         w = mpmath.eighe(a * a.H, eigvals_only=True)
         return np.sort(np.array([float(x) for x in w]))[::-1]
+
+
+def kept_whole(m: np.ndarray) -> bool:
+    """Whether `linalg._blocks` keeps the square matrix `m` as one block."""
+    blocks = linalg._blocks(linalg._entries_of(m))
+    return [b.shape for b in blocks] == [(1, *m.shape)]
 
 
 def stride_path_hermitian(rng: np.random.Generator, n: int = 64) -> np.ndarray:

@@ -234,15 +234,32 @@ class TestSpinCoupling:
 
     @pytest.mark.parametrize("two_j", [*range(1, 41), 1000])
     def test_projector_matches_coupling_operator(self, two_j):
-        # bitwise: the tridiagonal fill reproduces (X +- c I) / (2j + 1)
+        # bitwise: the entries the builder hands over are the nonzeros of
+        # (X +- c I) / (2j + 1), and give the report of that dense matrix
         x = spin_x_operator(two_j)
         eye = np.eye(x.shape[0], dtype=np.complex128)
         j = two_j / 2.0
         denom = float(two_j + 1)
         plus = (x + (j + 1.0) * eye) / denom
         minus = (j * eye - x) / denom
-        assert np.array_equal(spin_projector(two_j, Branch.PLUS).matrix, plus)
-        assert np.array_equal(spin_projector(two_j, Branch.MINUS).matrix, minus)
+        for branch, dense in ((Branch.PLUS, plus), (Branch.MINUS, minus)):
+            p = spin_projector(two_j, branch)
+            assert p.report() == validate_projector(dense)
+            assert p.report().trace == abs(complex(np.trace(dense)) - p.dim)
+            assert np.array_equal(p.report()._nonzero, np.flatnonzero(dense))
+            assert np.array_equal(p.matrix, dense)
+
+    def test_large_string_makes_no_dense_projector(self):
+        # the dense 2002 x 2002 projector alone would take 64 MB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            schmidt_string(spin_projector(1000, Branch.PLUS))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_half_minus_is_singlet(self):
         p = spin_projector(1, Branch.MINUS)

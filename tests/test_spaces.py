@@ -158,16 +158,27 @@ class TestProjector:
         assert validate_projector(p.matrix).passes
 
     def test_builders_adopt_their_matrix(self):
-        # the builders' matrices are frozen in place; a caller's is copied
+        # the basis builder's matrix is frozen in place; a caller's is copied
         from subent import Branch, spin_projector
 
         basis = SubspaceBasis(Factorization(2, 2), SINGLET.reshape(1, 4))
-        for p in (projector_from_basis(basis), spin_projector(3, Branch.PLUS)):
-            assert type(p.matrix) is np.ndarray
-            assert not p.matrix.flags.writeable
-            assert not p.matrix.flags.owndata
+        p = projector_from_basis(basis)
+        assert type(p.matrix) is np.ndarray
+        assert not p.matrix.flags.writeable
+        assert not p.matrix.flags.owndata
         copied = Projector(Factorization(2, 2), SINGLET_PROJECTOR, dim=1)
         assert copied.matrix.flags.owndata
+        # the spin builder hands over its nonzero entries: no 8 x 8 array
+        # exists until `matrix` is read, which builds it read-only, once
+        p = spin_projector(3, Branch.PLUS)
+        assert "matrix" not in vars(p)
+        side, nonzero, values = p._entries
+        assert (side, nonzero.size, values.size) == (8, 14, 14)
+        m = p.matrix
+        assert type(m) is np.ndarray and m.shape == (8, 8)
+        assert not m.flags.writeable
+        assert p.matrix is m
+        assert np.array_equal(np.flatnonzero(m), nonzero)
 
     def test_from_matrix_infers_dim(self):
         p = Projector.from_matrix(Factorization(2, 2), np.eye(4))
@@ -304,13 +315,16 @@ def dense_report(m, dim):
 
 
 def assert_matches_dense(m):
-    report = validate_projector(m)
-    hermiticity, idempotency, trace, norm, passes = dense_report(m, report.dim)
-    assert report.passes == passes
-    assert abs(report.hermiticity - hermiticity) <= 1e-15
-    assert abs(report.idempotency - idempotency) <= 1e-15
-    assert report.trace == trace
-    assert report.norm == pytest.approx(norm, abs=1e-15)
+    # the dense matrix and its nonzero entries, as a builder hands them over
+    nonzero = np.flatnonzero(m)
+    entries = spaces._Entries(m.shape[0], nonzero, m.ravel()[nonzero])
+    for report in (validate_projector(m), validate_projector(entries)):
+        hermiticity, idempotency, trace, norm, passes = dense_report(m, report.dim)
+        assert report.passes == passes
+        assert abs(report.hermiticity - hermiticity) <= 1e-15
+        assert abs(report.idempotency - idempotency) <= 1e-15
+        assert report.trace == trace
+        assert report.norm == pytest.approx(norm, abs=1e-15)
 
 
 def pattern_labels(m):
@@ -323,10 +337,13 @@ def block_matrices(draw):
     """Block-diagonal matrices under a random permutation, blocks of size 1-5.
 
     Each block is a projector of random rank (possibly 0), optionally with a
-    Hermitian perturbation (not idempotent) or a general one (not Hermitian).
+    Hermitian perturbation (not idempotent) or a general one (not Hermitian),
+    or up to three entries whose transposed partner is zero are set.
     """
     sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=8))
-    kind = draw(st.sampled_from(["projector", "perturbed", "non_hermitian"]))
+    kind = draw(
+        st.sampled_from(["projector", "perturbed", "non_hermitian", "one_sided"])
+    )
     scale = draw(st.sampled_from([1e-12, 1e-10, 1e-8, 1e-3, 0.1]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = sum(sizes)
@@ -345,7 +362,13 @@ def block_matrices(draw):
         m[start : start + size, start : start + size] = block
         start += size
     perm = rng.permutation(dim)
-    return m[np.ix_(perm, perm)]
+    m = m[np.ix_(perm, perm)]
+    if kind == "one_sided":
+        # nonzeros whose transposed partner is an exact zero
+        r, c = np.nonzero((m == 0) & (m.T == 0))
+        pick = rng.permutation(np.flatnonzero(r != c))[:3]
+        m[r[pick], c[pick]] = scale * (1.0 - 2.0j)
+    return m
 
 
 class TestBlockwiseValidation:
@@ -405,9 +428,24 @@ class TestBlockwiseValidation:
         assert report.passes
 
     def test_zero_matrix(self):
-        report = validate_projector(np.zeros((3, 3)))
-        assert (report.hermiticity, report.idempotency, report.dim) == (0, 0, 0)
-        assert not report.passes
+        empty = spaces._Entries(3, np.zeros(0, dtype=np.intp), np.zeros(0, complex))
+        for p in (np.zeros((3, 3)), empty):
+            report = validate_projector(p)
+            assert (report.hermiticity, report.idempotency, report.dim) == (0, 0, 0)
+            assert not report.passes
+
+    def test_single_block_pattern(self):
+        m = np.array([[1, 0, 1, -1], [0, 1, 1, 1], [1, 1, 2, 0], [-1, 1, 0, 2]]) / 3
+        assert not np.any(pattern_labels(m))
+        assert_matches_dense(m)
+        assert validate_projector(m).passes
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_entry(self, value):
+        nonzero = np.array([0, 5, 10, 15])
+        values = np.array([1, value, 1, 1], dtype=complex)
+        with pytest.raises(InputError, match="^projector contains non-finite entries$"):
+            validate_projector(spaces._Entries(4, nonzero, values))
 
 
 class TestEmbed:
