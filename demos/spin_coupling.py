@@ -20,7 +20,7 @@ from subent import (
     spin_string_closed,
     limiting_string,
     schmidt_string,
-    reduced_superop,
+    realign,
     compare,
     hermitian_eigenvalues,
 )
@@ -56,9 +56,11 @@ for branch, proj in ((Branch.PLUS, plus), (Branch.MINUS, minus)):
     print(f"\n{branch.value} string (pipeline):", numeric.probs)
     print(f"{branch.value} string (closed):  ", closed.probs)
 
-# The reduced matrix on the spin side is 4x4 with only five nonzero
-# entries; a compact fingerprint of the plus branch.
-q = reduced_superop(plus, side=2)
+# The reduced matrix on the spin side, the Gram matrix A^dagger A of the
+# realigned projector, is 4x4 with only five nonzero entries; a compact
+# fingerprint of the plus branch.
+a = realign(plus)
+q = a.conj().T @ a
 print("\nspin-side reduced matrix of the plus branch:")
 print(q.real)
 

@@ -27,7 +27,6 @@ from .schmidt import (
     measures,
     pure_subspace_string,
     realign,
-    reduced_superop,
     schmidt_string,
     vector_schmidt,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "Measures",
     "measures",
     "realign",
-    "reduced_superop",
     "schmidt_string",
     "vector_schmidt",
     "pure_subspace_string",

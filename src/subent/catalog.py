@@ -275,7 +275,7 @@ def closed_measures(family: str, parameter: int) -> Measures:
 # --- hydrogen-like levels ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HydrogenEntry:
     """One fine structure eigenspace of a hydrogen-like level.
 
@@ -294,7 +294,7 @@ class HydrogenEntry:
         return 2 * self.l + 2 if self.branch is Branch.PLUS else 2 * self.l
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HydrogenLevel:
     """All 2n - 1 fine structure eigenspaces of the level with quantum number n."""
 

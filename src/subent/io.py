@@ -30,7 +30,7 @@ JSON_DIGITS = ".17g"
 TABLE_DIGITS = ".12g"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceDocument:
     """Parsed subspace input: a factorization plus a basis or a projector."""
 

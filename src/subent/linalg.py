@@ -7,6 +7,7 @@ the package relies on; they do not try to be a general-purpose wrapper.
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import NamedTuple
 
@@ -21,13 +22,13 @@ class RankDeficiencyWarning(UserWarning):
 
 
 def as_array(a, name: str, dtype=np.complex128) -> np.ndarray:
-    """`a` as an array of `dtype` (complex128 or float64); what numpy
-    cannot convert, or would make real only by dropping imaginary parts, is
-    an InputError naming `name`."""
+    """`a` as an array of `dtype` (complex128 or float64); bools, strings
+    and bytes, what numpy cannot convert, and what it would make real only
+    by dropping imaginary parts are an InputError naming `name`."""
     kind = "complex" if dtype is np.complex128 else "real"
     try:
-        m = np.asarray(a, dtype=dtype if kind == "complex" else None)
-        if kind == "complex" or m.dtype.kind != "c":
+        m = np.asarray(a)
+        if m.dtype.kind not in "bSU" and (kind == "complex" or m.dtype.kind != "c"):
             return m.astype(dtype, copy=False)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -51,20 +52,19 @@ def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray 
 
     Label propagation in both edge directions with one pointer jump per
     round (Shiloach & Vishkin, J. Algorithms 3, 57, 1982).  Labels only
-    decrease and always name a vertex of their own component, so labels
-    that survive a round unchanged are the component minima, and labels
-    that are all 0 already show a single component.  Returns None when the
-    labels have not settled within 2 * bit_length(n) + 2 rounds.
+    decrease and always name a vertex of their own component, so once the
+    two ends of every edge share a label, each label is its component's
+    least vertex.  Returns None when that has not happened within
+    2 * bit_length(n) + 2 rounds.
     """
     lab = np.arange(n)
     for _ in range(2 * n.bit_length() + 2):
-        new = lab.copy()
-        np.minimum.at(new, rows, new[cols])
-        np.minimum.at(new, cols, new[rows])
-        new = new[new]
-        if new.max() == 0 or np.array_equal(new, lab):
-            return new
-        lab = new
+        lab = lab.copy()
+        np.minimum.at(lab, rows, lab[cols])
+        np.minimum.at(lab, cols, lab[rows])
+        lab = lab[lab]
+        if (lab[rows] == lab[cols]).all():
+            return lab
     return None
 
 
@@ -95,75 +95,99 @@ def _entries_of(m: np.ndarray) -> _Entries:
     return _Entries(m.shape[0], nonzero, m.ravel()[nonzero])
 
 
-def _blocks(p: _Entries) -> list[np.ndarray]:
-    """Diagonal blocks of the matrix whose nonzero entries are `p`, on the
-    connected components of its pattern, scattered from the entries and
-    stacked as one (count, size, size) array per block size; entries between
-    blocks are zero.  The whole matrix is one (1, side, side) stack when the
-    pattern is full, forms a single block, or its labels have not settled.
+def _numbered(index: np.ndarray, extent: int) -> tuple[np.ndarray, int]:
+    """`index` (in [0, `extent`)) renumbered 0, 1, ... in increasing order,
+    and how many values it holds.  Here and in `_blocks` integers are sorted
+    in the narrowest type that holds them: numpy radix sorts up to 16 bits."""
+    order = np.argsort(index.astype(np.min_scalar_type(extent)), kind="stable")
+    s = index[order]
+    new = np.empty(index.size, dtype=np.intp)
+    new[order] = np.cumsum(np.concatenate(([0], s[1:] != s[:-1])))
+    return new, int(new[order[-1]]) + 1
+
+
+def _blocks(rows, cols, values, shape, square: bool) -> list[np.ndarray]:
+    """The blocks of the matrix of `shape` with nonzero entries `values` at
+    (`rows`, `cols`), one per connected component of their pattern, stacked
+    as one (count, r, c) array per block shape, by r and then c, a stack's
+    blocks by their least vertex; entries between blocks are zero.
+
+    A `square` matrix has row k and column k as one vertex, so its blocks are
+    diagonal and cover every index.  Otherwise rows and columns are separate
+    vertices, and only those with a nonzero are in a block.  Blocks keep the
+    order of their rows and columns.  Unsettled labels make one block.
     """
-    side, nonzero, values = p
-    if nonzero is not None:
-        rows, cols = np.divmod(nonzero, side)
-        lab = _component_labels(rows, cols, side)
-    if nonzero is None or lab is None or lab.max() == 0:
-        return [p.dense()[None]]
-    # the vertices by block size, then by block, each block labelled by its
-    # least vertex; a block's own vertices stay in order
-    size = np.bincount(lab)[lab]
-    at = np.empty(side, dtype=np.intp)
-    at[np.lexsort((lab, size))] = np.arange(side)
-    blocks = []
-    for s in np.unique(size):
-        on = size[rows] == s
-        start = np.count_nonzero(size < s)
-        b = np.zeros((np.count_nonzero(size == s), s), dtype=np.complex128)
-        b[at[rows[on]] - start, (at[cols[on]] - start) % s] = values[on]
-        blocks.append(b.reshape(-1, s, s))
-    return blocks
+    n = n_r = shape[0]
+    if not square:
+        (rows, n_r), (cols, n_c) = _numbered(rows, shape[0]), _numbered(cols, shape[1])
+        n = n_r + n_c
+        cols = cols + n_r
+    lab = _component_labels(rows, cols, n)
+    lab = np.zeros(n, dtype=np.intp) if lab is None else lab
+    # rows and columns per label; each block has a row, and the blocks are
+    # ranked by shape, then by label
+    r = np.bincount(lab[:n_r], minlength=n)
+    c = r if square else np.bincount(lab[n_r:], minlength=n)
+    labels = np.flatnonzero(r)
+    labels = labels[np.lexsort((c[labels], r[labels]))]
+    rank = np.empty(n, dtype=np.intp)
+    rank[labels] = np.arange(labels.size)
+    r, c, q = r[labels], c[labels], rank[lab]
+    # each vertex's place among the rows (columns) of its block
+    within = np.empty(n, dtype=np.intp)
+    for lo, hi, size in [(0, n_r, r)] if square else [(0, n_r, r), (n_r, n, c)]:
+        keys = q[lo:hi].astype(np.min_scalar_type(labels.size))
+        order = np.argsort(keys, kind="stable") + lo
+        within[order] = np.arange(hi - lo) - (np.cumsum(size) - size)[q[order]]
+    # the blocks one after another in one buffer, cut into stacks by shape
+    start = np.concatenate(([0], np.cumsum(r * c)))
+    row_start = start[q[:n_r]] + within[:n_r] * c[q[:n_r]]
+    buf = np.zeros(start[-1], dtype=np.complex128)
+    buf[row_start[rows] + within[cols]] = values
+    cuts = np.flatnonzero(np.diff(r) | np.diff(c)) + 1
+    stacks = np.split(buf, start[cuts])
+    return [s.reshape(-1, r[a], c[a]) for s, a in zip(stacks, [0, *cuts])]
 
 
-def hermitian_eigenvalues(h) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted descending.
-
-    Parameters
-    ----------
-    h : array_like
-        Square matrix with ``||h - h^dagger||_F`` at most `HERMITICITY_TOL`.
-
-    Returns
-    -------
-    numpy.ndarray
-        Real eigenvalues in non-increasing order.
-
-    Raises
-    ------
-    InputError
-        If `h` is not square or the Hermiticity defect exceeds the tolerance.
-    NumericalError
-        If the eigenvalue sum disagrees with the trace beyond a relative
-        1e-10, which would mean the decomposition itself went wrong.
-    """
-    h = as_matrix(h, "h")
-    if h.shape[0] != h.shape[1]:
-        raise InputError(f"matrix must be square, got shape {h.shape}")
-    defect = float(np.linalg.norm(h - h.conj().T))
+def _spectrum(blocks: list[np.ndarray]) -> np.ndarray:
+    """Descending eigenvalues of the Hermitian matrix with diagonal `blocks`,
+    stacked as `_blocks` stacks them.  A Hermiticity defect over
+    `HERMITICITY_TOL` is an InputError, each stack is symmetrized (the only
+    place that does) and solved by one ``eigvalsh``, and an eigenvalue sum
+    off the trace by a relative `EIGENVALUE_SUM_TOL` is a NumericalError."""
+    adjoints = [b.conj().transpose(0, 2, 1) for b in blocks]
+    defect = math.hypot(*(np.linalg.norm(b - a) for b, a in zip(blocks, adjoints)))
     if defect > HERMITICITY_TOL:
         raise InputError(
             f"matrix is not Hermitian: defect {defect:.3e} "
             f"exceeds tol {HERMITICITY_TOL:.3e}"
         )
-    # Symmetrize first so the solver sees an exactly Hermitian matrix.
-    hs = (h + h.conj().T) / 2.0
-    # one stacked solve per block size; entries between blocks are zero
-    blocks = _blocks(_entries_of(hs))
-    w = np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks]))[::-1]
-    trace = float(np.trace(h).real)
+    w = [np.linalg.eigvalsh((b + a) / 2.0).ravel() for b, a in zip(blocks, adjoints)]
+    w = np.sort(np.concatenate(w))[::-1]
+    trace = float(sum(np.trace(b, axis1=1, axis2=2).real.sum() for b in blocks))
     if abs(float(w.sum()) - trace) > EIGENVALUE_SUM_TOL * max(1.0, abs(trace)):
         raise NumericalError(
             f"eigenvalue sum {w.sum():.17g} disagrees with trace {trace:.17g}"
         )
     return np.ascontiguousarray(w)
+
+
+def hermitian_eigenvalues(h) -> np.ndarray:
+    """Real eigenvalues of the Hermitian matrix `h`, sorted descending.
+
+    A matrix that is not square, or whose Hermiticity defect
+    ``||h - h^dagger||_F`` exceeds `HERMITICITY_TOL`, is an InputError.  The
+    eigenvalues are solved per block size of the connected blocks of `h`; an
+    eigenvalue sum off the trace by more than a relative 1e-10, which would
+    mean the decomposition itself went wrong, is a NumericalError.
+    """
+    h = as_matrix(h, "h")
+    if h.shape[0] != h.shape[1]:
+        raise InputError(f"matrix must be square, got shape {h.shape}")
+    side, nonzero, values = _entries_of(h)
+    if nonzero is None:
+        return _spectrum([h[None]])
+    return _spectrum(_blocks(*np.divmod(nonzero, side), values, h.shape, True))
 
 
 def gram_schmidt(vectors) -> np.ndarray:

@@ -18,11 +18,13 @@ which are the reduced states of P / sqrt(dim V) viewed as a unit vector in
 operator space.
 
 A symmetry that makes P block diagonal (total m, U (x) U invariance) also
-makes A sparse and the Gram block diagonal.  So a P with zero entries is
-realigned from the nonzero entries its projector keeps (the catalog
-builders make only those, and a dense P is scanned once, when it is
-validated), without the all-zero rows (or columns) of A that the Gram sums
-over, and the eigenvalues are taken block by block.
+makes A block sparse: its nonzero rows and columns fall into connected
+blocks, and the string is the union of the blocks' squared singular values.
+So a P with zero entries is realigned from the nonzero entries its
+projector keeps (the catalog builders make only those, and a dense P is
+scanned once, when it is validated), split into those blocks, and each
+block's smaller Gram matrix is solved.  A P with no zero entry is realigned
+whole.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .linalg import as_array, hermitian_eigenvalues
+from .linalg import _blocks, _spectrum, as_array
 from .spaces import Factorization, Projector, as_count
 from .tolerances import (
     DEFAULT_ZERO_THRESHOLD,
@@ -43,7 +45,7 @@ from .tolerances import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtString:
     """Descending probability string of squared Schmidt coefficients.
 
@@ -71,7 +73,7 @@ class SchmidtString:
         p = np.ascontiguousarray(p)
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "k", int(np.count_nonzero(p)))
+        object.__setattr__(self, "k", p.nonzero()[0].size)
 
     def __len__(self) -> int:
         return int(self.probs.size)
@@ -164,53 +166,29 @@ def realign(p: Projector) -> np.ndarray:
     return a.transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2) / math.sqrt(p.dim)
 
 
-def reduced_superop(p: Projector, side: int) -> np.ndarray:
-    """Reduced operator-space state of P / sqrt(dim V) on one factor.
-
-    Side 1 returns A A^dagger (shape d1^2 x d1^2); side 2 returns
-    A^dagger A (shape d2^2 x d2^2).  Both are positive semidefinite and
-    unit-trace, and they share their nonzero spectrum.  A is scattered from
-    the nonzero entries the projector keeps, and built by :func:`realign`
-    from the dense matrix only when every entry of P is nonzero.  The Gram
-    product is returned as computed, Hermitian to rounding;
-    :func:`subent.linalg.hermitian_eigenvalues` symmetrizes it.
-    """
-    if isinstance(side, bool) or side not in (1, 2):
-        raise InputError(f"side must be 1 or 2, got {side!r}")
-    _, nonzero, values = p._entries
-    if nonzero is None:
-        a = realign(p)
-    else:
-        # scatter the nonzeros of P into A, dropping its all-zero rows for
-        # side 2 and its all-zero columns for side 1: neither Gram changes
-        d1, d2 = p.factorization.d1, p.factorization.d2
-        (i, k), (j, l) = (np.divmod(x, d2) for x in np.divmod(nonzero, d1 * d2))
-        rows, cols = i * d1 + j, k * d2 + l
-        if side == 1:
-            kept, cols = np.unique(cols, return_inverse=True)
-            a = np.zeros((d1 * d1, kept.size), dtype=np.complex128)
-        else:
-            kept, rows = np.unique(rows, return_inverse=True)
-            a = np.zeros((kept.size, d2 * d2), dtype=np.complex128)
-        a[rows, cols] = values / math.sqrt(p.dim)
-    if side == 1:
-        return a @ a.conj().T
-    return a.conj().T @ a
-
-
 def schmidt_string(
     p: Projector, zero_threshold: float = DEFAULT_ZERO_THRESHOLD
 ) -> SchmidtString:
     """Schmidt string of a subspace projector.
 
-    Eigenvalues are taken from the smaller of the two reduced matrices;
-    entries below `zero_threshold` are floored to exact zeros before the
-    Schmidt rank is counted.
+    Eigenvalues are taken from the smaller Gram matrix of each block of the
+    realigned matrix; entries below `zero_threshold` are floored to exact
+    zeros before the Schmidt rank is counted.
     """
     f = p.factorization
-    side = 1 if f.d1 <= f.d2 else 2
-    w = hermitian_eigenvalues(reduced_superop(p, side))
-    # The reduced matrix is positive semidefinite, so an eigenvalue below
+    _, nonzero, values = p._entries
+    if nonzero is None:
+        blocks = [realign(p)[None]]
+    else:
+        # P[(i, k), (j, l)] is A[(i, j), (k, l)] times sqrt(dim V)
+        (i, k), (j, l) = (np.divmod(x, f.d2) for x in np.divmod(nonzero, f.dim))
+        entries = (i * f.d1 + j, k * f.d2 + l, values / math.sqrt(p.dim))
+        blocks = _blocks(*entries, (f.d1**2, f.d2**2), False)
+    # each stack's smaller Gram takes its place, so A is freed before the solve
+    blocks = [(b, b.conj().transpose(0, 2, 1)) for b in blocks]
+    blocks = [b @ h if b.shape[1] <= b.shape[2] else h @ b for b, h in blocks]
+    w = _spectrum(blocks)
+    # The Gram matrices are positive semidefinite, so an eigenvalue below
     # the clamping floor means the eigensolver lost accuracy.
     if w[-1] < -NEGATIVE_EIGENVALUE_FLOOR:
         raise NumericalError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .linalg import _blocks, _entries_of, _Entries, as_matrix
+from .linalg import _blocks, _entries_of, _Entries, as_array, as_matrix
 from .tolerances import (
     ORTHONORMALITY_TOL,
     PROJECTOR_HERMITICITY_TOL,
@@ -35,10 +35,10 @@ def as_count(value, name: str, least: int = 1) -> int:
     return int(value)
 
 
-def _freeze(a) -> np.ndarray:
+def _freeze(a, name: str) -> np.ndarray:
     # a private copy: the caller's array stays writable, and writing to it
     # cannot change what was validated
-    out = np.array(a, dtype=np.complex128, order="C", copy=True)
+    out = np.array(as_array(a, name), order="C", copy=True)
     out.setflags(write=False)
     return out
 
@@ -65,7 +65,7 @@ class Factorization:
         return min(self.d1 ** 2, self.d2 ** 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceBasis:
     """Orthonormal basis of a subspace, stored as rows of `vectors`.
 
@@ -96,7 +96,7 @@ class SubspaceBasis:
                 f"basis is not orthonormal (Gram defect {defect:.3e}); "
                 "orthonormalize with gram_schmidt first"
             )
-        object.__setattr__(self, "vectors", _freeze(v))
+        object.__setattr__(self, "vectors", _freeze(v, "vectors"))
 
     @property
     def dim(self) -> int:
@@ -120,8 +120,6 @@ class ProjectorReport:
     dim: int
     passes: bool
     norm: float
-    # the nonzero pattern the defects were measured on
-    _nonzero: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def validate_projector(p, dim: int | None = None) -> ProjectorReport:
@@ -148,21 +146,22 @@ def validate_projector(p, dim: int | None = None) -> ProjectorReport:
     side, nonzero, values = p
     if not np.all(np.isfinite(values)):
         raise InputError("projector contains non-finite entries")
+    # an entry of P - P^dagger or of P @ P between two blocks is a sum of
+    # exact zeros, as is the entry of P
     if nonzero is None:
         diagonal = values[:: side + 1]
+        blocks = [p.dense()[None]]
     else:
-        on = nonzero % (side + 1) == 0
+        rows, cols = np.divmod(nonzero, side)
         diagonal = np.zeros(side, dtype=np.complex128)
-        diagonal[nonzero[on] // (side + 1)] = values[on]
+        diagonal[rows[rows == cols]] = values[rows == cols]
+        blocks = _blocks(rows, cols, values, (side, side), True)
     total = complex(diagonal.sum())
     if dim is None:
         dim = int(round(total.real))
     else:
         dim = as_count(dim, "dim", least=0)
     trace = float(abs(total - dim))
-    # an entry of P - P^dagger or of P @ P between two blocks is a sum of
-    # exact zeros, as is the entry of P
-    blocks = _blocks(p)
     hermiticity = max(
         float(np.max(np.abs(b - b.conj().transpose(0, 2, 1)))) for b in blocks
     )
@@ -177,10 +176,10 @@ def validate_projector(p, dim: int | None = None) -> ProjectorReport:
         and norm <= REALIGN_NORM_TOL
         and dim >= 1
     )
-    return ProjectorReport(hermiticity, idempotency, trace, dim, passes, norm, nonzero)
+    return ProjectorReport(hermiticity, idempotency, trace, dim, passes, norm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Projector:
     """Validated orthogonal projector onto a `dim`-dimensional subspace.
 
@@ -195,13 +194,13 @@ class Projector:
     factorization: Factorization
     matrix: np.ndarray
     dim: int
-    _report: ProjectorReport = field(init=False, repr=False, compare=False)
-    _entries: _Entries = field(init=False, repr=False, compare=False)
+    _report: ProjectorReport = field(init=False, repr=False)
+    _entries: _Entries = field(init=False, repr=False)
 
     def __post_init__(self, entries: _Entries | None = None) -> None:
         dim = as_count(self.dim, "dim")
         if entries is None:
-            m = _freeze(self.matrix)
+            m = _freeze(self.matrix, "projector")
             expected = self.factorization.dim
             if m.shape != (expected, expected):
                 raise InputError(
@@ -250,7 +249,7 @@ class Projector:
         message `as_matrix` gives it, whichever check tripped first.
         """
         try:
-            m = np.asarray(matrix, dtype=np.complex128)
+            m = as_array(matrix, "matrix")
             if dim is None:
                 dim = int(round(float(np.trace(m).real)))
                 if dim < 1:

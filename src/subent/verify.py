@@ -28,7 +28,7 @@ from .catalog import (
 )
 from .linalg import hermitian_eigenvalues
 from .majorization import sort_chain
-from .schmidt import Measures, SchmidtString, measures, reduced_superop, schmidt_string
+from .schmidt import Measures, SchmidtString, measures, realign, schmidt_string
 from .spaces import Factorization, SubspaceBasis, as_count, projector_from_basis
 from .tolerances import COMPLETENESS_TOL, MEASURE_TOL, Q_MATRIX_TOL, STRING_TOL
 
@@ -105,8 +105,8 @@ def verify_sym(max_n: int = 12) -> FamilyReport:
 def _expected_q_matrix(two_j: int) -> np.ndarray:
     """Reduced spin-side matrix of the plus-branch projector, closed form.
 
-    Expressed in the row-major pair basis of the spin-1/2 factor used by
-    :func:`subent.schmidt.reduced_superop`, ordered (++, +-, -+, --).
+    A^dagger A for A = :func:`subent.schmidt.realign` of the projector, in the
+    row-major pair basis of the spin-1/2 factor, ordered (++, +-, -+, --).
     """
     j = two_j / 2.0
     denom = 2.0 * j + 1.0
@@ -148,8 +148,8 @@ def verify_spin(max_two_j: int = 20) -> FamilyReport:
             )
             checks.append(Check(f"spin 2j={two_j} {branch} measures", dev, MEASURE_TOL))
 
-        q = reduced_superop(plus, side=2)
-        q_dev = float(np.max(np.abs(q - _expected_q_matrix(two_j))))
+        a = realign(plus)
+        q_dev = float(np.max(np.abs(a.conj().T @ a - _expected_q_matrix(two_j))))
         checks.append(Check(f"spin 2j={two_j} Q matrix", q_dev, Q_MATRIX_TOL))
 
         x = spin_x_operator(s)

@@ -22,6 +22,7 @@ from subent import (
     SubspaceBasis,
     gram_schmidt,
     linalg,
+    realign,
 )
 from subent.tolerances import DROP_TOL
 
@@ -113,9 +114,20 @@ def realigned_gram_eigenvalues_mp(p: Projector) -> np.ndarray:
         return np.sort(np.array([float(x) for x in w]))[::-1]
 
 
+def full_realignment_gram(p: Projector, side: int) -> np.ndarray:
+    """The Gram of the whole realigned matrix, zero rows and columns kept:
+    A A^dagger for side 1, A^dagger A for side 2."""
+    a = realign(p)
+    return a @ a.conj().T if side == 1 else a.conj().T @ a
+
+
 def kept_whole(m: np.ndarray) -> bool:
-    """Whether `linalg._blocks` keeps the square matrix `m` as one block."""
-    blocks = linalg._blocks(linalg._entries_of(m))
+    """Whether the square matrix `m` is solved whole: its pattern is full,
+    or `linalg._blocks` keeps it as one block."""
+    rows, cols = np.nonzero(m)
+    if rows.size == m.size:
+        return True
+    blocks = linalg._blocks(rows, cols, m[rows, cols], m.shape, True)
     return [b.shape for b in blocks] == [(1, *m.shape)]
 
 

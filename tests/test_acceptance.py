@@ -33,7 +33,6 @@ from subent import (
     measures,
     projector_from_basis,
     pure_subspace_string,
-    reduced_superop,
     schmidt_string,
     sort_chain,
     spin_projector,
@@ -47,7 +46,12 @@ from subent import (
 )
 from subent.schmidt import SchmidtString
 
-from .helpers import random_basis, random_distribution, t_transform
+from .helpers import (
+    full_realignment_gram,
+    random_basis,
+    random_distribution,
+    t_transform,
+)
 
 LIMIT_D = math.sqrt(2.0 * (1.0 - math.sqrt(0.5)))
 LIMIT_T = 0.75
@@ -298,8 +302,8 @@ def test_criterion_8_normalization_and_spectral_symmetry(announce):
     for p in projectors:
         s = schmidt_string(p)
         sum_dev = max(sum_dev, abs(float(s.probs.sum()) - 1.0))
-        w1 = hermitian_eigenvalues(reduced_superop(p, 1))
-        w2 = hermitian_eigenvalues(reduced_superop(p, 2))
+        w1 = hermitian_eigenvalues(full_realignment_gram(p, 1))
+        w2 = hermitian_eigenvalues(full_realignment_gram(p, 2))
         length = max(w1.size, w2.size)
         w1 = np.pad(w1, (0, length - w1.size))
         w2 = np.pad(w2, (0, length - w2.size))

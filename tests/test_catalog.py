@@ -246,7 +246,7 @@ class TestSpinCoupling:
             p = spin_projector(two_j, branch)
             assert p.report() == validate_projector(dense)
             assert p.report().trace == abs(complex(np.trace(dense)) - p.dim)
-            assert np.array_equal(p.report()._nonzero, np.flatnonzero(dense))
+            assert np.array_equal(p._entries.nonzero, np.flatnonzero(dense))
             assert np.array_equal(p.matrix, dense)
 
     def test_large_string_makes_no_dense_projector(self):

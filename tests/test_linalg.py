@@ -275,6 +275,10 @@ UNCONVERTIBLE = {
         lambda: validate_projector(Projector(Factorization(1, 1), np.eye(1), 1)),
         "projector cannot be read as a complex array",
     ),
+    "Projector of a string": (
+        lambda: Projector(Factorization(1, 1), "abc", 1),
+        "projector cannot be read as a complex array",
+    ),
     "from_matrix of a string": (
         lambda: Projector.from_matrix(Factorization(1, 1), "abc"),
         "matrix cannot be read as a complex array",
@@ -340,3 +344,77 @@ def test_unconvertible_string_names_the_argument(case):
     call, message = UNCONVERTIBLE_STRINGS[case]
     with pytest.raises(InputError, match=f"^{message}$"):
         call()
+
+
+# Numeric strings, bools and bytes are not numbers, whichever entry point
+# reads them (numpy would convert all three).
+NOT_NUMBERS = {
+    "numeric strings as probs": (
+        lambda: SchmidtString(["0.5", "0.5"]),
+        "probs cannot be read as a real array",
+    ),
+    "bools as probs": (
+        lambda: SchmidtString([True, False]),
+        "probs cannot be read as a real array",
+    ),
+    "bytes as probs": (
+        lambda: SchmidtString.from_probs([b"1"]),
+        "probs cannot be read as a real array",
+    ),
+    "numeric strings to compare": (
+        lambda: compare(["0.6", "0.4"], [1.0]),
+        "probability string cannot be read as a real array",
+    ),
+    "numeric strings to gram_schmidt": (
+        lambda: gram_schmidt([["1", "0"], ["0", "1"]]),
+        "vectors cannot be read as a complex array",
+    ),
+    "numeric strings to vector_schmidt": (
+        lambda: vector_schmidt(["1", "0", "0", "0"], Factorization(2, 2)),
+        "vector cannot be read as a complex array",
+    ),
+    "numeric strings to hermitian_eigenvalues": (
+        lambda: hermitian_eigenvalues([["1", "0"], ["0", "2"]]),
+        "h cannot be read as a complex array",
+    ),
+    "bool projector": (
+        lambda: Projector(Factorization(1, 1), np.array([[True]]), 1),
+        "projector cannot be read as a complex array",
+    ),
+    "bool projector from_matrix": (
+        lambda: Projector.from_matrix(Factorization(2, 1), np.eye(2, dtype=bool)),
+        "matrix cannot be read as a complex array",
+    ),
+    "bool basis": (
+        lambda: SubspaceBasis(Factorization(1, 2), [[True, False]]),
+        "vectors cannot be read as a complex array",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NOT_NUMBERS)
+def test_strings_bools_and_bytes_are_not_numbers(case):
+    call, message = NOT_NUMBERS[case]
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1, 2, 3],
+        [0.1, 1e-300, -2.5],
+        [1 + 2j, 0.5, 3],
+        [2**60 + 1, 7],
+        np.array([0.1, 0.2], dtype=np.float32),
+        np.array([[1.5, -0.25j], [3, 4]]),
+    ],
+)
+def test_numbers_keep_their_bits(values):
+    for dtype in (np.complex128, np.float64):
+        if dtype is np.float64 and np.iscomplexobj(np.asarray(values)):
+            continue
+        want = np.asarray(values, dtype=dtype)
+        got = linalg.as_array(values, "values", dtype)
+        assert got.dtype == dtype
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()

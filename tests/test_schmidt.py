@@ -20,13 +20,12 @@ from subent import (
     projector_from_basis,
     pure_subspace_string,
     realign,
-    reduced_superop,
     schmidt_string,
     symmetric_subspace,
     validate_projector,
     vector_schmidt,
 )
-
+from subent import linalg, schmidt
 from subent.tolerances import (
     PROJECTOR_HERMITICITY_TOL,
     PROJECTOR_IDEMPOTENCY_TOL,
@@ -35,6 +34,7 @@ from subent.tolerances import (
 )
 
 from .helpers import (
+    full_realignment_gram,
     kept_whole,
     off_norm_projector,
     partial_trace_coefficients,
@@ -132,24 +132,19 @@ class TestRealign:
 
 
 class TestReducedSuperop:
+    # the reduced operator-space states of P / sqrt(dim V): the Gram matrices
+    # A A^dagger (side 1) and A^dagger A (side 2) of the realigned matrix
+
     def test_shapes(self):
         rng = np.random.default_rng(19)
         p = projector_from_basis(random_basis(rng, Factorization(2, 3), 2))
-        assert reduced_superop(p, 1).shape == (4, 4)
-        assert reduced_superop(p, 2).shape == (9, 9)
-
-    def test_invalid_side(self):
-        with pytest.raises(InputError, match="side"):
-            reduced_superop(singlet_projector(), 3)
-
-    def test_bool_side_rejected(self):
-        with pytest.raises(InputError, match="side must be 1 or 2, got True"):
-            reduced_superop(singlet_projector(), side=True)
+        assert full_realignment_gram(p, 1).shape == (4, 4)
+        assert full_realignment_gram(p, 2).shape == (9, 9)
 
     def test_unit_trace_and_psd(self):
         rng = np.random.default_rng(20)
         for side in (1, 2):
-            g = reduced_superop(
+            g = full_realignment_gram(
                 projector_from_basis(random_basis(rng, Factorization(3, 2), 3)), side
             )
             assert abs(np.trace(g).real - 1.0) < 1e-10
@@ -158,8 +153,8 @@ class TestReducedSuperop:
     def test_sides_share_nonzero_spectrum(self):
         rng = np.random.default_rng(23)
         p = projector_from_basis(random_basis(rng, Factorization(2, 4), 3))
-        w1 = hermitian_eigenvalues(reduced_superop(p, 1))
-        w2 = hermitian_eigenvalues(reduced_superop(p, 2))
+        w1 = hermitian_eigenvalues(full_realignment_gram(p, 1))
+        w2 = hermitian_eigenvalues(full_realignment_gram(p, 2))
         small = min(w1.size, w2.size)
         assert np.max(np.abs(w1[:small] - w2[:small])) < 1e-10
         assert np.max(np.abs(w2[small:])) < 1e-10
@@ -169,7 +164,7 @@ class TestReducedSuperop:
         basis = SubspaceBasis(
             Factorization(2, 2), np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
         )
-        g = reduced_superop(projector_from_basis(basis), 1)
+        g = full_realignment_gram(projector_from_basis(basis), 1)
         w = np.sort(np.linalg.eigvalsh(g))[::-1]
         assert w[0] == pytest.approx(1.0)
         assert np.max(np.abs(w[1:])) < 1e-12
@@ -178,18 +173,12 @@ class TestReducedSuperop:
         # plus branch at j=1, spin side; pair basis ordered (++, +-, -+, --)
         from subent import Branch, SpinLabel, spin_projector
 
-        q = reduced_superop(spin_projector(SpinLabel(2), Branch.PLUS), 2)
+        q = full_realignment_gram(spin_projector(SpinLabel(2), Branch.PLUS), 2)
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[3, 3] = 7.0 / 18.0
         expected[1, 1] = expected[2, 2] = 1.0 / 9.0
         expected[0, 3] = expected[3, 0] = 5.0 / 18.0
         assert np.max(np.abs(q - expected)) < 1e-12
-
-
-def full_realignment_gram(p: Projector, side: int) -> np.ndarray:
-    """The Gram of the whole realigned matrix, zero rows and columns kept."""
-    a = realign(p)
-    return a @ a.conj().T if side == 1 else a.conj().T @ a
 
 
 def catalog_projector(name: str, size: int) -> Projector:
@@ -219,19 +208,69 @@ CATALOG_CASES = [
 ]
 
 
+def realigned_split(p: Projector):
+    """The arguments `schmidt_string` hands `linalg._blocks` for `p` and the
+    blocks it gets back, or None when it splits nothing."""
+    calls = []
+
+    def spy(*args):
+        calls.append((args, linalg._blocks(*args)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schmidt, "_blocks", spy)
+        schmidt_string(p)
+    assert len(calls) <= 1
+    return calls[0] if calls else None
+
+
+def solved_stacks(p: Projector, mp: pytest.MonkeyPatch) -> list[tuple[int, ...]]:
+    """The shapes of the stacks the eigensolver sees in `schmidt_string(p)`."""
+    shapes = []
+    original = np.linalg.eigvalsh
+
+    def recording(h):
+        shapes.append(h.shape)
+        return original(h)
+
+    mp.setattr(np.linalg, "eigvalsh", recording)
+    schmidt_string(p)
+    return shapes
+
+
 class TestCompressedRealignment:
-    # a sparse P is scattered into A without its all-zero rows (side 2) or
-    # columns (side 1); both Grams must be those of the whole realignment
+    # a sparse P is mapped to the nonzero entries of A and split into the
+    # connected blocks of their pattern; put back at their rows and columns
+    # the blocks rebuild realign(p) exactly, and no two share a row or column
 
     @staticmethod
-    def assert_matches_full_realignment(p: Projector):
-        pattern = (realign(p) != 0).astype(np.int64)
-        for side in (1, 2):
-            g = reduced_superop(p, side)
-            assert np.max(np.abs(g - full_realignment_gram(p, side))) <= 1e-15
-            # rows (side 1) or columns (side 2) of A with no common nonzero
-            shared = pattern @ pattern.T if side == 1 else pattern.T @ pattern
-            assert np.all(g[shared == 0] == 0)
+    def assert_blocks_rebuild_realignment(p: Projector):
+        split = realigned_split(p)
+        if split is None:
+            assert p._entries.nonzero is None
+            return
+        (rows, cols, values, shape, square), blocks = split
+        assert not square
+        # the same split of probes that name their own row and column
+        probes = linalg._blocks(rows, cols, (rows + 1) + 1j * (cols + 1), shape, False)
+        a = realign(p)
+        rebuilt = np.zeros_like(a)
+        used_rows, used_cols = [], []
+        for stack, probe in zip(blocks, probes, strict=True):
+            assert stack.shape == probe.shape
+            for b, q in zip(stack, probe):
+                r = q.real.max(axis=1).astype(np.intp) - 1
+                c = q.imag.max(axis=0).astype(np.intp) - 1
+                # every row and column of a block holds a nonzero, in place
+                assert np.all(r >= 0) and np.all(c >= 0)
+                assert np.all((q == 0) | (q == (r + 1)[:, None] + 1j * (c + 1)))
+                assert np.all(np.diff(r) > 0) and np.all(np.diff(c) > 0)
+                rebuilt[np.ix_(r, c)] = b
+                used_rows += list(r)
+                used_cols += list(c)
+        assert len(set(used_rows)) == len(used_rows)
+        assert len(set(used_cols)) == len(used_cols)
+        assert np.array_equal(rebuilt, a)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -241,40 +280,48 @@ class TestCompressedRealignment:
     def test_permuted_block_subspaces(self, shape, seed):
         rng = np.random.default_rng(seed)
         p = projector_from_basis(permuted_block_basis(rng, Factorization(*shape)))
-        self.assert_matches_full_realignment(p)
+        self.assert_blocks_rebuild_realignment(p)
 
     @pytest.mark.parametrize("name, size", CATALOG_CASES)
     def test_catalog_projectors(self, name, size):
         p = catalog_projector(name, size)
         assert np.any(p.matrix == 0)
-        self.assert_matches_full_realignment(p)
+        self.assert_blocks_rebuild_realignment(p)
 
     def test_full_pattern_keeps_the_full_realignment(self):
         rng = np.random.default_rng(29)
         p = projector_from_basis(random_basis(rng, Factorization(3, 4), 5))
         assert np.all(p.matrix != 0)
-        # a dense projector keeps no index array
-        assert p.report()._nonzero is None
-        for side in (1, 2):
-            assert np.array_equal(reduced_superop(p, side), full_realignment_gram(p, side))
+        # a dense projector keeps no index array and is not split
+        assert p._entries.nonzero is None
+        assert realigned_split(p) is None
+        # one solve of the whole smaller Gram
+        g = full_realignment_gram(p, 1)
+        w = np.linalg.eigvalsh((g + g.conj().T) / 2.0)[::-1]
+        expected = SchmidtString.from_probs(w, length=9, zero_threshold=1e-10)
+        assert np.array_equal(schmidt_string(p).probs, expected.probs)
 
     @pytest.mark.parametrize("name, size", CATALOG_CASES)
     def test_pattern_is_the_one_validation_found(self, name, size):
+        # the string is taken from the entries kept at validation; no dense
+        # P is built for it
         p = catalog_projector(name, size)
-        assert np.array_equal(p.report()._nonzero, np.flatnonzero(p.matrix))
+        schmidt_string(p)
+        assert "matrix" not in vars(p)
+        assert np.array_equal(p._entries.nonzero, np.flatnonzero(p.matrix))
 
     def test_single_block_pattern_is_compressed(self):
         # one connected block, so validation takes P whole; the string side
-        # still scatters only the 12 nonzeros validation kept
+        # still splits the 12 nonzeros validation kept
         m = np.array([[1, 0, 1, -1], [0, 1, 1, 1], [1, 1, 2, 0], [-1, 1, 0, 2]]) / 3
         p = Projector(Factorization(2, 2), m, dim=2)
         assert kept_whole(p.matrix)
-        assert p.report()._nonzero.size == 12
-        self.assert_matches_full_realignment(p)
+        assert p._entries.nonzero.size == 12
+        self.assert_blocks_rebuild_realignment(p)
 
     def test_large_pattern_is_not_scanned_again(self):
         # scanning all 4,008,004 entries of P allocates a 4 MB mask; the
-        # 4,002 nonzeros kept by validation and the compressed A need far less
+        # 4,002 nonzeros kept by validation and the blocks of A need far less
         import tracemalloc
 
         from subent import Branch, SpinLabel, spin_projector
@@ -282,11 +329,39 @@ class TestCompressedRealignment:
         p = spin_projector(SpinLabel(1000), Branch.PLUS)
         tracemalloc.start()
         try:
-            reduced_superop(p, 2)
+            schmidt_string(p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_one_search_and_block_sized_solves(self, monkeypatch):
+        # antisym n=24: A has 552 singletons (i, k) x (k, i) and one 24 x 24
+        # block (i, i) x (k, k); one label search over its 576 + 576 nonzero
+        # rows and columns finds them all
+        p = catalog_projector("antisym", 24)
+        searches = []
+        original = linalg._component_labels
+
+        def counting(*args):
+            searches.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(linalg, "_component_labels", counting)
+        assert solved_stacks(p, monkeypatch) == [(552, 1, 1), (1, 24, 24)]
+        assert searches == [576 + 576]
+
+    def test_spin_stacks(self, monkeypatch):
+        p = catalog_projector("plus", 1000)
+        assert solved_stacks(p, monkeypatch) == [(2, 1, 1), (1, 2, 2)]
+
+    def test_unsettled_labels_make_one_block(self, monkeypatch):
+        # every nonzero row and column of A in one block: 3 + 6 of each
+        p = catalog_projector("antisym", 3)
+        expected = schmidt_string(p).probs
+        monkeypatch.setattr(linalg, "_component_labels", lambda *args: None)
+        assert solved_stacks(p, monkeypatch) == [(1, 9, 9)]
+        assert np.max(np.abs(schmidt_string(p).probs - expected)) <= 1e-15
 
 
 class TestDefinitionOracle:
