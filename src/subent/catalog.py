@@ -27,6 +27,7 @@ from .errors import InputError
 from .schmidt import Measures, SchmidtString
 from .linalg import _Entries
 from .spaces import Factorization, Projector, SubspaceBasis, as_count
+from .tolerances import BYTE_BUDGET
 
 SPIN_STRING_LENGTH = 4
 
@@ -55,6 +56,34 @@ def _exchange_subspace(n, sign: int) -> SubspaceBasis:
     vectors[rows, k * n + l] = inv_sqrt2
     vectors[rows, l * n + k] = sign * inv_sqrt2
     return SubspaceBasis(factorization=Factorization(n, n), vectors=vectors)
+
+
+def _adopted(f: Factorization, dim: int, flat, values) -> Projector:
+    """The projector with `values` at the flat indices `flat` of its
+    matrix, adopted in row-major order without its exact zeros."""
+    order = np.argsort(flat)
+    order = order[values[order] != 0]
+    return Projector._adopt(f, dim, _Entries(f.dim, flat[order], values[order]))
+
+
+def _exchange_projector(n, sign: int) -> Projector:
+    """P = (I + sign SWAP) / 2 from its nonzero entries alone: e_k e_l on
+    the diagonal, and the swap pair (e_k e_l, e_l e_k) for k != l."""
+    n = as_count(n, "n", least=1 if sign > 0 else 2)
+    # a `schmidt` op on this route, output rendered, peaks at 385-405 traced
+    # bytes per index of the composite space (n = 64..512)
+    if (need := 400 * n * n) > BYTE_BUDGET:
+        raise InputError(f"n={n} needs about {need:,} bytes, budget {BYTE_BUDGET:,}")
+    side = n * n
+    index = np.arange(side)
+    k, l = np.divmod(index, n)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    half = inv_sqrt2 * inv_sqrt2  # as the basis product forms it, not 0.5
+    flat = np.concatenate([index * (side + 1), index * side + l * n + k])
+    values = np.concatenate([
+        np.where(k == l, (1 + sign) / 2, half), np.where(k == l, 0.0, sign * half)
+    ]).astype(np.complex128)
+    return _adopted(Factorization(n, n), n * (n + sign) // 2, flat, values)
 
 
 def antisymmetric_subspace(n: int) -> SubspaceBasis:
@@ -198,12 +227,8 @@ def spin_projector(s: SpinLabel | int, branch: Branch) -> Projector:
     # complex / float like the dense (X +- c I) / (2j + 1); dividing in
     # float64 differs in the last bit
     values = np.concatenate([diag, off, off]).astype(np.complex128) / float(s.dim)
-    # row-major order, without the exact zeros of the minus branch's
-    # stretched states
-    order = np.argsort(flat)
-    order = order[values[order] != 0]
-    entries = _Entries(side, flat[order], values[order])
-    return Projector._adopt(Factorization(s.dim, 2), dim, entries)
+    # the minus branch's stretched states are exact zeros
+    return _adopted(Factorization(s.dim, 2), dim, flat, values)
 
 
 def spin_string_closed(s: SpinLabel | int, branch: Branch) -> SchmidtString:

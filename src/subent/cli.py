@@ -20,11 +20,10 @@ import click
 from .catalog import (
     Branch,
     SpinLabel,
-    antisymmetric_subspace,
+    _exchange_projector,
     hydrogen_level,
     limiting_string,
     spin_projector,
-    symmetric_subspace,
 )
 from .errors import InputError, NumericalError
 from .io import (
@@ -70,8 +69,8 @@ def _preset_projector(
     if preset == "spin":
         label = f"spin 2j={number} {branch}"
         return label, spin_projector(SpinLabel(number), Branch(branch))
-    family = antisymmetric_subspace if preset == "antisym" else symmetric_subspace
-    return f"{preset} n={number}", projector_from_basis(family(number))
+    sign = -1 if preset == "antisym" else 1
+    return f"{preset} n={number}", _exchange_projector(number, sign)
 
 
 def _document_projector(path: str, orthonormalize: bool) -> tuple[str | None, Projector]:

@@ -26,6 +26,9 @@ VECTOR_NORM_TOL = 1e-8
 DEFAULT_COMPARE_TOL = 1e-9  # absolute, on partial sums
 DEFAULT_MEASURE_SLACK = 1e-12
 
+# sizes: the bytes a route may take, estimated before it allocates
+BYTE_BUDGET = 10**9
+
 # verify: closed-form oracles
 STRING_TOL = 1e-9
 MEASURE_TOL = 1e-9

@@ -185,25 +185,28 @@ def verify_hydrogen(max_n: int = 8) -> FamilyReport:
     """Pipeline strings and chain order for hydrogen-like levels, n = 1..max_n."""
     max_n = as_count(max_n, "max_n")
     checks: list[Check] = []
+    # each eigenspace recurs in every later level; the pipeline is
+    # deterministic, so it runs once per (l, branch)
+    strings: dict[tuple[int, Branch], SchmidtString] = {}
     for n in range(1, max_n + 1):
         level = hydrogen_level(n)
         for entry in level.entries:
-            if entry.l == 0:
+            key = (entry.l, entry.branch)
+            if key not in strings and entry.l == 0:
                 # l = 0 is the whole 1 (x) 2 space; run it through the
                 # pipeline as an explicit basis.
                 basis = SubspaceBasis(
                     factorization=Factorization(1, 2),
                     vectors=np.eye(2, dtype=np.complex128),
                 )
-                numeric = schmidt_string(projector_from_basis(basis))
-            else:
-                numeric = schmidt_string(
-                    spin_projector(SpinLabel(2 * entry.l), entry.branch)
-                )
+                strings[key] = schmidt_string(projector_from_basis(basis))
+            elif key not in strings:
+                p = spin_projector(SpinLabel(2 * entry.l), entry.branch)
+                strings[key] = schmidt_string(p)
             checks.append(
                 Check(
                     f"hydrogen n={n} {entry.label} string",
-                    _string_deviation(numeric, entry.string),
+                    _string_deviation(strings[key], entry.string),
                     STRING_TOL,
                 )
             )

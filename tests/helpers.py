@@ -15,16 +15,25 @@ import mpmath
 import numpy as np
 
 from subent import (
+    Check,
     Factorization,
     InputError,
     Projector,
     RankDeficiencyWarning,
+    SpinLabel,
     SubspaceBasis,
     gram_schmidt,
+    hydrogen_chain_expected,
+    hydrogen_level,
+    limiting_string,
     linalg,
+    projector_from_basis,
     realign,
+    schmidt_string,
+    sort_chain,
+    spin_projector,
 )
-from subent.tolerances import DROP_TOL
+from subent.tolerances import DROP_TOL, STRING_TOL
 
 
 def char_poly_eigenvalues(h: np.ndarray) -> np.ndarray:
@@ -343,3 +352,35 @@ def pair_matrix_reference(data: dict) -> np.ndarray:
         for b, pair in enumerate(row):
             matrix[a, b] = _reference_pair(pair, f"{key}[{a}][{b}]")
     return matrix
+
+
+def verify_hydrogen_reference(max_n: int) -> tuple[Check, ...]:
+    """The checks of `verify_hydrogen`, with every entry of every level run
+    through the pipeline afresh, as the sweep did before it kept one string
+    per eigenspace."""
+    checks = []
+    for n in range(1, max_n + 1):
+        level = hydrogen_level(n)
+        for entry in level.entries:
+            if entry.l == 0:
+                basis = SubspaceBasis(
+                    factorization=Factorization(1, 2),
+                    vectors=np.eye(2, dtype=np.complex128),
+                )
+                numeric = schmidt_string(projector_from_basis(basis))
+            else:
+                numeric = schmidt_string(
+                    spin_projector(SpinLabel(2 * entry.l), entry.branch)
+                )
+            dev = string_deviation(numeric, entry.string)
+            name = f"hydrogen n={n} {entry.label} string"
+            checks.append(Check(name, dev, STRING_TOL))
+        chain = sort_chain(
+            [(e.label, e.string) for e in level.entries]
+            + [("S_0", limiting_string())]
+        )
+        order_ok = chain.ordered and chain.labels == hydrogen_chain_expected(n)
+        checks.append(
+            Check(f"hydrogen n={n} chain order", 0.0 if order_ok else 1.0, 0.0)
+        )
+    return tuple(checks)

@@ -28,6 +28,8 @@ from subent import (
     symmetric_subspace,
     validate_projector,
 )
+from subent.catalog import _exchange_projector
+from subent.tolerances import BYTE_BUDGET
 
 from .helpers import exchange_subspace_reference, string_deviation
 
@@ -131,6 +133,61 @@ def test_exchange_bases_match_pair_loop(n):
             continue
         want = exchange_subspace_reference(n, sign)
         assert build(n).vectors.tobytes() == want.tobytes()
+
+
+def float_bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+EXCHANGE_FAMILIES = ((antisymmetric_subspace, -1), (symmetric_subspace, 1))
+
+
+class TestExchangeProjector:
+    """The presets' P = (I +- SWAP) / 2, built from its entries alone."""
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_bits_match_basis_route(self, n):
+        for build, sign in EXCHANGE_FAMILIES:
+            if n == 1 and sign < 0:
+                continue
+            p = _exchange_projector(n, sign)
+            want = projector_from_basis(build(n))
+            if n >= 2:
+                # sym n = 1 is one nonzero entry, which the basis route
+                # stores as a full pattern
+                assert np.array_equal(p._entries.nonzero, want._entries.nonzero)
+                assert np.array_equal(
+                    float_bits(p._entries.values.view(np.float64)),
+                    float_bits(want._entries.values.view(np.float64)),
+                )
+            got, ref = p.report(), want.report()
+            assert (got.dim, got.passes) == (ref.dim, ref.passes)
+            for name in ("hermiticity", "idempotency", "trace", "norm"):
+                assert float_bits(getattr(got, name)) == float_bits(getattr(ref, name))
+            assert np.array_equal(
+                float_bits(schmidt_string(p).probs),
+                float_bits(schmidt_string(want).probs),
+            )
+            assert "matrix" not in vars(p)
+
+    @pytest.mark.parametrize("n", [2, 3, 24])
+    def test_nonzeros_are_the_swap_pairs_and_diagonal(self, n):
+        for sign, count in ((-1, 2 * n * n - 2 * n), (1, 2 * n * n - n)):
+            p = _exchange_projector(n, sign)
+            assert p._entries.nonzero.size == count
+            swap = np.eye(n * n)[[l * n + k for k in range(n) for l in range(n)]]
+            assert np.allclose(p.matrix, (np.eye(n * n) + sign * swap) / 2, atol=1e-15)
+
+    def test_domain_and_budget(self):
+        with pytest.raises(InputError, match=r"^n must be an integer >= 2, got 1$"):
+            _exchange_projector(1, -1)
+        with pytest.raises(InputError, match=r"^n must be an integer >= 1, got 0$"):
+            _exchange_projector(0, 1)
+        # 400 n^2 estimated bytes: n = 1581 is within BYTE_BUDGET, 1582 not
+        assert 400 * 1581**2 <= BYTE_BUDGET < 400 * 1582**2
+        for n in (1582, 3000, 4_000_000_000, 10**40):
+            with pytest.raises(InputError, match=f"^n={n} needs about "):
+                _exchange_projector(n, 1)
 
 
 class TestClosedStrings:

@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from subent import NumericalError
+from subent import NumericalError, linalg
 from subent.cli import main
 
 from .helpers import off_norm_projector
@@ -18,6 +19,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def traced_run(capsys, *argv):
+    """`run`, and the tracemalloc peak in bytes while `main` ran."""
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, peak
 
 
 def write_doc(tmp_path, name, doc):
@@ -117,6 +130,18 @@ class TestSchmidt:
         assert code == 0
         assert "schmidt rank    4" in out
         assert "factorization   2 x 2" in out
+
+    def test_exchange_preset_stays_sparse(self, capsys, monkeypatch):
+        # a dense 4096 x 4096 P alone would take 268 MB
+        def dense(entries):
+            raise AssertionError("the dense projector was built")
+
+        monkeypatch.setattr(linalg._Entries, "dense", dense)
+        argv = ["schmidt", "--preset", "sym", "--n", "64"]
+        code, out, err, peak = traced_run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["label"] == "sym n=64"
+        assert peak < 8_000_000
 
     def test_label_override(self, capsys):
         code, out, _ = run(
@@ -642,6 +667,29 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("input error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["schmidt", "--preset", "antisym", "--n", "3000"],
+                "n=3000 needs about 3,600,000,000 bytes, budget 1,000,000,000",
+            ),
+            (
+                ["schmidt", "--preset", "sym", "--n", "1582"],
+                "n=1582 needs about 1,001,089,600 bytes, budget 1,000,000,000",
+            ),
+            (
+                ["compare", "sym:2", "antisym:1582"],
+                "n=1582 needs about 1,001,089,600 bytes, budget 1,000,000,000",
+            ),
+        ],
+    )
+    def test_exchange_preset_over_the_byte_budget(self, capsys, argv, message):
+        # refused from n alone, before anything near the budget is allocated
+        code, out, err, peak = traced_run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
+        assert peak < 1_000_000
 
     def test_no_args_shows_usage(self, capsys):
         # a bare invocation is treated as invalid input

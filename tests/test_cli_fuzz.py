@@ -2,8 +2,10 @@
 
 Every argv, valid or not, must end in an exit code the CLI documents (0, 1,
 2 or 3) with no exception escaping `main` and no traceback on stderr.  Sizes
-are capped (n <= 12, 2j <= 60, hydrogen n <= 30) so each call stays small;
-no subprocess is started.
+are capped (antisym/sym n <= 64, verify n <= 12, 2j <= 60, hydrogen n <= 30)
+so each call stays small; no subprocess is started.  Exchange preset sizes
+over the byte budget are drawn on their own, and each must be refused at
+once.
 """
 
 import contextlib
@@ -89,7 +91,7 @@ def schmidt_argv(draw, documents):
         draw,
         {
             "--preset": PRESET,
-            "--n": numbers(-3, 12),
+            "--n": numbers(-3, 64),
             "--two-j": numbers(-3, 60),
             "--branch": BRANCH,
             "--zero-threshold": reals(),
@@ -105,7 +107,7 @@ def compare_token(draw, documents):
     if draw(st.integers(0, 4)) == 0:
         return draw(st.sampled_from(documents))
     kind = draw(st.sampled_from(["antisym", "sym", "spin", "Sym", ""]))
-    cap = 60 if kind == "spin" else 12
+    cap = 60 if kind == "spin" else 64
     parts = draw(st.lists(st.one_of(numbers(-3, cap), BRANCH), max_size=3))
     return ":".join([kind, *parts])
 
@@ -139,6 +141,11 @@ def verify_argv(draw):
 
 FUZZ = settings(deadline=None)
 
+# 400 n^2 estimated bytes is over BYTE_BUDGET from n = 1582 on
+OVER_BUDGET = st.one_of(
+    st.integers(1582, 1700), st.integers(1700, 10**6), st.integers(10**6, 10**40)
+).map(str)
+
 
 class TestOptionSpace:
     @settings(FUZZ, max_examples=150)
@@ -160,3 +167,20 @@ class TestOptionSpace:
     @given(argv=verify_argv())
     def test_verify(self, argv):
         check(argv)
+
+
+class TestOverBudget:
+    @settings(max_examples=60, deadline=500)
+    @given(
+        kind=st.sampled_from(["antisym", "sym"]),
+        n=OVER_BUDGET,
+        schmidt=st.booleans(),
+    )
+    def test_exchange_preset_is_refused_at_once(self, kind, n, schmidt):
+        if schmidt:
+            argv = ["schmidt", "--preset", kind, "--n", n]
+        else:
+            argv = ["compare", f"{kind}:{n}", "sym:2"]
+        code, err = run(argv)
+        assert code == 2, (argv, err)
+        assert err.startswith(f"input error: n={n} needs about "), err

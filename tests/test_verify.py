@@ -5,11 +5,15 @@ from subent import (
     FamilyReport,
     InputError,
     hydrogen_chain_expected,
+    schmidt_string,
     verify_antisym,
     verify_hydrogen,
     verify_spin,
     verify_sym,
 )
+from subent import verify as verify_module
+
+from .helpers import verify_hydrogen_reference
 
 
 class TestCheck:
@@ -56,6 +60,19 @@ class TestFamilies:
         assert report.passed, report.failures()
         # per n: 2n-1 entry strings + 1 chain check
         assert len(report.checks) == sum(2 * n for n in range(1, 5))
+
+    def test_hydrogen_runs_each_eigenspace_once(self, monkeypatch):
+        want = verify_hydrogen_reference(8)
+        calls = []
+
+        def counted(p, *args, **kwargs):
+            calls.append(p)
+            return schmidt_string(p, *args, **kwargs)
+
+        monkeypatch.setattr(verify_module, "schmidt_string", counted)
+        assert verify_hydrogen(max_n=8).checks == want
+        # l = 0, and both branches of l = 1..7
+        assert len(calls) == 15
 
     def test_range_validation(self):
         with pytest.raises(InputError):
