@@ -39,15 +39,21 @@ FAMILIES = ("antisym", "sym", "spin_plus", "spin_minus")
 # the antisymmetric subspace, sign +1 the symmetric one.
 
 
+def _within_budget(n: int, need: int) -> None:
+    """Refuse size `n` before anything is allocated when its route's
+    estimated peak, `need` bytes, is over `BYTE_BUDGET`."""
+    if need > BYTE_BUDGET:
+        raise InputError(f"n={n} needs about {need:,} bytes, budget {BYTE_BUDGET:,}")
+
+
 def _exchange_subspace(n, sign: int) -> SubspaceBasis:
     """Rows e_k e_k (sign +1 only), then (e_k e_l + sign e_l e_k) / sqrt(2)
     for k < l in row-major order."""
     n = as_count(n, "n", least=1 if sign > 0 else 2)
-    # allocated first, so that a size which cannot fit fails at once
-    try:
-        vectors = np.zeros((n * (n + sign) // 2, n * n), dtype=np.complex128)
-    except ValueError:  # a shape numpy cannot describe
-        raise InputError(f"n={n} is too large for an array") from None
+    # the basis and its orthonormality check peak at 18.6-27.5 traced bytes
+    # per n^4 (n = 8..40)
+    _within_budget(n, 28 * n**4)
+    vectors = np.zeros((n * (n + sign) // 2, n * n), dtype=np.complex128)
     if sign > 0:
         vectors[np.arange(n), np.arange(0, n * n, n + 1)] = 1.0
     k, l = np.triu_indices(n, 1)
@@ -72,8 +78,7 @@ def _exchange_projector(n, sign: int) -> Projector:
     n = as_count(n, "n", least=1 if sign > 0 else 2)
     # a `schmidt` op on this route, output rendered, peaks at 385-405 traced
     # bytes per index of the composite space (n = 64..512)
-    if (need := 400 * n * n) > BYTE_BUDGET:
-        raise InputError(f"n={n} needs about {need:,} bytes, budget {BYTE_BUDGET:,}")
+    _within_budget(n, 400 * n * n)
     side = n * n
     index = np.arange(side)
     k, l = np.divmod(index, n)
@@ -353,6 +358,9 @@ def hydrogen_level(n: int) -> HydrogenLevel:
     (1, 0, 0, 0).
     """
     n = as_count(n, "n")
+    # a `hydrogen` op peaks at 12.3-14.7 traced bytes per (2n)^2 (n = 100..800),
+    # for the (2n) x (2n) verdict matrices of `sort_chain`
+    _within_budget(n, 16 * (2 * n) ** 2)
     entries: list[HydrogenEntry] = []
     entries.append(
         HydrogenEntry(

@@ -303,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except MemoryError as exc:
         # a size too large to allocate is bad input; exit 1 means a failed check
-        click.echo(f"input error: {exc or 'out of memory'}", err=True)
+        click.echo(f"input error: {str(exc) or 'out of memory'}", err=True)
         return 2
     return int(rv) if isinstance(rv, int) else 0
 

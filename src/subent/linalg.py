@@ -7,7 +7,6 @@ the package relies on; they do not try to be a general-purpose wrapper.
 
 from __future__ import annotations
 
-import math
 import warnings
 from typing import NamedTuple
 
@@ -151,18 +150,10 @@ def _blocks(rows, cols, values, shape, square: bool) -> list[np.ndarray]:
 
 def _spectrum(blocks: list[np.ndarray]) -> np.ndarray:
     """Descending eigenvalues of the Hermitian matrix with diagonal `blocks`,
-    stacked as `_blocks` stacks them.  A Hermiticity defect over
-    `HERMITICITY_TOL` is an InputError, each stack is symmetrized (the only
+    stacked as `_blocks` stacks them.  Each stack is symmetrized (the only
     place that does) and solved by one ``eigvalsh``, and an eigenvalue sum
     off the trace by a relative `EIGENVALUE_SUM_TOL` is a NumericalError."""
-    adjoints = [b.conj().transpose(0, 2, 1) for b in blocks]
-    defect = math.hypot(*(np.linalg.norm(b - a) for b, a in zip(blocks, adjoints)))
-    if defect > HERMITICITY_TOL:
-        raise InputError(
-            f"matrix is not Hermitian: defect {defect:.3e} "
-            f"exceeds tol {HERMITICITY_TOL:.3e}"
-        )
-    w = [np.linalg.eigvalsh((b + a) / 2.0).ravel() for b, a in zip(blocks, adjoints)]
+    w = [np.linalg.eigvalsh((b + b.conj().swapaxes(1, 2)) / 2).ravel() for b in blocks]
     w = np.sort(np.concatenate(w))[::-1]
     trace = float(sum(np.trace(b, axis1=1, axis2=2).real.sum() for b in blocks))
     if abs(float(w.sum()) - trace) > EIGENVALUE_SUM_TOL * max(1.0, abs(trace)):
@@ -176,18 +167,20 @@ def hermitian_eigenvalues(h) -> np.ndarray:
     """Real eigenvalues of the Hermitian matrix `h`, sorted descending.
 
     A matrix that is not square, or whose Hermiticity defect
-    ``||h - h^dagger||_F`` exceeds `HERMITICITY_TOL`, is an InputError.  The
-    eigenvalues are solved per block size of the connected blocks of `h`; an
+    ``||h - h^dagger||_F`` exceeds `HERMITICITY_TOL`, is an InputError.  An
     eigenvalue sum off the trace by more than a relative 1e-10, which would
     mean the decomposition itself went wrong, is a NumericalError.
     """
     h = as_matrix(h, "h")
     if h.shape[0] != h.shape[1]:
         raise InputError(f"matrix must be square, got shape {h.shape}")
-    side, nonzero, values = _entries_of(h)
-    if nonzero is None:
-        return _spectrum([h[None]])
-    return _spectrum(_blocks(*np.divmod(nonzero, side), values, h.shape, True))
+    defect = float(np.linalg.norm(h - h.conj().T))
+    if defect > HERMITICITY_TOL:
+        raise InputError(
+            f"matrix is not Hermitian: defect {defect:.3e} "
+            f"exceeds tol {HERMITICITY_TOL:.3e}"
+        )
+    return _spectrum([h[None]])
 
 
 def gram_schmidt(vectors) -> np.ndarray:

@@ -207,7 +207,7 @@ class Projector:
                     f"projector shape {m.shape} does not match factorization "
                     f"{self.factorization.d1}x{self.factorization.d2}"
                 )
-            entries = _entries_of(as_matrix(m, "projector"))
+            entries = _entries_of(m)
             object.__setattr__(self, "matrix", m)
         report = validate_projector(entries, dim=dim)
         if not report.passes:
@@ -242,22 +242,17 @@ class Projector:
     def from_matrix(
         cls, factorization: Factorization, matrix, dim: int | None = None
     ) -> "Projector":
-        """Build a projector from a raw matrix, inferring `dim` from the trace.
-
-        The constructor's validation is the one finiteness pass; a matrix
-        that is not numeric, 2-D, non-empty and finite still gets the
-        message `as_matrix` gives it, whichever check tripped first.
-        """
-        try:
-            m = as_array(matrix, "matrix")
-            if dim is None:
-                dim = int(round(float(np.trace(m).real)))
-                if dim < 1:
-                    raise InputError(f"projector trace rounds to {dim}, expected >= 1")
-            return cls(factorization=factorization, matrix=m, dim=dim)
-        except (InputError, TypeError, ValueError, OverflowError):
-            as_matrix(matrix, "matrix")
-            raise
+        """Build a projector from a raw matrix, inferring `dim` from the trace."""
+        m = as_matrix(matrix, "matrix")
+        if dim is None:
+            with np.errstate(over="ignore"):  # finite entries, overflowing sum
+                trace = float(np.trace(m).real)
+            if math.isinf(trace):
+                raise InputError(f"projector trace overflows to {trace}")
+            dim = round(trace)
+            if dim < 1:
+                raise InputError(f"projector trace rounds to {dim}, expected >= 1")
+        return cls(factorization=factorization, matrix=m, dim=dim)
 
     def report(self) -> ProjectorReport:
         """Defects measured when the projector was validated."""

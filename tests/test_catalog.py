@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,33 @@ class TestExchangeProjector:
                 _exchange_projector(n, 1)
 
 
+def traced_refusal(build, n) -> tuple[str, int]:
+    """The InputError message `build(n)` raises and the traced peak."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError) as info:
+            build(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return str(info.value), peak
+
+
+class TestExchangeSubspaceBudget:
+    """The library bases are refused over the byte budget, not allocated."""
+
+    def test_budget_edge(self):
+        # 28 n^4 estimated bytes: n = 77 is within BYTE_BUDGET, 78 not
+        assert 28 * 77**4 <= BYTE_BUDGET < 28 * 78**4
+
+    @pytest.mark.parametrize("build", [antisymmetric_subspace, symmetric_subspace])
+    @pytest.mark.parametrize("n", [78, 3000, 10**40])
+    def test_refused_before_allocating(self, build, n):
+        message, peak = traced_refusal(build, n)
+        assert message == f"n={n} needs about {28 * n**4:,} bytes, budget 1,000,000,000"
+        assert peak < 1_000_000
+
+
 class TestClosedStrings:
     def test_antisym_n2_uniform(self):
         s = antisym_string_closed(2)
@@ -330,8 +358,10 @@ class TestSpinCoupling:
         assert np.allclose(p.matrix, expected, atol=1e-14)
 
     def test_branch_type_checked(self):
-        with pytest.raises(InputError):
-            spin_projector(1, "plus")
+        message = "^branch must be a Branch, got 'plus'$"
+        for build in (spin_projector, spin_string_closed):
+            with pytest.raises(InputError, match=message):
+                build(1, "plus")
 
 
 class TestSpinStrings:
@@ -491,7 +521,21 @@ class TestHydrogenLevel:
         with pytest.raises(InputError):
             hydrogen_level(0)
 
+    @pytest.mark.parametrize("n", [3953, 10**20, 10**40])
+    def test_refused_over_the_byte_budget(self, n):
+        # 16 (2n)^2 estimated bytes: n = 3952 is within BYTE_BUDGET, 3953 not
+        assert 16 * (2 * 3952) ** 2 <= BYTE_BUDGET < 16 * (2 * 3953) ** 2
+        message, peak = traced_refusal(hydrogen_level, n)
+        need = 16 * (2 * n) ** 2
+        assert message == f"n={n} needs about {need:,} bytes, budget 1,000,000,000"
+        assert peak < 1_000_000
+
     def test_level_invariants_enforced(self):
         good = hydrogen_level(2)
         with pytest.raises(InputError, match="entries"):
             HydrogenLevel(n=2, entries=good.entries[:2])
+        # three entries, but V_3/2 twice: 2 + 4 + 4 dimensions
+        twice = (good.entries[0], good.entries[1], good.entries[1])
+        message = "^entry dimensions sum to 10, expected 8$"
+        with pytest.raises(InputError, match=message):
+            HydrogenLevel(n=2, entries=twice)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subent import NumericalError, linalg
+from subent import NumericalError, SchmidtString, linalg
 from subent.cli import main
 
 from .helpers import off_norm_projector
@@ -409,6 +409,28 @@ class TestHydrogen:
         code, _, err = run(capsys, "hydrogen")
         assert code == 2
 
+    def test_over_the_byte_budget(self, capsys):
+        # refused from n alone, before the level is built
+        n = 10**20
+        code, out, err, peak = traced_run(capsys, "hydrogen", "--n", str(n))
+        need = f"{16 * (2 * n) ** 2:,}"
+        message = f"input error: n={n} needs about {need} bytes, budget 1,000,000,000\n"
+        assert (code, out, err) == (2, "", message)
+        assert peak < 1_000_000
+
+    def test_chain_that_is_not_total_is_exit_3(self, capsys, monkeypatch):
+        # (0.6, 0.4, 0, 0) and V_3/2 = (2/3, 1/9, 1/9, 1/9) are incomparable
+        def limiting_string():
+            return SchmidtString.from_probs([0.6, 0.4], length=4)
+
+        monkeypatch.setattr(cli_module, "limiting_string", limiting_string)
+        code, out, err = run(capsys, "hydrogen", "--n", "2")
+        assert (code, out) == (3, "")
+        assert err == (
+            "numerical error: hydrogen chain for n=2 is not totally ordered: "
+            "incomparable pairs (('V_3/2', 'S_0'),)\n"
+        )
+
 
 @pytest.mark.parametrize(
     "argv, name",
@@ -547,6 +569,19 @@ class TestVerify:
         assert code == 0
         assert "checks=21" in out
 
+    def test_failed_check_is_exit_1(self, capsys, monkeypatch):
+        # at a tolerance of 0 a computed string off its closed form by any
+        # rounding fails; sym n=1 is exact
+        monkeypatch.setattr("subent.verify.STRING_TOL", 0.0)
+        code, out, err = run(capsys, "verify", "--family", "sym", "--max-n", "2")
+        assert (code, err) == (1, "")
+        head, *fails = out.splitlines()
+        assert head.startswith("sym       FAIL  checks=4    max deviation=")
+        assert fails
+        for line in fails:
+            assert line.startswith("  FAIL sym n=2 string: deviation ")
+            assert line.endswith(" exceeds tolerance 0.000e+00")
+
     def test_max_n_zero_is_not_the_default(self, capsys):
         code, out, err = run(capsys, "verify", "--max-n", "0")
         assert code == 2
@@ -652,11 +687,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            # 589 TiB for the basis alone, beyond any 128 TiB address space,
-            # so the allocation fails before it touches memory
+            # each over the byte budget, so refused from n alone before
+            # anything is allocated, up to shapes numpy cannot represent
             ["schmidt", "--preset", "antisym", "--n", "3000"],
             ["compare", "antisym:3000", "sym:2"],
-            # shapes whose element count numpy cannot represent
             ["schmidt", "--preset", "sym", "--n", "99999999999"],
             ["schmidt", "--preset", "antisym", "--n", "4000000000"],
             ["compare", "sym:99999999999", "sym:2"],
@@ -690,6 +724,22 @@ class TestExitCodes:
         code, out, err, peak = traced_run(capsys, *argv)
         assert (code, out, err) == (2, "", f"input error: {message}\n")
         assert peak < 1_000_000
+
+    def test_allocation_that_fails_is_exit_2(self, capsys, monkeypatch):
+        # the spin preset has no byte estimate: 2j = 10^15 asks numpy for
+        # 7 PiB at once, beyond any address space
+        argv = ["schmidt", "--preset", "spin", "--two-j", "1000000000000000"]
+        code, out, err = run(capsys, *argv, "--branch", "plus")
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: Unable to allocate 7.11 PiB")
+        assert err.count("\n") == 1
+
+        def no_memory(projector, zero_threshold=0.0):
+            raise MemoryError
+
+        monkeypatch.setattr(cli_module, "schmidt_string", no_memory)
+        code, out, err = run(capsys, "schmidt", "--preset", "sym", "--n", "2")
+        assert (code, out, err) == (2, "", "input error: out of memory\n")
 
     def test_no_args_shows_usage(self, capsys):
         # a bare invocation is treated as invalid input

@@ -3,9 +3,9 @@
 Every argv, valid or not, must end in an exit code the CLI documents (0, 1,
 2 or 3) with no exception escaping `main` and no traceback on stderr.  Sizes
 are capped (antisym/sym n <= 64, verify n <= 12, 2j <= 60, hydrogen n <= 30)
-so each call stays small; no subprocess is started.  Exchange preset sizes
-over the byte budget are drawn on their own, and each must be refused at
-once.
+so each call stays small; no subprocess is started.  Exchange preset and
+hydrogen sizes over the byte budget are drawn on their own, and each must
+be refused at once.
 """
 
 import contextlib
@@ -147,6 +147,12 @@ OVER_BUDGET = st.one_of(
 ).map(str)
 
 
+# 16 (2n)^2 estimated bytes is over BYTE_BUDGET from n = 3953 on
+HYDROGEN_OVER_BUDGET = st.one_of(
+    st.integers(3953, 4100), st.integers(4100, 10**6), st.integers(10**6, 10**40)
+).map(str)
+
+
 class TestOptionSpace:
     @settings(FUZZ, max_examples=150)
     @given(data=st.data())
@@ -181,6 +187,14 @@ class TestOverBudget:
             argv = ["schmidt", "--preset", kind, "--n", n]
         else:
             argv = ["compare", f"{kind}:{n}", "sym:2"]
+        code, err = run(argv)
+        assert code == 2, (argv, err)
+        assert err.startswith(f"input error: n={n} needs about "), err
+
+    @settings(max_examples=60, deadline=500)
+    @given(n=HYDROGEN_OVER_BUDGET, fmt=st.sampled_from(["json", "csv", "table"]))
+    def test_hydrogen_is_refused_at_once(self, n, fmt):
+        argv = ["hydrogen", "--n", n, "--format", fmt]
         code, err = run(argv)
         assert code == 2, (argv, err)
         assert err.startswith(f"input error: n={n} needs about "), err

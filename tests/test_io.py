@@ -228,6 +228,9 @@ class TestDumpsJson:
         text = dumps_json(1.0 / 3.0)
         assert float(text) == 1.0 / 3.0
 
+    def test_empty_containers(self):
+        assert dumps_json({"a": {}, "b": []}) == '{\n  "a": {},\n  "b": []\n}\n'
+
     def test_negative_zero_normalized(self):
         assert dumps_json(-0.0) == "0\n"
 

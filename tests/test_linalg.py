@@ -89,8 +89,33 @@ class TestHermitianEigenvalues:
         with pytest.raises(InputError, match="exceeds tol 1.000e-13"):
             hermitian_eigenvalues(h)
 
+    def test_block_diagonal_input_is_one_dense_solve(self, monkeypatch):
+        def split(*args):
+            raise AssertionError("hermitian_eigenvalues split its input")
+
+        solves = []
+
+        def eigvalsh(a, original=np.linalg.eigvalsh):
+            solves.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(linalg, "_blocks", split)
+        monkeypatch.setattr(linalg, "_entries_of", split)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        w = hermitian_eigenvalues(np.diag([3.0, -1.0, 2.0]))
+        assert list(w) == [3.0, 2.0, -1.0]
+        assert solves == [(1, 3, 3)]
+
+    def test_spectrum_helper_checks_no_hermiticity(self):
+        # its stacks are Gram matrices, Hermitian by construction; it
+        # symmetrizes whatever it is given: (0, 1; 0, 0) as (0, 1/2; 1/2, 0)
+        w = linalg._spectrum([np.array([[[0.0, 1.0], [0.0, 0.0]]], dtype=complex)])
+        assert list(w) == [0.5, -0.5]
+
 
 class TestBlockwiseSpectrum:
+    """Block-diagonal input, permuted or not, gets the dense spectrum."""
+
     @settings(max_examples=200, deadline=None)
     @given(
         sizes=st.lists(st.integers(1, 6), min_size=2, max_size=12),
@@ -137,6 +162,18 @@ class TestGramSchmidt:
         assert out.shape == (2, 3)
         gram = out @ out.conj().T
         assert np.max(np.abs(gram - np.eye(2))) < 1e-12
+
+    @pytest.mark.parametrize(
+        "vectors, message",
+        [
+            ([], "^gram_schmidt requires at least one vector$"),
+            ([np.eye(2)], "^gram_schmidt expects 1-D vectors$"),
+            ([[1.0, 0.0], [0.0, np.inf]], "^vector contains non-finite entries$"),
+        ],
+    )
+    def test_rejects_malformed_vectors(self, vectors, message):
+        with pytest.raises(InputError, match=message):
+            gram_schmidt(vectors)
 
     def test_drops_dependent_vectors(self):
         v = np.array([1.0, 2.0, 3.0])

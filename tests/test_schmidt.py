@@ -91,6 +91,24 @@ class TestSchmidtStringType:
         )
         assert s.k == 1
 
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            ([], "^probs must be a non-empty 1-D array$"),
+            ([[0.5, 0.5]], "^probs must be a non-empty 1-D array$"),
+            ([1.25, -0.25], r"^probs contains negative entries \(min -2.500e-01\)$"),
+        ],
+    )
+    def test_constructor_rejects(self, probs, message):
+        with pytest.raises(InputError, match=message):
+            SchmidtString(probs=np.array(probs))
+
+    def test_from_probs_rejects_empty_and_short_length(self):
+        with pytest.raises(InputError, match="^probability string must be non-empty$"):
+            SchmidtString.from_probs([])
+        with pytest.raises(InputError, match="^length 1 shorter than 2 values$"):
+            SchmidtString.from_probs([0.5, 0.5], length=1)
+
     def test_probs_read_only(self):
         s = SchmidtString.from_probs([1.0])
         with pytest.raises(ValueError):
@@ -664,6 +682,11 @@ class TestVectorSchmidt:
         with pytest.raises(InputError, match="length"):
             vector_schmidt(np.ones(3), Factorization(2, 2))
 
+    def test_non_finite_rejected(self):
+        v = np.array([1.0, 0.0, 0.0, np.nan])
+        with pytest.raises(InputError, match="^vector contains non-finite entries$"):
+            vector_schmidt(v, Factorization(2, 2))
+
 
 class TestPureSubspaceString:
     def test_product_state(self):
@@ -692,6 +715,13 @@ class TestPureSubspaceString:
     def test_rejects_bad_sum(self):
         with pytest.raises(InputError, match="sum"):
             pure_subspace_string([0.5, 0.4], Factorization(2, 2))
+
+    def test_rejects_empty_and_negative(self):
+        f = Factorization(2, 2)
+        with pytest.raises(InputError, match="^coefficient list must be non-empty$"):
+            pure_subspace_string([], f)
+        with pytest.raises(InputError, match="^negative coefficient -1.000e-01$"):
+            pure_subspace_string([1.1, -0.1], f)
 
 
 class TestProperties:

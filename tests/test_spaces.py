@@ -199,7 +199,10 @@ class TestProjector:
         monkeypatch.setattr(spaces, "as_matrix", counting)
         p = Projector.from_matrix(Factorization(2, 2), SINGLET_PROJECTOR)
         assert p.dim == 1
-        assert calls == ["projector"]
+        assert calls == ["matrix"]
+        # the constructor's finiteness pass is validation's, on the entries
+        Projector(Factorization(2, 2), SINGLET_PROJECTOR, 1)
+        assert calls == ["matrix"]
 
     @pytest.mark.parametrize("dim", [None, 1])
     @pytest.mark.parametrize(
@@ -222,6 +225,26 @@ class TestProjector:
         with pytest.raises(InputError, match=f"^{message}$"):
             Projector.from_matrix(Factorization(2, 2), m, dim)
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.ones(4), r"projector shape \(4,\) does not match factorization 2x2"),
+            (np.zeros((0, 0)), r"projector shape \(0, 0\) does not match"),
+            (np.full((4, 4), np.nan), "^projector contains non-finite entries$"),
+            (np.diag([1.0, np.inf, 0, 0]), "^projector contains non-finite entries$"),
+        ],
+    )
+    def test_constructor_names_malformed_matrix(self, matrix, message):
+        # the shape check fixes ndim and size; validation checks finiteness
+        with pytest.raises(InputError, match=message):
+            Projector(Factorization(2, 2), matrix, 1)
+
+    def test_from_matrix_trace_that_overflows(self):
+        # finite entries whose trace is inf cannot name a dimension
+        m = np.diag([1e308, 1e308, 0.0, 0.0])
+        with pytest.raises(InputError, match="^projector trace overflows to inf$"):
+            Projector.from_matrix(Factorization(2, 2), m)
+
 
 class TestValidateProjector:
     def test_identity_passes(self):
@@ -243,6 +266,11 @@ class TestValidateProjector:
         report = validate_projector(m)
         assert not report.passes
         assert report.hermiticity == pytest.approx(1e-3)
+
+    def test_non_square_rejected(self):
+        message = r"^projector must be square, got shape \(2, 3\)$"
+        with pytest.raises(InputError, match=message):
+            validate_projector(np.ones((2, 3)))
 
     def test_trace_defect_reported(self):
         report = validate_projector(np.eye(3), dim=2)
