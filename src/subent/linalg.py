@@ -218,17 +218,18 @@ def gram_schmidt(vectors) -> np.ndarray:
             raise InputError("vector contains non-finite entries")
 
     q = np.empty((len(rows), dim[0]), dtype=np.complex128)
+    q_conj = np.empty_like(q)
     kept = dropped = 0
     for v in rows:
         w = v.copy()
         for _ in range(2):
-            block = q[:kept]
-            w -= block.T @ (block.conj() @ w)
+            w -= q[:kept].T @ (q_conj[:kept] @ w)
         norm = float(np.linalg.norm(w))
         if norm < DROP_TOL * max(1.0, float(np.linalg.norm(v))):
             dropped += 1
             continue
         q[kept] = w / norm
+        q_conj[kept] = q[kept].conj()
         kept += 1
     if not kept:
         raise InputError("no linearly independent vectors above the drop tolerance")
