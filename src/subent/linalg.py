@@ -183,17 +183,36 @@ def hermitian_eigenvalues(h) -> np.ndarray:
     return _spectrum([h[None]])
 
 
-def gram_schmidt(vectors) -> np.ndarray:
-    """Orthonormalize a spanning set with classical Gram-Schmidt, run twice.
+# rows per panel of `gram_schmidt`
+_PANEL = 32
 
-    Each vector is projected off all kept vectors at once, as two
-    matrix-vector products, and the sweep is repeated once; two sweeps keep
-    the result orthonormal to near machine precision even for nearly
-    dependent inputs ("twice is enough": Giraud, Langou and Rozloznik,
-    Comput. Math. Appl. 50, 2005).  A vector v whose residual norm falls
-    below ``DROP_TOL * max(1, ||v||)`` is dropped, so that an exact
-    dependency is dropped at any scale, and the rank reduction is reported
-    through a ``RankDeficiencyWarning``.
+
+def _project_off(w: np.ndarray, q: np.ndarray) -> None:
+    """Subtract from the rows of `w`, in place, their components along the
+    orthonormal rows of `q`: w -= (w q^dagger) q, with two matrix products.
+    The conjugate is taken of `w`, so `q` is read where it lies."""
+    w -= (w.conj() @ q.T).conj() @ q
+
+
+def gram_schmidt(vectors) -> np.ndarray:
+    """Orthonormalize a spanning set with reorthogonalized block classical
+    Gram-Schmidt (BCGS2: Barlow and Smoktunowicz, Numer. Math. 123, 395,
+    2013).
+
+    The vectors are taken in panels of 32.  A panel is projected off every
+    vector kept from earlier panels by two matrix-matrix products.  Each of
+    its vectors is then projected off the vectors kept so far in the panel,
+    twice, as in classical Gram-Schmidt run twice ("twice is enough":
+    Giraud, Langou and Rozloznik, Comput. Math. Appl. 50, 2005).  A vector v
+    whose residual, now against every vector kept so far, has norm below
+    ``DROP_TOL * max(1, ||v||)`` is dropped, so that an exact dependency is
+    dropped at any scale, and the rank reduction is reported through a
+    ``RankDeficiencyWarning``.  The panel's normalized vectors are projected
+    off the earlier panels a second time, which removes what the first
+    projection left once cancellation inside the panel has magnified it,
+    and are made orthonormal again by the Cholesky factor of their Gram
+    matrix.  The rows are orthonormal to near machine precision even for
+    nearly dependent inputs.
 
     Parameters
     ----------
@@ -217,20 +236,29 @@ def gram_schmidt(vectors) -> np.ndarray:
         if not np.all(np.isfinite(v)):
             raise InputError("vector contains non-finite entries")
 
-    q = np.empty((len(rows), dim[0]), dtype=np.complex128)
-    q_conj = np.empty_like(q)
+    # kept vectors are written over rows already read, in order
+    q = np.array(rows)
     kept = dropped = 0
-    for v in rows:
-        w = v.copy()
-        for _ in range(2):
-            w -= q[:kept].T @ (q_conj[:kept] @ w)
-        norm = float(np.linalg.norm(w))
-        if norm < DROP_TOL * max(1.0, float(np.linalg.norm(v))):
-            dropped += 1
-            continue
-        q[kept] = w / norm
-        q_conj[kept] = q[kept].conj()
-        kept += 1
+    for start in range(0, len(rows), _PANEL):
+        stop = min(start + _PANEL, len(rows))
+        first, earlier = kept, q[:kept]
+        _project_off(q[start:stop], earlier)
+        for i in range(start, stop):
+            w = q[i : i + 1]
+            for _ in range(2):
+                _project_off(w, q[first:kept])
+            norm = float(np.linalg.norm(w))
+            if norm < DROP_TOL * max(1.0, float(np.linalg.norm(rows[i]))):
+                dropped += 1
+                continue
+            q[kept] = w[0] / norm
+            kept += 1
+        own = q[first:kept]
+        if first and own.size:
+            # projected again, the rows' Gram matrix is within ~1e-11 of the
+            # identity, and its Cholesky factor takes out the rest
+            _project_off(own, earlier)
+            own[:] = np.linalg.inv(np.linalg.cholesky(own @ own.conj().T)) @ own
     if not kept:
         raise InputError("no linearly independent vectors above the drop tolerance")
     if dropped:

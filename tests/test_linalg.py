@@ -210,6 +210,25 @@ class TestGramSchmidt:
         gram = out @ out.conj().T
         assert np.max(np.abs(gram - np.eye(out.shape[0]))) < 1e-12
 
+    @pytest.mark.parametrize("offset", [1e-7, 3e-10])
+    @pytest.mark.parametrize("rows", [range(8), range(32, 40)])
+    def test_nearly_dependent_on_a_panel_stays_orthonormal(self, rows, offset):
+        # unit rows 40..47 lie `offset` off rows 0..7 (an earlier panel) or
+        # off rows 32..39 (their own panel).  Normalizing such a small
+        # residual magnifies every rounding error left in it, so one sweep
+        # per panel, or a panel not projected again after the cancellation,
+        # leaves the rows up to ~1e-3 (one sweep) or ~1e-11 off orthonormal
+        rng = np.random.default_rng(25)
+        vecs = rng.standard_normal((48, 60)) + 1j * rng.standard_normal((48, 60))
+        noise = rng.standard_normal((8, 60)) + 1j * rng.standard_normal((8, 60))
+        vecs[40:] = vecs[list(rows)] / np.linalg.norm(vecs[list(rows)], axis=1)[:, None]
+        vecs[40:] += offset * noise / np.linalg.norm(noise, axis=1)[:, None]
+        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+        out = gram_schmidt(vecs)
+        assert out.shape == (48, 60)
+        gram = out @ out.conj().T
+        assert np.max(np.abs(gram - np.eye(48))) < 1e-12
+
     @settings(max_examples=30, deadline=None)
     @given(m=complex_matrices(4, 6, scale=2.0))
     def test_property_orthonormal_output(self, m):
@@ -237,47 +256,121 @@ class TestGramSchmidt:
 @st.composite
 def planted_dependencies(draw):
     """Random complex vectors, some replaced by combinations of earlier ones
-    (exact dependencies) or by zero vectors."""
+    (exact dependencies) or by zero vectors; up to 100 of them, so that they
+    span several of `gram_schmidt`'s panels of 32.
+
+    Vectors are replaced in index order, so a combination is formed from the
+    vectors that stay.  In any other order an earlier vector can be replaced
+    after a later one was formed from it, which leaves that later vector
+    nearly, not exactly, dependent; two correct orthonormalizations then
+    agree only to about 1e-16 times the condition of the kept vectors, and
+    at m up to 100 that exceeded 1e-13 on a few percent of draws.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    dim = draw(st.integers(1, 12))
-    m = draw(st.integers(1, 16))
+    dim = draw(st.integers(1, 72))
+    m = draw(st.integers(1, 100))
     vecs = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
     # the drop rule is relative to max(1, ||v||), so an exact dependency's
     # rounding residual lies far below it at every scale
     scale = draw(st.sampled_from([1e-6, 1.0, 1e2, 1e6, 1e8]))
-    for i in draw(st.lists(st.integers(1, max(1, m - 1)), max_size=m)):
+    for i in sorted(draw(st.lists(st.integers(1, max(1, m - 1)), max_size=m))):
         if i < m:
             coef = rng.standard_normal(i) + 1j * rng.standard_normal(i)
             vecs[i] = coef @ vecs[:i] if draw(st.booleans()) else 0.0
     return scale * vecs
 
 
+def assert_matches_reference(vecs):
+    """`gram_schmidt` gives the reference's warnings and error, or its rows
+    within 1e-13, and those rows are orthonormal within 1e-12."""
+    import warnings
+
+    outcomes = []
+    for orthonormalize in (gram_schmidt, gram_schmidt_reference):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                out = orthonormalize(vecs)
+            except InputError as exc:
+                out = str(exc)
+        outcomes.append((out, [str(w.message) for w in caught]))
+    (got, got_warnings), (want, want_warnings) = outcomes
+    assert got_warnings == want_warnings
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13
+    gram = got @ got.conj().T
+    assert np.max(np.abs(gram - np.eye(got.shape[0]))) <= 1e-12
+
+
+def random_vectors(seed: int, m: int, dim: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
+
+
+def combination(vecs: np.ndarray, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    n = vecs.shape[0]
+    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) @ vecs
+
+
+def earlier_panel_dependency() -> np.ndarray:
+    vecs = random_vectors(30, 40, 50)
+    vecs[35] = combination(vecs[[3, 10, 31]], 31)
+    return vecs
+
+
+def same_panel_dependency() -> np.ndarray:
+    vecs = random_vectors(32, 60, 70)
+    vecs[50] = combination(vecs[[33, 40, 49]], 33)
+    return vecs
+
+
+def zero_opens_panel() -> np.ndarray:
+    vecs = random_vectors(34, 70, 72)
+    vecs[32] = vecs[64] = 0.0
+    return vecs
+
+
+def dependent_panel() -> np.ndarray:
+    # rows 32..63 are combinations of rows 0..31
+    vecs = random_vectors(35, 96, 80)
+    rng = np.random.default_rng(36)
+    coef = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    vecs[32:64] = coef @ vecs[:32]
+    return vecs
+
+
+PANEL_CASES = {
+    "dependency on an earlier panel": (earlier_panel_dependency, 39),
+    "dependency within a panel": (same_panel_dependency, 59),
+    "zero vector opening a panel": (zero_opens_panel, 68),
+    "panel of dependent vectors": (dependent_panel, 64),
+    **{f"m={m}": (lambda m=m: random_vectors(37 + m, m, 70), m) for m in (31, 32, 33, 65)},
+}
+
+
 class TestGramSchmidtReference:
-    """Two whole-block sweeps against the per-vector modified loop."""
+    """Panels of whole-block sweeps against the per-vector modified loop."""
 
     @settings(max_examples=200, deadline=None)
     @given(vecs=planted_dependencies())
     def test_matches_modified_gram_schmidt(self, vecs):
-        import warnings
+        assert_matches_reference(vecs)
 
-        outcomes = []
-        for orthonormalize in (gram_schmidt, gram_schmidt_reference):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    out = orthonormalize(vecs)
-                except InputError as exc:
-                    out = str(exc)
-            outcomes.append((out, [str(w.message) for w in caught]))
-        (got, got_warnings), (want, want_warnings) = outcomes
-        assert got_warnings == want_warnings
-        if isinstance(want, str):
-            assert got == want
-            return
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-13
-        gram = got @ got.conj().T
-        assert np.max(np.abs(gram - np.eye(got.shape[0]))) <= 1e-12
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e2, 1e6, 1e8])
+    @pytest.mark.parametrize("case", PANEL_CASES)
+    def test_across_panel_boundaries(self, case, scale):
+        build, rank = PANEL_CASES[case]
+        vecs = scale * build()
+        assert_matches_reference(vecs)
+        if rank < len(vecs):
+            message = f"dropped {len(vecs) - rank} .* rank is {rank}$"
+            with pytest.warns(RankDeficiencyWarning, match=message):
+                gram_schmidt(vecs)
+        assert np.linalg.matrix_rank(vecs) == rank
 
     def test_deficient_rank_and_warning(self):
         rng = np.random.default_rng(23)
