@@ -21,6 +21,7 @@ from .catalog import (
     Branch,
     SpinLabel,
     _exchange_projector,
+    _within_budget,
     hydrogen_level,
     limiting_string,
     spin_projector,
@@ -76,6 +77,11 @@ def _preset_projector(
 def _document_projector(path: str, orthonormalize: bool) -> tuple[str | None, Projector]:
     doc = load_subspace_document(path)
     if doc.basis is not None:
+        # the text bounds a document's arrays, but not the projector of its
+        # basis: `schmidt FILE` on one-vector documents peaks at 64.1-64.9
+        # traced bytes per (d1 d2)^2 (d1 = d2 = 20..40)
+        f = doc.factorization
+        _within_budget(f"d1={f.d1}, d2={f.d2}", 65 * f.dim**2)
         vectors = gram_schmidt(doc.basis) if orthonormalize else doc.basis
         basis = SubspaceBasis(factorization=doc.factorization, vectors=vectors)
         return doc.label, projector_from_basis(basis)

@@ -357,6 +357,17 @@ class TestSpinCoupling:
         expected = np.eye(4) - np.outer(SINGLET, SINGLET.conj())
         assert np.allclose(p.matrix, expected, atol=1e-14)
 
+    def test_refused_over_the_byte_budget(self):
+        # 720 (2j + 1) estimated bytes: 2j = 1,388,887 is within
+        # BYTE_BUDGET, 1,388,888 not
+        assert 720 * 1_388_888 <= BYTE_BUDGET < 720 * 1_388_889
+        for two_j in (1_388_888, 10**15, 10**40):
+            for branch in Branch:
+                message, peak = traced_refusal(lambda t: spin_projector(t, branch), two_j)
+                need = 720 * (two_j + 1)
+                assert message == f"2j={two_j} needs about {need:,} bytes, budget 1,000,000,000"
+                assert peak < 1_000_000
+
     def test_branch_type_checked(self):
         message = "^branch must be a Branch, got 'plus'$"
         for build in (spin_projector, spin_string_closed):

@@ -8,6 +8,7 @@ import pytest
 
 from subent import NumericalError, SchmidtString, linalg
 from subent.cli import main
+from subent.tolerances import BYTE_BUDGET
 
 from .helpers import off_norm_projector
 from subent import cli as cli_module
@@ -725,14 +726,45 @@ class TestExitCodes:
         assert (code, out, err) == (2, "", f"input error: {message}\n")
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("two_j", [10**15, 10**40])
+    @pytest.mark.parametrize("schmidt", [True, False])
+    def test_spin_preset_over_the_byte_budget(self, capsys, two_j, schmidt):
+        # refused from 2j alone, before numpy is asked for its arrays
+        if schmidt:
+            argv = ["schmidt", "--preset", "spin", "--two-j", str(two_j), "--branch", "plus"]
+        else:
+            argv = ["compare", "sym:2", f"spin:{two_j}:minus"]
+        code, out, err, peak = traced_run(capsys, *argv)
+        need = f"{720 * (two_j + 1):,}"
+        message = f"input error: 2j={two_j} needs about {need} bytes, budget 1,000,000,000\n"
+        assert (code, out, err) == (2, "", message)
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("command", ["schmidt", "compare"])
+    @pytest.mark.parametrize("d1, d2", [(1, 3923), (63, 63)])
+    def test_basis_document_over_the_byte_budget(self, capsys, tmp_path, command, d1, d2):
+        # 65 (d1 d2)^2 estimated bytes for the projector: d1 d2 = 3922 is
+        # within BYTE_BUDGET, 3923 not.  Refused once the document is read,
+        # before the vectors are orthonormalized
+        assert 65 * 3922**2 <= BYTE_BUDGET < 65 * 3923**2
+        vector = [[1.0, 0.0]] + [[0.0, 0.0]] * (d1 * d2 - 1)
+        path = write_doc(tmp_path, "big.json", {"d1": d1, "d2": d2, "basis": [vector]})
+        argv = [command, path] if command == "schmidt" else [command, "sym:2", path]
+        code, out, err, peak = traced_run(capsys, *argv)
+        need = f"{65 * (d1 * d2) ** 2:,}"
+        message = f"input error: d1={d1}, d2={d2} needs about {need} bytes, budget 1,000,000,000\n"
+        assert (code, out, err) == (2, "", message)
+        assert peak < 1_000_000
+
     def test_allocation_that_fails_is_exit_2(self, capsys, monkeypatch):
-        # the spin preset has no byte estimate: 2j = 10^15 asks numpy for
-        # 7 PiB at once, beyond any address space
-        argv = ["schmidt", "--preset", "spin", "--two-j", "1000000000000000"]
-        code, out, err = run(capsys, *argv, "--branch", "plus")
+        # numpy's message names the allocation that failed
+        def no_room(projector, zero_threshold=0.0):
+            raise MemoryError("Unable to allocate 7.11 PiB for an array")
+
+        monkeypatch.setattr(cli_module, "schmidt_string", no_room)
+        code, out, err = run(capsys, "schmidt", "--preset", "sym", "--n", "2")
         assert (code, out) == (2, "")
-        assert err.startswith("input error: Unable to allocate 7.11 PiB")
-        assert err.count("\n") == 1
+        assert err == "input error: Unable to allocate 7.11 PiB for an array\n"
 
         def no_memory(projector, zero_threshold=0.0):
             raise MemoryError

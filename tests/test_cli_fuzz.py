@@ -3,9 +3,9 @@
 Every argv, valid or not, must end in an exit code the CLI documents (0, 1,
 2 or 3) with no exception escaping `main` and no traceback on stderr.  Sizes
 are capped (antisym/sym n <= 64, verify n <= 12, 2j <= 60, hydrogen n <= 30)
-so each call stays small; no subprocess is started.  Exchange preset and
-hydrogen sizes over the byte budget are drawn on their own, and each must
-be refused at once.
+so each call stays small; no subprocess is started.  Exchange preset, spin
+preset, hydrogen and basis document sizes over the byte budget are drawn on
+their own, and each must be refused at once.
 """
 
 import contextlib
@@ -147,6 +147,22 @@ OVER_BUDGET = st.one_of(
 ).map(str)
 
 
+# 720 (2j + 1) estimated bytes is over BYTE_BUDGET from 2j = 1,388,888 on
+SPIN_OVER_BUDGET = st.one_of(
+    st.integers(1_388_888, 1_400_000), st.integers(1_400_000, 10**40)
+).map(str)
+
+
+# 65 (d1 d2)^2 estimated bytes is over BYTE_BUDGET from d1 d2 = 3923 on; a
+# valid one-vector document holds d1 d2 pairs, so d1 d2 stays below 16,000
+@st.composite
+def over_budget_header(draw):
+    d1 = draw(st.integers(1, 4000))
+    least = -(-3923 // d1)
+    d2 = draw(st.integers(least, max(least, 16_000 // d1)))
+    return d1, d2
+
+
 # 16 (2n)^2 estimated bytes is over BYTE_BUDGET from n = 3953 on
 HYDROGEN_OVER_BUDGET = st.one_of(
     st.integers(3953, 4100), st.integers(4100, 10**6), st.integers(10**6, 10**40)
@@ -198,3 +214,26 @@ class TestOverBudget:
         code, err = run(argv)
         assert code == 2, (argv, err)
         assert err.startswith(f"input error: n={n} needs about "), err
+
+    @settings(max_examples=60, deadline=500)
+    @given(two_j=SPIN_OVER_BUDGET, schmidt=st.booleans())
+    def test_spin_preset_is_refused_at_once(self, two_j, schmidt):
+        if schmidt:
+            argv = ["schmidt", "--preset", "spin", "--two-j", two_j, "--branch", "minus"]
+        else:
+            argv = ["compare", "sym:2", f"spin:{two_j}:plus"]
+        code, err = run(argv)
+        assert code == 2, (argv, err)
+        assert err.startswith(f"input error: 2j={two_j} needs about "), err
+
+    @settings(max_examples=30, deadline=500)
+    @given(header=over_budget_header(), schmidt=st.booleans())
+    def test_basis_document_is_refused_at_once(self, tmp_path_factory, header, schmidt):
+        d1, d2 = header
+        path = tmp_path_factory.mktemp("over_budget") / "basis.json"
+        vector = "[[1, 0]" + ", [0, 0]" * (d1 * d2 - 1) + "]"
+        path.write_text(f'{{"d1": {d1}, "d2": {d2}, "basis": [{vector}]}}')
+        argv = ["schmidt", str(path)] if schmidt else ["compare", str(path), "sym:2"]
+        code, err = run(argv)
+        assert code == 2, (argv, err)
+        assert err.startswith(f"input error: d1={d1}, d2={d2} needs about "), err
