@@ -200,19 +200,19 @@ def gram_schmidt(vectors) -> np.ndarray:
     2013).
 
     The vectors are taken in panels of 32.  A panel is projected off every
-    vector kept from earlier panels by two matrix-matrix products.  Each of
-    its vectors is then projected off the vectors kept so far in the panel,
-    twice, as in classical Gram-Schmidt run twice ("twice is enough":
-    Giraud, Langou and Rozloznik, Comput. Math. Appl. 50, 2005).  A vector v
-    whose residual, now against every vector kept so far, has norm below
+    vector kept from earlier panels twice, each time by two matrix-matrix
+    products.  Each of its vectors is then projected off the vectors kept so
+    far in the panel, twice, as in classical Gram-Schmidt run twice ("twice
+    is enough": Giraud, Langou and Rozloznik, Comput. Math. Appl. 50, 2005).
+    When those sweeps cancel more than half of the vector's norm, which
+    magnifies what the panel projections left along earlier panels, it is
+    projected off the earlier panels once more.  A vector v whose
+    residual, now against every vector kept so far, has norm below
     ``DROP_TOL * max(1, ||v||)`` is dropped, so that an exact dependency is
     dropped at any scale, and the rank reduction is reported through a
-    ``RankDeficiencyWarning``.  The panel's normalized vectors are projected
-    off the earlier panels a second time, which removes what the first
-    projection left once cancellation inside the panel has magnified it,
-    and are made orthonormal again by the Cholesky factor of their Gram
-    matrix.  The rows are orthonormal to near machine precision even for
-    nearly dependent inputs.
+    ``RankDeficiencyWarning``.  Every kept vector is orthonormal to those
+    kept before it to near machine precision, even for nearly dependent
+    inputs.
 
     Parameters
     ----------
@@ -240,25 +240,28 @@ def gram_schmidt(vectors) -> np.ndarray:
     q = np.array(rows)
     kept = dropped = 0
     for start in range(0, len(rows), _PANEL):
-        stop = min(start + _PANEL, len(rows))
-        first, earlier = kept, q[:kept]
-        _project_off(q[start:stop], earlier)
-        for i in range(start, stop):
+        first = kept
+        if first:
+            for _ in range(2):
+                _project_off(q[start : start + _PANEL], q[:first])
+        for i in range(start, min(start + _PANEL, len(rows))):
             w = q[i : i + 1]
+            before = float(np.linalg.norm(w))
             for _ in range(2):
                 _project_off(w, q[first:kept])
             norm = float(np.linalg.norm(w))
-            if norm < DROP_TOL * max(1.0, float(np.linalg.norm(rows[i]))):
+            least = DROP_TOL * max(1.0, float(np.linalg.norm(rows[i])))
+            # cancellation in the panel magnifies what the panel projections
+            # left along earlier panels; a projection only shrinks w, so one
+            # already below `least` is dropped without it
+            if least <= norm < before / 2:
+                _project_off(w, q[:first])
+                norm = float(np.linalg.norm(w))
+            if norm < least:
                 dropped += 1
                 continue
             q[kept] = w[0] / norm
             kept += 1
-        own = q[first:kept]
-        if first and own.size:
-            # projected again, the rows' Gram matrix is within ~1e-11 of the
-            # identity, and its Cholesky factor takes out the rest
-            _project_off(own, earlier)
-            own[:] = np.linalg.inv(np.linalg.cholesky(own @ own.conj().T)) @ own
     if not kept:
         raise InputError("no linearly independent vectors above the drop tolerance")
     if dropped:

@@ -187,6 +187,20 @@ class TestSchmidt:
         assert code == 2
         assert "input error" in err
 
+    def test_nearly_dependent_basis_keeps_its_rank(self, capsys, tmp_path):
+        # 64 vectors in C^40, row 39 = row 0 + 2**-27 n: the 24 past the
+        # dimension are dropped, not kept through the rounding that the
+        # nearly dependent row magnifies
+        rng = np.random.default_rng(80)
+        vecs = rng.integers(-8, 9, (65, 40)) + 1j * rng.integers(-8, 9, (65, 40))
+        vecs[39] = vecs[0] + 2.0**-27 * vecs[64]
+        basis = np.stack([vecs[:64].real, vecs[:64].imag], axis=-1).tolist()
+        path = write_doc(tmp_path, "near.json", {"d1": 5, "d2": 8, "basis": basis})
+        with pytest.warns(linalg.RankDeficiencyWarning, match="dropped 24 .* rank is 40$"):
+            code, out, _ = run(capsys, "schmidt", path)
+        assert code == 0
+        assert json.loads(out)["dim"] == 40
+
     def test_requires_exactly_one_source(self, capsys, tmp_path):
         code, _, err = run(capsys, "schmidt")
         assert code == 2

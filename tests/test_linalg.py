@@ -21,6 +21,7 @@ from subent import (
     validate_projector,
     vector_schmidt,
 )
+from subent.tolerances import DROP_TOL
 
 from .helpers import (
     char_poly_eigenvalues,
@@ -215,9 +216,11 @@ class TestGramSchmidt:
     def test_nearly_dependent_on_a_panel_stays_orthonormal(self, rows, offset):
         # unit rows 40..47 lie `offset` off rows 0..7 (an earlier panel) or
         # off rows 32..39 (their own panel).  Normalizing such a small
-        # residual magnifies every rounding error left in it, so one sweep
-        # per panel, or a panel not projected again after the cancellation,
-        # leaves the rows up to ~1e-3 (one sweep) or ~1e-11 off orthonormal
+        # residual magnifies every rounding error left in it, so a panel
+        # projected off the earlier panels only once, one sweep inside the
+        # panel, or a row not projected off the earlier panels again after
+        # cancelling inside its panel leaves the rows over 1e-12 off
+        # orthonormal
         rng = np.random.default_rng(25)
         vecs = rng.standard_normal((48, 60)) + 1j * rng.standard_normal((48, 60))
         noise = rng.standard_normal((8, 60)) + 1j * rng.standard_normal((8, 60))
@@ -254,35 +257,37 @@ class TestGramSchmidt:
 
 
 @st.composite
-def planted_dependencies(draw):
+def planted_dependencies(draw, max_m=100, max_dim=72, in_order=True):
     """Random complex vectors, some replaced by combinations of earlier ones
-    (exact dependencies) or by zero vectors; up to 100 of them, so that they
-    span several of `gram_schmidt`'s panels of 32.
+    (exact dependencies) or by zero vectors; up to 100 of them by default, so
+    that they span several of `gram_schmidt`'s panels of 32.
 
-    Vectors are replaced in index order, so a combination is formed from the
-    vectors that stay.  In any other order an earlier vector can be replaced
-    after a later one was formed from it, which leaves that later vector
-    nearly, not exactly, dependent; two correct orthonormalizations then
-    agree only to about 1e-16 times the condition of the kept vectors, and
-    at m up to 100 that exceeded 1e-13 on a few percent of draws.
+    With `in_order`, vectors are replaced in index order, so a combination is
+    formed from the vectors that stay.  In any other order an earlier vector
+    can be replaced after a later one was formed from it, which leaves that
+    later vector nearly, not exactly, dependent; two correct
+    orthonormalizations then agree only to about 1e-16 times the condition of
+    the kept vectors, and at m up to 100 that exceeded 1e-13 on a few percent
+    of draws.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    dim = draw(st.integers(1, 72))
-    m = draw(st.integers(1, 100))
+    dim = draw(st.integers(1, max_dim))
+    m = draw(st.integers(1, max_m))
     vecs = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
     # the drop rule is relative to max(1, ||v||), so an exact dependency's
     # rounding residual lies far below it at every scale
     scale = draw(st.sampled_from([1e-6, 1.0, 1e2, 1e6, 1e8]))
-    for i in sorted(draw(st.lists(st.integers(1, max(1, m - 1)), max_size=m))):
+    replaced = draw(st.lists(st.integers(1, max(1, m - 1)), max_size=m))
+    for i in sorted(replaced) if in_order else replaced:
         if i < m:
             coef = rng.standard_normal(i) + 1j * rng.standard_normal(i)
             vecs[i] = coef @ vecs[:i] if draw(st.booleans()) else 0.0
     return scale * vecs
 
 
-def assert_matches_reference(vecs):
-    """`gram_schmidt` gives the reference's warnings and error, or its rows
-    within 1e-13, and those rows are orthonormal within 1e-12."""
+def both_outcomes(vecs):
+    """(rows or error message, warning messages) of `gram_schmidt`, then of
+    `gram_schmidt_reference`, on `vecs`."""
     import warnings
 
     outcomes = []
@@ -294,7 +299,13 @@ def assert_matches_reference(vecs):
             except InputError as exc:
                 out = str(exc)
         outcomes.append((out, [str(w.message) for w in caught]))
-    (got, got_warnings), (want, want_warnings) = outcomes
+    return outcomes
+
+
+def assert_matches_reference(vecs):
+    """`gram_schmidt` gives the reference's warnings and error, or its rows
+    within 1e-13, and those rows are orthonormal within 1e-12."""
+    (got, got_warnings), (want, want_warnings) = both_outcomes(vecs)
     assert got_warnings == want_warnings
     if isinstance(want, str):
         assert got == want
@@ -303,6 +314,27 @@ def assert_matches_reference(vecs):
     assert np.max(np.abs(got - want)) <= 1e-13
     gram = got @ got.conj().T
     assert np.max(np.abs(gram - np.eye(got.shape[0]))) <= 1e-12
+
+
+def assert_agrees_with_reference(vecs):
+    """`gram_schmidt` gives the reference's warnings and error, hence its
+    rank, and rows orthonormal within 1e-12 whose span holds every input
+    vector v within the drop tolerance, DROP_TOL * max(1, ||v||).
+
+    For nearly dependent inputs two correct orthonormalizations differ by
+    far more than rounding, so the rows are not compared one by one."""
+    (got, got_warnings), (want, want_warnings) = both_outcomes(vecs)
+    assert got_warnings == want_warnings
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.shape == want.shape
+    gram = got @ got.conj().T
+    assert np.max(np.abs(gram - np.eye(got.shape[0]))) <= 1e-12
+    vecs = np.asarray(vecs)
+    residual = np.linalg.norm(vecs - (vecs @ got.conj().T) @ got, axis=1)
+    allowed = DROP_TOL * np.maximum(1.0, np.linalg.norm(vecs, axis=1))
+    assert np.all(residual <= allowed)
 
 
 def random_vectors(seed: int, m: int, dim: int) -> np.ndarray:
@@ -352,13 +384,51 @@ PANEL_CASES = {
 }
 
 
+def near_dependency(near, off):
+    """64 rows of small complex integers in C^40, where row `near` is row
+    `off` plus 2**-bits times another such row n, exactly in floating point.
+    The 24 rows past the first 40 are dependent, and each has a component of
+    order one along the direction that row `near` adds."""
+
+    def build(bits):
+        rng = np.random.default_rng(41 + near + off)
+        vecs = rng.integers(-8, 9, (65, 40)) + 1j * rng.integers(-8, 9, (65, 40))
+        vecs[near] = vecs[off] + 2.0**-bits * vecs[64]
+        return vecs[:64]
+
+    return build
+
+
+# A row normalized from a residual of relative size 2**-bits carries the
+# rounding left in it magnified by 2**bits.  Before the cancellation check a
+# later row in the same panel took that error on and was kept with a
+# residual of about 1e-16 * 2**bits, above the drop tolerance, although it
+# was dependent.
+NEAR_CASES = {
+    "near an earlier panel": near_dependency(39, 0),
+    "near its own panel": near_dependency(39, 33),
+    "near an earlier panel, opening a panel": near_dependency(32, 5),
+}
+
+
 class TestGramSchmidtReference:
     """Panels of whole-block sweeps against the per-vector modified loop."""
 
+    # at most 16 vectors, one panel, planted in any order
     @settings(max_examples=200, deadline=None)
-    @given(vecs=planted_dependencies())
+    @given(vecs=planted_dependencies(max_m=16, max_dim=12, in_order=False))
     def test_matches_modified_gram_schmidt(self, vecs):
         assert_matches_reference(vecs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(vecs=planted_dependencies())
+    def test_matches_modified_gram_schmidt_across_panels(self, vecs):
+        assert_matches_reference(vecs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(vecs=planted_dependencies(in_order=False))
+    def test_agrees_with_modified_gram_schmidt_across_panels(self, vecs):
+        assert_agrees_with_reference(vecs)
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e2, 1e6, 1e8])
     @pytest.mark.parametrize("case", PANEL_CASES)
@@ -371,6 +441,18 @@ class TestGramSchmidtReference:
             with pytest.warns(RankDeficiencyWarning, match=message):
                 gram_schmidt(vecs)
         assert np.linalg.matrix_rank(vecs) == rank
+
+    # scales by powers of two keep the dependencies exact, and at these the
+    # drop tolerance lies far below every offset
+    @pytest.mark.parametrize("scale", [1.0, 2.0**10, 2.0**27])
+    @pytest.mark.parametrize("bits", [24, 27, 30])
+    @pytest.mark.parametrize("case", NEAR_CASES)
+    def test_nearly_dependent_across_panels(self, case, bits, scale):
+        vecs = scale * NEAR_CASES[case](bits)
+        assert_agrees_with_reference(vecs)
+        message = r"dropped 24 linearly dependent vector\(s\); rank is 40$"
+        with pytest.warns(RankDeficiencyWarning, match=message):
+            gram_schmidt(vecs)
 
     def test_deficient_rank_and_warning(self):
         rng = np.random.default_rng(23)
