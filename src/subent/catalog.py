@@ -27,7 +27,7 @@ from .errors import InputError
 from .schmidt import Measures, SchmidtString
 from .linalg import _Entries
 from .spaces import Factorization, Projector, SubspaceBasis, as_count
-from .tolerances import BYTE_BUDGET
+from .tolerances import within_budget
 
 SPIN_STRING_LENGTH = 4
 
@@ -39,20 +39,13 @@ FAMILIES = ("antisym", "sym", "spin_plus", "spin_minus")
 # the antisymmetric subspace, sign +1 the symmetric one.
 
 
-def _within_budget(size: str, need: int) -> None:
-    """Refuse `size` (such as ``n=3000``) before anything is allocated when
-    its route's estimated peak, `need` bytes, is over `BYTE_BUDGET`."""
-    if need > BYTE_BUDGET:
-        raise InputError(f"{size} needs about {need:,} bytes, budget {BYTE_BUDGET:,}")
-
-
 def _exchange_subspace(n, sign: int) -> SubspaceBasis:
     """Rows e_k e_k (sign +1 only), then (e_k e_l + sign e_l e_k) / sqrt(2)
     for k < l in row-major order."""
     n = as_count(n, "n", least=1 if sign > 0 else 2)
     # the basis and its orthonormality check peak at 18.6-27.5 traced bytes
     # per n^4 (n = 8..40)
-    _within_budget(f"n={n}", 28 * n**4)
+    within_budget(f"n={n}", 28 * n**4)
     vectors = np.zeros((n * (n + sign) // 2, n * n), dtype=np.complex128)
     if sign > 0:
         vectors[np.arange(n), np.arange(0, n * n, n + 1)] = 1.0
@@ -78,7 +71,7 @@ def _exchange_projector(n, sign: int) -> Projector:
     n = as_count(n, "n", least=1 if sign > 0 else 2)
     # a `schmidt` op on this route, output rendered, peaks at 385-405 traced
     # bytes per index of the composite space (n = 64..512)
-    _within_budget(f"n={n}", 400 * n * n)
+    within_budget(f"n={n}", 400 * n * n)
     side = n * n
     index = np.arange(side)
     k, l = np.divmod(index, n)
@@ -217,7 +210,7 @@ def spin_projector(s: SpinLabel | int, branch: Branch) -> Projector:
         raise InputError(f"branch must be a Branch, got {branch!r}")
     # whole `schmidt --preset spin` ops peak at 664-719 traced bytes per
     # (2j + 1) (2j = 10^3..3*10^5)
-    _within_budget(f"2j={s.two_j}", 720 * s.dim)
+    within_budget(f"2j={s.two_j}", 720 * s.dim)
     m = (s.two_j - 2.0 * np.arange(s.dim)) / 2.0
     diag = np.stack([m, -m], axis=1).ravel()
     k = np.arange(1, s.dim)
@@ -363,7 +356,7 @@ def hydrogen_level(n: int) -> HydrogenLevel:
     n = as_count(n, "n")
     # a `hydrogen` op peaks at 12.3-14.7 traced bytes per (2n)^2 (n = 100..800),
     # for the (2n) x (2n) verdict matrices of `sort_chain`
-    _within_budget(f"n={n}", 16 * (2 * n) ** 2)
+    within_budget(f"n={n}", 16 * (2 * n) ** 2)
     entries: list[HydrogenEntry] = []
     entries.append(
         HydrogenEntry(

@@ -21,7 +21,6 @@ from .catalog import (
     Branch,
     SpinLabel,
     _exchange_projector,
-    _within_budget,
     hydrogen_level,
     limiting_string,
     spin_projector,
@@ -43,6 +42,7 @@ from .linalg import gram_schmidt
 from .majorization import compare, partial_sums, sort_chain
 from .schmidt import SchmidtString, schmidt_string
 from .spaces import Projector, SubspaceBasis, projector_from_basis
+from .tolerances import within_budget
 from .tolerances import DEFAULT_COMPARE_TOL, DEFAULT_ZERO_THRESHOLD
 from .verify import FAMILY_SWEEPS
 
@@ -81,7 +81,7 @@ def _document_projector(path: str, orthonormalize: bool) -> tuple[str | None, Pr
         # basis: `schmidt FILE` on one-vector documents peaks at 64.1-64.9
         # traced bytes per (d1 d2)^2 (d1 = d2 = 20..40)
         f = doc.factorization
-        _within_budget(f"d1={f.d1}, d2={f.d2}", 65 * f.dim**2)
+        within_budget(f"d1={f.d1}, d2={f.d2}", 65 * f.dim**2)
         vectors = gram_schmidt(doc.basis) if orthonormalize else doc.basis
         basis = SubspaceBasis(factorization=doc.factorization, vectors=vectors)
         return doc.label, projector_from_basis(basis)

@@ -1,8 +1,11 @@
-"""Every numerical tolerance and threshold of the package, in one table.
+"""Every numerical tolerance and threshold of the package, in one table,
+and the one check against its byte budget.
 
 The README section "Numerical conventions" cites this table by name, and a
 test keeps the two equal.
 """
+
+from .errors import InputError
 
 # spaces: basis and projector validation, entrywise max-abs defects
 ORTHONORMALITY_TOL = 1e-10
@@ -34,3 +37,10 @@ STRING_TOL = 1e-9
 MEASURE_TOL = 1e-9
 Q_MATRIX_TOL = 1e-10
 COMPLETENESS_TOL = 1e-12
+
+
+def within_budget(size: str, need: int) -> None:
+    """Refuse `size` (such as ``n=3000``) before anything is allocated when
+    its route's estimated peak, `need` bytes, is over `BYTE_BUDGET`."""
+    if need > BYTE_BUDGET:
+        raise InputError(f"{size} needs about {need:,} bytes, budget {BYTE_BUDGET:,}")
