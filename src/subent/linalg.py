@@ -240,13 +240,13 @@ def gram_schmidt(vectors) -> np.ndarray:
     q = np.array(rows)
     kept = dropped = 0
     for start in range(0, len(rows), _PANEL):
-        first = kept
+        first, panel = kept, q[start : start + _PANEL]
         if first:
             for _ in range(2):
-                _project_off(q[start : start + _PANEL], q[:first])
-        for i in range(start, min(start + _PANEL, len(rows))):
+                _project_off(panel, q[:first])
+        before = np.linalg.norm(panel, axis=1)
+        for i in range(start, start + len(panel)):
             w = q[i : i + 1]
-            before = float(np.linalg.norm(w))
             for _ in range(2):
                 _project_off(w, q[first:kept])
             norm = float(np.linalg.norm(w))
@@ -254,7 +254,7 @@ def gram_schmidt(vectors) -> np.ndarray:
             # cancellation in the panel magnifies what the panel projections
             # left along earlier panels; a projection only shrinks w, so one
             # already below `least` is dropped without it
-            if least <= norm < before / 2:
+            if least <= norm < before[i - start] / 2:
                 _project_off(w, q[:first])
                 norm = float(np.linalg.norm(w))
             if norm < least:
