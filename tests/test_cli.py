@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -477,6 +478,22 @@ def test_golden_output(capsys, argv, name):
     assert code == 0
     assert err == ""
     assert out == (GOLDEN / name).read_bytes().decode("utf-8")
+
+
+HYDROGEN_PINS = [
+    line.split(maxsplit=1)
+    for line in (GOLDEN / "hydrogen_sha256.txt").read_text().splitlines()
+]
+
+
+@pytest.mark.parametrize(
+    "digest, argv", HYDROGEN_PINS, ids=[argv for _, argv in HYDROGEN_PINS]
+)
+def test_hydrogen_output_sha256(capsys, argv, digest):
+    # the pins hold sha256 of whole outputs too long to keep as golden files
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

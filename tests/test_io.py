@@ -261,6 +261,27 @@ class TestDumpsJson:
         text = dumps_json(doc)
         assert dumps_json(json.loads(text)) == text
 
+    @pytest.mark.parametrize(
+        "label",
+        [
+            "",
+            "plain",
+            "Vt_3/2",
+            "ψ ⊗ φ, café",
+            "emoji \U0001f600 outside the BMP",
+            'say "hi"',
+            "back\\slash \\n \\u0041",
+            "tab\tnew\nline\rcr\x00nul\x1f\x7f del",
+            "   separators, \ud800 lone surrogate",
+        ],
+    )
+    def test_strings_quote_as_json_dumps(self, label):
+        # labels reach the output as keys and as values
+        assert dumps_json(label) == json.dumps(label) + "\n"
+        assert dumps_json({label: label}) == (
+            "{\n  " + json.dumps(label) + ": " + json.dumps(label) + "\n}\n"
+        )
+
 
 SPECIAL_FLOATS = [
     -0.0,
