@@ -232,22 +232,25 @@ def spin_projector(s: SpinLabel | int, branch: Branch) -> Projector:
     return _adopted(Factorization(s.dim, 2), dim, flat, values)
 
 
+def _spin_rows(two_j: np.ndarray, plus: np.ndarray) -> np.ndarray:
+    """Closed-form strings, one row per 2j: plus branch where `plus` holds."""
+    j = two_j / 2.0
+    denom = 2.0 * j + 1.0
+    first, rest = np.where(plus, j + 1.0, j), np.where(plus, j, j + 1.0)
+    return np.stack([first / denom] + [rest / (3.0 * denom)] * 3, axis=1)
+
+
 def spin_string_closed(s: SpinLabel | int, branch: Branch) -> SchmidtString:
     """Closed-form Schmidt string of a total angular momentum eigenspace.
 
     Plus branch: (j + 1, j/3, j/3, j/3) / (2j + 1).
-    Minus branch: ((j + 1)/3 three times, j) / (2j + 1), sorted descending.
+    Minus branch: (j, (j + 1)/3 three times) / (2j + 1), descending.
     """
     s = _label(s)
     if not isinstance(branch, Branch):
         raise InputError(f"branch must be a Branch, got {branch!r}")
-    j = s.j
-    denom = 2.0 * j + 1.0
-    if branch is Branch.PLUS:
-        values = [(j + 1.0) / denom] + [j / (3.0 * denom)] * 3
-    else:
-        values = [j / denom] + [(j + 1.0) / (3.0 * denom)] * 3
-    return SchmidtString.from_probs(values, length=SPIN_STRING_LENGTH)
+    rows = _spin_rows(np.array([s.two_j]), branch is Branch.PLUS)
+    return SchmidtString._rows(rows)[0]
 
 
 def limiting_string() -> SchmidtString:
@@ -340,10 +343,6 @@ class HydrogenLevel:
             )
 
 
-def _half_label(prefix: str, two_k: int) -> str:
-    return f"{prefix}_{two_k}/2"
-
-
 def hydrogen_level(n: int) -> HydrogenLevel:
     """Fine structure decomposition of the n-th hydrogen-like level.
 
@@ -357,31 +356,14 @@ def hydrogen_level(n: int) -> HydrogenLevel:
     # a `hydrogen` op peaks at 12.3-14.7 traced bytes per (2n)^2 (n = 100..800),
     # for the (2n) x (2n) verdict matrices of `sort_chain`
     within_budget(f"n={n}", 16 * (2 * n) ** 2)
-    entries: list[HydrogenEntry] = []
-    entries.append(
-        HydrogenEntry(
-            label=_half_label("V", 1),
-            l=0,
-            branch=Branch.PLUS,
-            string=SchmidtString.from_probs([1.0], length=SPIN_STRING_LENGTH),
-        )
+    # V_1/2, then V_{l+1/2} and Vt_{l-1/2} for l = 1..n-1; j = 0 gives (1, 0, 0, 0)
+    row = np.arange(2 * n - 1)
+    ls, plus = (row + 1) // 2, (row % 2 == 1) | (row == 0)
+    strings = SchmidtString._rows(_spin_rows(2 * ls, plus))
+    entries = tuple(
+        HydrogenEntry(f"V_{2 * l + 1}/2", l, Branch.PLUS, string)
+        if p
+        else HydrogenEntry(f"Vt_{2 * l - 1}/2", l, Branch.MINUS, string)
+        for l, p, string in zip(ls.tolist(), plus.tolist(), strings)
     )
-    for l in range(1, n):
-        s = SpinLabel(2 * l)
-        entries.append(
-            HydrogenEntry(
-                label=_half_label("V", 2 * l + 1),
-                l=l,
-                branch=Branch.PLUS,
-                string=spin_string_closed(s, Branch.PLUS),
-            )
-        )
-        entries.append(
-            HydrogenEntry(
-                label=_half_label("Vt", 2 * l - 1),
-                l=l,
-                branch=Branch.MINUS,
-                string=spin_string_closed(s, Branch.MINUS),
-            )
-        )
-    return HydrogenLevel(n=n, entries=tuple(entries))
+    return HydrogenLevel(n=n, entries=entries)

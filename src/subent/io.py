@@ -17,13 +17,14 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .catalog import HydrogenLevel
 from .errors import InputError
 from .majorization import ChainResult, Verdict
-from .schmidt import SchmidtString, measures
+from .schmidt import SchmidtString, _row_measures
 from .spaces import Factorization, Projector, SubspaceBasis
 
 JSON_DIGITS = ".17g"
@@ -207,11 +208,17 @@ def dumps_json(obj) -> str:
     """Serialize nested dicts/lists, two spaces per level, 17-digit floats.
 
     A float64 ndarray is written exactly as its ``.tolist()`` would be.
+    Strings are quoted as ``json.dumps`` quotes them.
     """
 
     def emit(value, depth: int) -> str:
-        pad = "  " * depth
-        inner = pad + "  "
+        kind = type(value)  # exact float, str and int first: nearly every value
+        if kind is float:
+            return _format_float(value, JSON_DIGITS)
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if kind is int:
+            return str(value)
         if value is None:
             return "null"
         if isinstance(value, bool):
@@ -220,13 +227,13 @@ def dumps_json(obj) -> str:
             return str(int(value))
         if isinstance(value, (float, np.floating)):
             return _format_float(float(value), JSON_DIGITS)
-        if isinstance(value, str):
-            return json.dumps(value)
+        pad = "  " * depth
+        inner = pad + "  "
         if isinstance(value, dict):
             if not value:
                 return "{}"
             rows = [
-                f"{inner}{json.dumps(str(k))}: {emit(v, depth + 1)}"
+                f"{inner}{encode_basestring_ascii(str(k))}: {emit(v, depth + 1)}"
                 for k, v in value.items()
             ]
             return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
@@ -249,14 +256,14 @@ def dumps_json(obj) -> str:
     return emit(obj, 0) + "\n"
 
 
-def _string_fields(string: SchmidtString) -> dict:
-    """The schmidt_string, k and measures fields of every result record."""
-    meas = measures(string)
-    return {
-        "schmidt_string": [float(x) for x in string.probs],
-        "k": string.k,
-        "measures": {"e_d": meas.e_d, "e_i": meas.e_i, "e_t": meas.e_t},
-    }
+def _string_fields(strings: list[SchmidtString]) -> list[dict]:
+    """Each result record's schmidt_string, k and measures, for equal lengths."""
+    stack, ks = np.stack([s.probs for s in strings]), [s.k for s in strings]
+    columns = zip(stack.tolist(), ks, *_row_measures(stack, ks))
+    return [
+        {"schmidt_string": p, "k": k, "measures": {"e_d": d, "e_i": i, "e_t": t}}
+        for p, k, d, i, t in columns
+    ]
 
 
 def result_document(
@@ -270,7 +277,7 @@ def result_document(
         "d1": f.d1,
         "d2": f.d2,
         "dim": projector.dim,
-        **_string_fields(string),
+        **_string_fields([string])[0],
         "projector_defects": {
             "hermiticity": report.hermiticity,
             "idempotency": report.idempotency,
@@ -336,6 +343,8 @@ def hydrogen_document(
 ) -> dict:
     """The fine structure chain of a level; `chain` ranks its labels and S_0."""
     rank = {label: i + 1 for i, label in enumerate(chain.labels)}
+    fields = _string_fields([e.string for e in level.entries])
+    (s0,) = _string_fields([limiting])
     entries = [
         {
             "label": e.label,
@@ -345,20 +354,16 @@ def hydrogen_document(
             "d1": 2 * e.l + 1,
             "d2": 2,
             "dim": e.dim,
-            **_string_fields(e.string),
+            **f,
         }
-        for e in level.entries
+        for e, f in zip(level.entries, fields)
     ]
     return {
         "n": level.n,
         "order": list(chain.labels),
         "strict": not chain.ties,
         "entries": entries,
-        "limiting": {
-            "label": "S_0",
-            "rank": rank["S_0"],
-            **_string_fields(limiting),
-        },
+        "limiting": {"label": "S_0", "rank": rank["S_0"], **s0},
     }
 
 

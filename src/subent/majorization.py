@@ -57,12 +57,19 @@ def partial_sums(strings: Iterable[SchmidtString | Sequence[float]]) -> np.ndarr
     return np.cumsum(padded, axis=1)
 
 
+_SLAB = 1 << 16  # cells in one slab of `_below`'s (rows, L, n) comparison
+
+
 def _below(c: np.ndarray, tol: float) -> np.ndarray:
     """below[i, j]: no partial sum in row i of `c` exceeds row j's plus tol."""
     if not (math.isfinite(tol) and tol >= 0):
         raise InputError(f"tol must be finite and >= 0, got {tol!r}")
-    c_tol = c + tol
-    return np.array([np.all(row <= c_tol, axis=1) for row in c])
+    c_tol = np.ascontiguousarray((c + tol).T)  # (L, n): slabs reduce over axis 1
+    step = max(1, _SLAB // c.size)
+    below = np.empty((len(c), len(c)), dtype=bool)
+    for i in range(0, len(c), step):
+        np.all(c[i : i + step, :, None] <= c_tol, axis=1, out=below[i : i + step])
+    return below
 
 
 # Verdict of string i against string j, indexed by 2 * below[i, j] + below[j, i].

@@ -45,6 +45,23 @@ from .tolerances import (
 )
 
 
+def _check_rows(stack: np.ndarray) -> None:
+    """Raise the one-row constructor's InputError for a bad row of an (m, L) stack."""
+    negative = (stack < 0).any(axis=1)
+    if negative.any():
+        low = stack[negative.argmax()].min()
+        raise InputError(f"probs contains negative entries (min {low:.3e})")
+    if (stack[:, 1:] > stack[:, :-1]).any():
+        raise InputError("probs must be sorted in non-increasing order")
+    totals = stack.sum(axis=1)
+    off = ~(np.abs(totals - 1.0) <= STRING_SUM_TOL)  # also catches NaN
+    if off.any():
+        raise InputError(
+            f"probs sum to {totals[off.argmax()]:.17g}, expected 1 within "
+            f"{STRING_SUM_TOL:g}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class SchmidtString:
     """Descending probability string of squared Schmidt coefficients.
@@ -61,19 +78,23 @@ class SchmidtString:
         p = as_array(self.probs, "probs", np.float64)
         if p.ndim != 1 or p.size == 0:
             raise InputError("probs must be a non-empty 1-D array")
-        if np.any(p < 0):
-            raise InputError(f"probs contains negative entries (min {p.min():.3e})")
-        if np.any(np.diff(p) > 0):
-            raise InputError("probs must be sorted in non-increasing order")
-        total = float(p.sum())
-        if not abs(total - 1.0) <= STRING_SUM_TOL:  # also rejects NaN
-            raise InputError(
-                f"probs sum to {total:.17g}, expected 1 within {STRING_SUM_TOL:g}"
-            )
-        p = np.ascontiguousarray(p)
+        _check_rows(p[None])
+        self._adopt(np.ascontiguousarray(p), int(np.count_nonzero(p)))
+
+    def _adopt(self, p: np.ndarray, k: int) -> "SchmidtString":
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "k", p.nonzero()[0].size)
+        object.__setattr__(self, "k", k)
+        return self
+
+    @classmethod
+    def _rows(cls, stack: np.ndarray) -> list["SchmidtString"]:
+        """One string per row of a float64 (m, L) stack, checked at once; each
+        string's `probs` is a read-only view of its row."""
+        _check_rows(stack)
+        stack = np.ascontiguousarray(stack)
+        ks = np.count_nonzero(stack, axis=1).tolist()
+        return [cls.__new__(cls)._adopt(p, k) for p, k in zip(stack, ks)]
 
     def __len__(self) -> int:
         return int(self.probs.size)
@@ -111,11 +132,9 @@ class SchmidtString:
             length = as_count(length, "length")
             if length < p.size:
                 raise InputError(f"length {length} shorter than {p.size} values")
-            padded = np.zeros(length, dtype=np.float64)
-            padded[: p.size] = p
-            p = padded
+            p = np.concatenate([p, np.zeros(length - p.size)])
         try:
-            return cls(probs=p)
+            return cls._rows(p[None])[0]
         except InputError as exc:
             if floored > 0:
                 raise InputError(
@@ -139,18 +158,27 @@ class Measures:
     e_t: float
 
 
+def _row_measures(stack: np.ndarray, ks: list[int]) -> tuple[list, list, list]:
+    """e_d, e_i and e_t of each row of a stack of strings of Schmidt ranks `ks`."""
+    # p1 may exceed 1 by up to the string sum tolerance; clamp the radicand.
+    e_d = np.sqrt(np.maximum(2.0 * (1.0 - np.sqrt(stack[:, 0])), 0.0))
+    e_t = np.maximum(1.0 - (stack * stack).sum(axis=1), 0.0)
+    # entropies sum each row's k positive entries alone, one call per distinct
+    # k: the trailing zeros would regroup the pairwise sum and move last bits
+    e_i = np.empty(len(ks))
+    for k in set(ks):
+        rows = np.equal(ks, k)
+        nz = stack[rows, :k]
+        e_i[rows] = 0.0 - (nz * np.log2(nz)).sum(axis=1)  # 0.0, never -0.0
+    return e_d.tolist(), e_i.tolist(), e_t.tolist()
+
+
 def measures(s: SchmidtString) -> Measures:
     """Evaluate all three measures on a Schmidt string."""
     if not isinstance(s, SchmidtString):
         raise InputError(f"measures needs a SchmidtString, got {type(s).__name__}")
-    p = s.probs
-    p1 = float(p[0])
-    # p1 may exceed 1 by up to the string sum tolerance; clamp the radicand.
-    e_d = math.sqrt(max(0.0, 2.0 * (1.0 - math.sqrt(p1))))
-    nz = p[p > 0]
-    e_i = float(-(nz * np.log2(nz)).sum()) + 0.0
-    e_t = float(1.0 - (p * p).sum()) + 0.0
-    return Measures(e_d=e_d, e_i=e_i, e_t=max(e_t, 0.0))
+    (e_d,), (e_i,), (e_t,) = _row_measures(s.probs[None], [s.k])
+    return Measures(e_d=e_d, e_i=e_i, e_t=e_t)
 
 
 def realign(p: Projector) -> np.ndarray:

@@ -31,6 +31,7 @@ from .majorization import sort_chain
 from .schmidt import Measures, SchmidtString, measures, realign, schmidt_string
 from .spaces import Factorization, SubspaceBasis, as_count, projector_from_basis
 from .tolerances import COMPLETENESS_TOL, MEASURE_TOL, Q_MATRIX_TOL, STRING_TOL
+from .tolerances import within_budget
 
 
 @dataclass(frozen=True)
@@ -184,6 +185,8 @@ def hydrogen_chain_expected(n: int) -> tuple[str, ...]:
 def verify_hydrogen(max_n: int = 8) -> FamilyReport:
     """Pipeline strings and chain order for hydrogen-like levels, n = 1..max_n."""
     max_n = as_count(max_n, "max_n")
+    # the largest level's estimate, as `hydrogen_level` takes it, before level 1
+    within_budget(f"max_n={max_n}", 16 * (2 * max_n) ** 2)
     checks: list[Check] = []
     # each eigenspace recurs in every later level; the pipeline is
     # deterministic, so it runs once per (l, branch)
