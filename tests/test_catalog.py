@@ -541,6 +541,23 @@ class TestHydrogenLevel:
         assert message == f"n={n} needs about {need:,} bytes, budget 1,000,000,000"
         assert peak < 1_000_000
 
+    def test_rows_are_the_closed_strings_bit_for_bit(self):
+        # the stacked level against spin_string_closed and the scalar formula
+        level = hydrogen_level(400)
+        assert len(level.entries) == 799
+        assert float_bits(level.entries[0].string.probs).tolist() == float_bits(
+            [1.0, 0.0, 0.0, 0.0]
+        ).tolist()
+        for e in level.entries[1:]:
+            j = float(e.l)
+            denom = 2.0 * j + 1.0
+            big, small = (j + 1.0, j) if e.branch is Branch.PLUS else (j, j + 1.0)
+            scalar = [big / denom] + [small / (3.0 * denom)] * 3
+            closed = spin_string_closed(SpinLabel(2 * e.l), e.branch).probs
+            assert float_bits(e.string.probs).tolist() == float_bits(closed).tolist()
+            assert float_bits(e.string.probs).tolist() == float_bits(scalar).tolist()
+            assert e.string.k == 4 and not e.string.probs.flags.writeable
+
     def test_level_invariants_enforced(self):
         good = hydrogen_level(2)
         with pytest.raises(InputError, match="entries"):

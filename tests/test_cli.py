@@ -596,6 +596,16 @@ class TestVerify:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("max_n", [3953, 10**20])
+    def test_hydrogen_range_over_the_byte_budget(self, capsys, max_n):
+        # refused from max_n alone, before level 1 runs
+        argv = ["verify", "--family", "hydrogen", "--max-n", str(max_n)]
+        code, out, err, peak = traced_run(capsys, *argv)
+        need = f"{16 * (2 * max_n) ** 2:,}"
+        message = f"input error: max_n={max_n} needs about {need} bytes, budget 1,000,000,000\n"
+        assert (code, out, err) == (2, "", message)
+        assert peak < 1_000_000
+
     def test_spin_range_is_read(self, capsys):
         code, out, _ = run(capsys, "verify", "--family", "spin", "--max-two-j", "3")
         assert code == 0

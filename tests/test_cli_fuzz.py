@@ -4,8 +4,8 @@ Every argv, valid or not, must end in an exit code the CLI documents (0, 1,
 2 or 3) with no exception escaping `main` and no traceback on stderr.  Sizes
 are capped (antisym/sym n <= 64, verify n <= 12, 2j <= 60, hydrogen n <= 30)
 so each call stays small; no subprocess is started.  Exchange preset, spin
-preset, hydrogen and basis document sizes over the byte budget are drawn on
-their own, and each must be refused at once.
+preset, hydrogen, `verify --family hydrogen` range and basis document sizes
+over the byte budget are drawn on their own, and each must be refused at once.
 """
 
 import contextlib
@@ -214,6 +214,14 @@ class TestOverBudget:
         code, err = run(argv)
         assert code == 2, (argv, err)
         assert err.startswith(f"input error: n={n} needs about "), err
+
+    @settings(max_examples=60, deadline=500)
+    @given(max_n=HYDROGEN_OVER_BUDGET)
+    def test_verify_hydrogen_range_is_refused_at_once(self, max_n):
+        argv = ["verify", "--family", "hydrogen", "--max-n", max_n]
+        code, err = run(argv)
+        assert code == 2, (argv, err)
+        assert err.startswith(f"input error: max_n={max_n} needs about "), err
 
     @settings(max_examples=60, deadline=500)
     @given(two_j=SPIN_OVER_BUDGET, schmidt=st.booleans())

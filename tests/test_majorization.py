@@ -20,6 +20,8 @@ from subent import (
     sym_string_closed,
 )
 
+from subent import majorization
+
 from .helpers import (
     apply_t_transforms,
     majorization_certificate,
@@ -295,6 +297,60 @@ class TestSortChain:
         # entanglement of the plus branch grows with j
         assert chain.labels == ("plus1", "plus2", "plus3")
 
+
+
+def pooled_family(rng, n: int, length: int) -> list[np.ndarray]:
+    """n strings of length <= `length` drawn from a smaller pool, so some
+    repeat, some are comparable and some are not."""
+    pool = [uniform(k) for k in range(1, length + 1)]
+    for _ in range(max(1, n // 3)):
+        values = rng.random(int(rng.integers(1, length + 1))) ** 2
+        pool.append(np.sort(values / values.sum())[::-1])
+    return [pool[i] for i in rng.integers(0, len(pool), n)]
+
+
+class TestBelowSlabs:
+    """`_below` in slabs of rows agrees with pairwise `compare`."""
+
+    def assert_matches_compare(self, family, tol):
+        below = majorization._below(partial_sums(family), tol)
+        codes = {
+            Verdict.MORE_ENTANGLED: (True, False),
+            Verdict.LESS_ENTANGLED: (False, True),
+            Verdict.EQUAL: (True, True),
+            Verdict.INCOMPARABLE: (False, False),
+        }
+        for i, s in enumerate(family):
+            for j, t in enumerate(family):
+                assert (below[i, j], below[j, i]) == codes[compare(s, t, tol)]
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.05])
+    def test_two_strings(self, tol):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            family = pooled_family(rng, 2, 6)
+            c = partial_sums(family)
+            below = majorization._below(c, tol)
+            expected = [[np.all(c[i] <= c[j] + tol) for j in range(2)] for i in range(2)]
+            assert below.tolist() == expected
+            self.assert_matches_compare(family, tol)
+
+    @pytest.mark.parametrize("n, length", [(150, 8), (61, 128)])
+    def test_several_slabs(self, n, length):
+        family = pooled_family(np.random.default_rng(n), n, length)
+        width = max(len(p) for p in family)
+        assert n > max(1, majorization._SLAB // (n * width)) * 2  # three slabs or more
+        self.assert_matches_compare(family, 1e-9)
+
+    @pytest.mark.parametrize("slab", [1, 7, 64, 10**9])
+    def test_any_slab_size(self, monkeypatch, slab):
+        # one row per slab, uneven slabs with a short last one, and one slab
+        family = pooled_family(np.random.default_rng(slab), 23, 5)
+        monkeypatch.setattr(majorization, "_SLAB", slab)
+        self.assert_matches_compare(family, 1e-9)
+        chain = sort_chain((f"s{i}", p) for i, p in enumerate(family))
+        monkeypatch.undo()
+        assert chain == sort_chain((f"s{i}", p) for i, p in enumerate(family))
 
 def assert_certified(x, y, tol):
     """compare(x, y) and an independent majorization witness agree."""

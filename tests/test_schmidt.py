@@ -115,6 +115,129 @@ class TestSchmidtStringType:
             s.probs[0] = 0.5
 
 
+
+def one_row_message(row) -> str:
+    """The message the public constructor gives for one bad row."""
+    with pytest.raises(InputError) as info:
+        SchmidtString(probs=np.array(row))
+    return str(info.value)
+
+
+GOOD_ROW = [0.5, 0.25, 0.25, 0.0]
+BAD_ROWS = {
+    "negative": [1.25, 0.0, 0.0, -0.25],
+    "unsorted": [0.25, 0.75, 0.0, 0.0],
+    "sum off": [0.5, 0.25, 0.125, 0.0],
+    "nan": [0.5, 0.25, math.nan, 0.0],
+}
+
+
+class TestStringRows:
+    """`SchmidtString._rows`: one check of a whole stack of strings."""
+
+    @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+    @pytest.mark.parametrize("at", [1, 2, 4])
+    def test_bad_row_past_row_0_has_the_one_row_message(self, kind, at):
+        stack = np.array([GOOD_ROW] * 5)
+        stack[at] = BAD_ROWS[kind]
+        with pytest.raises(InputError) as info:
+            SchmidtString._rows(stack)
+        assert str(info.value) == one_row_message(BAD_ROWS[kind])
+
+    def test_several_bad_rows_report_one_of_them_exactly(self):
+        stack = np.array([GOOD_ROW, BAD_ROWS["sum off"], BAD_ROWS["negative"]])
+        with pytest.raises(InputError) as info:
+            SchmidtString._rows(stack)
+        assert str(info.value) == one_row_message(BAD_ROWS["negative"])
+
+    def test_rows_are_read_only_strings_with_their_rank(self):
+        stack = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.25, 0.25]])
+        strings = SchmidtString._rows(stack)
+        assert [s.k for s in strings] == [1, 2, 3]
+        for s, row in zip(strings, stack):
+            assert type(s.k) is int
+            assert np.array_equal(s.probs, row)
+            assert np.array_equal(s.probs, SchmidtString(probs=row.copy()).probs)
+            with pytest.raises(ValueError):
+                s.probs[0] = 0.0
+
+    def test_from_probs_coerces_once(self, monkeypatch):
+        calls = []
+
+        def counting(a, name, dtype=np.complex128):
+            calls.append(name)
+            return linalg.as_array(a, name, dtype)
+
+        monkeypatch.setattr(schmidt, "as_array", counting)
+        s = SchmidtString.from_probs([0.25, 0.75], length=3)
+        assert calls == ["probs"]
+        assert list(s.probs) == [0.75, 0.25, 0.0]
+
+    def test_constructor_still_freezes_its_array(self):
+        a = np.array([0.75, 0.25])
+        SchmidtString(probs=a)
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+
+
+def measures_reference(p: np.ndarray) -> tuple[float, float, float]:
+    """The one-string measures as written before they were stacked: the
+    entropy is summed over the positive entries alone."""
+    e_d = math.sqrt(max(0.0, 2.0 * (1.0 - math.sqrt(float(p[0])))))
+    nz = p[p > 0]
+    e_i = float(-(nz * np.log2(nz)).sum()) + 0.0
+    e_t = float(1.0 - (p * p).sum()) + 0.0
+    return e_d, e_i, max(e_t, 0.0)
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def trailing_zero_strings(rng, length: int, count: int) -> list[SchmidtString]:
+    strings = []
+    for _ in range(count):
+        k = int(rng.integers(1, length + 1))
+        values = rng.random(k) ** 3
+        strings.append(SchmidtString.from_probs(values / values.sum(), length=length))
+    return strings
+
+
+class TestStackedMeasures:
+    """`schmidt._row_measures` on a stack agrees bit for bit with `measures`
+    on each row, and both with the one-string formulas."""
+
+    def assert_bit_equal(self, strings):
+        stack = np.stack([s.probs for s in strings])
+        e_d, e_i, e_t = schmidt._row_measures(stack, [s.k for s in strings])
+        one = [measures(s) for s in strings]
+        reference = [measures_reference(s.probs) for s in strings]
+        for got, name, column in zip((e_d, e_i, e_t), ("e_d", "e_i", "e_t"), zip(*reference)):
+            assert bits(got) == bits([getattr(m, name) for m in one]) == bits(column)
+
+    @pytest.mark.parametrize("length", [4, 9, 16, 64, 200])
+    def test_trailing_zeros(self, length):
+        # the ranks differ row to row, and many rows end in zeros
+        rng = np.random.default_rng(length)
+        self.assert_bit_equal(trailing_zero_strings(rng, length, 60))
+
+    def test_first_entry_just_above_one(self):
+        strings = [
+            SchmidtString(probs=np.array([1.0 + 5e-10, 0.0, 0.0])),
+            SchmidtString(probs=np.array([1.0 + 1e-10, 1e-12, 0.0])),
+            SchmidtString(probs=np.array([np.nextafter(1.0, 2.0), 0.0, 0.0])),
+            SchmidtString(probs=np.array([1.0, 0.0, 0.0])),
+        ]
+        self.assert_bit_equal(strings)
+        assert [measures(s).e_d for s in strings] == [0.0] * 4
+        assert all(measures(s).e_t == 0.0 for s in strings)
+
+    def test_length_one(self):
+        strings = [SchmidtString(probs=np.array([p])) for p in (1.0, 1.0 + 5e-10)]
+        self.assert_bit_equal(strings)
+        assert bits([measures(strings[0]).e_i]) == bits([0.0])  # not -0.0
+
+
 class TestRealign:
     def test_whole_space_is_rank_one(self):
         p = projector_from_basis(SubspaceBasis(Factorization(2, 2), np.eye(4)))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from subent import (
@@ -83,6 +85,35 @@ class TestFamilies:
             verify_spin(max_two_j=0)
         with pytest.raises(InputError):
             verify_hydrogen(max_n=0)
+
+    @pytest.mark.parametrize("max_n", [3953, 10**20, 10**40])
+    def test_hydrogen_range_over_the_byte_budget(self, monkeypatch, max_n):
+        # refused from the largest level's 16 (2 max_n)^2 bytes, before level 1
+        def no_level(n):
+            raise AssertionError(f"level {n} was built")
+
+        monkeypatch.setattr(verify_module, "hydrogen_level", no_level)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError) as info:
+                verify_hydrogen(max_n=max_n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        need = 16 * (2 * max_n) ** 2
+        assert str(info.value) == (
+            f"max_n={max_n} needs about {need:,} bytes, budget 1,000,000,000"
+        )
+        assert peak < 1_000_000
+
+    def test_hydrogen_range_within_the_byte_budget_runs(self, monkeypatch):
+        # 3952 is the largest level within BYTE_BUDGET, so its sweep starts
+        def first_level(n):
+            raise LookupError(f"level {n}")
+
+        monkeypatch.setattr(verify_module, "hydrogen_level", first_level)
+        with pytest.raises(LookupError, match="^level 1$"):
+            verify_hydrogen(max_n=3952)
 
     def test_tightened_tolerance_fails(self, monkeypatch):
         # machine noise exceeds an absurd tolerance, proving checks are live
