@@ -212,7 +212,7 @@ def dumps_json(obj) -> str:
     """
 
     def emit(value, depth: int) -> str:
-        kind = type(value)  # exact float, str and int first: nearly every value
+        kind = type(value)  # float, str and int first: nearly every value is one
         if kind is float:
             return _format_float(value, JSON_DIGITS)
         if isinstance(value, str):
