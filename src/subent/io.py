@@ -257,13 +257,15 @@ def dumps_json(obj) -> str:
 
 
 def _string_fields(strings: list[SchmidtString]) -> list[dict]:
-    """Each result record's schmidt_string, k and measures, for equal lengths."""
-    stack, ks = np.stack([s.probs for s in strings]), [s.k for s in strings]
-    columns = zip(stack.tolist(), ks, *_row_measures(stack, ks))
-    return [
-        {"schmidt_string": p, "k": k, "measures": {"e_d": d, "e_i": i, "e_t": t}}
-        for p, k, d, i, t in columns
-    ]
+    """Each record's schmidt_string, k and measures, one call per string length."""
+    fields: list = [None] * len(strings)
+    for length in {len(s) for s in strings}:
+        at = [i for i, s in enumerate(strings) if len(s) == length]
+        stack, ks = np.stack([strings[i].probs for i in at]), [strings[i].k for i in at]
+        for i, p, k, d, e, t in zip(at, stack.tolist(), ks, *_row_measures(stack, ks)):
+            measures = {"e_d": d, "e_i": e, "e_t": t}
+            fields[i] = {"schmidt_string": p, "k": k, "measures": measures}
+    return fields
 
 
 def result_document(
@@ -343,8 +345,7 @@ def hydrogen_document(
 ) -> dict:
     """The fine structure chain of a level; `chain` ranks its labels and S_0."""
     rank = {label: i + 1 for i, label in enumerate(chain.labels)}
-    fields = _string_fields([e.string for e in level.entries])
-    (s0,) = _string_fields([limiting])
+    *fields, s0 = _string_fields([e.string for e in level.entries] + [limiting])
     entries = [
         {
             "label": e.label,

@@ -89,8 +89,7 @@ class SchmidtString:
 
     @classmethod
     def _rows(cls, stack: np.ndarray) -> list["SchmidtString"]:
-        """One string per row of a float64 (m, L) stack, checked at once; each
-        string's `probs` is a read-only view of its row."""
+        """One checked string per row of an (m, L) stack, each a read-only view."""
         _check_rows(stack)
         stack = np.ascontiguousarray(stack)
         ks = np.count_nonzero(stack, axis=1).tolist()

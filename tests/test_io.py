@@ -8,10 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from subent import Branch, InputError, schmidt_string, spin_projector
+from subent import (
+    Branch,
+    HydrogenEntry,
+    HydrogenLevel,
+    InputError,
+    SchmidtString,
+    hydrogen_level,
+    limiting_string,
+    measures,
+    schmidt_string,
+    sort_chain,
+    spin_projector,
+)
 from subent.io import (
     basis_document,
     dumps_json,
+    hydrogen_document,
     load_subspace_document,
     parse_subspace_document,
     projector_document,
@@ -215,6 +228,28 @@ class TestDocumentBuilders:
         parsed = parse_subspace_document(json.loads(dumps_json(doc)))
         assert "label" not in doc
         assert np.allclose(parsed.projector, p.matrix, atol=0)
+
+
+class TestHydrogenDocument:
+    def test_strings_of_several_lengths(self):
+        # a hand-built level whose l = 0 string has its pipeline length 1 (its
+        # factorization is 1 x 2), beside length-4 strings, and S_0
+        built = hydrogen_level(3)
+        v = built.entries[0]
+        entries = (HydrogenEntry(v.label, v.l, v.branch, SchmidtString.from_probs([1.0])),)
+        level = HydrogenLevel(n=3, entries=entries + built.entries[1:])
+        s0 = limiting_string()
+        chain = sort_chain([(e.label, e.string) for e in level.entries] + [("S_0", s0)])
+        doc = hydrogen_document(level, s0, chain)
+        records = doc["entries"] + [doc["limiting"]]
+        strings = [e.string for e in level.entries] + [s0]
+        assert [len(r["schmidt_string"]) for r in records] == [1, 4, 4, 4, 4, 4]
+        for record, s in zip(records, strings):
+            assert record["schmidt_string"] == s.probs.tolist()
+            assert record["k"] == s.k
+            m = measures(s)
+            assert record["measures"] == {"e_d": m.e_d, "e_i": m.e_i, "e_t": m.e_t}
+        assert json.loads(dumps_json(doc))["entries"][0]["schmidt_string"] == [1]
 
 
 class TestDumpsJson:
