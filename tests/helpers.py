@@ -264,6 +264,57 @@ def string_deviation(a, b) -> float:
     )
 
 
+def blocks_reference(rows, cols, values, shape, square: bool, settled: bool = True):
+    """`linalg._blocks` by breadth-first search over plain Python lists.
+
+    Vertices are the indices when `square`; otherwise rows and columns with
+    an entry are separate vertices, rows first.  A component's blocks keep
+    the order of its rows and columns, and the blocks are grouped into
+    (count, r, c) stacks by shape, r then c, each stack by its blocks'
+    least row.  Without `settled`, every vertex is one component.
+    """
+    rows, cols, values = list(map(int, rows)), list(map(int, cols)), list(values)
+    if square:
+        row_vertex = col_vertex = {k: k for k in range(shape[0])}
+    else:
+        row_vertex = {r: v for v, r in enumerate(sorted(set(rows)))}
+        col_vertex = {c: len(row_vertex) + v for v, c in enumerate(sorted(set(cols)))}
+    n = len(row_vertex) if square else len(row_vertex) + len(col_vertex)
+    neighbours = [[] for _ in range(n)]
+    for r, c in zip(rows, cols):
+        neighbours[row_vertex[r]].append(col_vertex[c])
+        neighbours[col_vertex[c]].append(row_vertex[r])
+    component = [-1] * n
+    for start in range(n):
+        if component[start] >= 0:
+            continue
+        component[start], queue = start, [start]
+        for v in queue:
+            for u in neighbours[v]:
+                if component[u] < 0:
+                    component[u] = start
+                    queue.append(u)
+    if not settled:
+        component = [0] * n
+    members = {}
+    for r, v in sorted(row_vertex.items()):
+        members.setdefault(component[v], ([], []))[0].append(r)
+    for c, v in sorted(col_vertex.items()):
+        members[component[v]][1].append(c)
+    dense = [[0j] * shape[1] for _ in range(shape[0])]
+    for r, c, x in zip(rows, cols, values):
+        dense[r][c] = complex(x)
+    stacks = {}
+    for least in sorted(members):
+        rs, cs = members[least]
+        block = [[dense[r][c] for c in cs] for r in rs]
+        stacks.setdefault((len(rs), len(cs)), []).append(block)
+    return [
+        np.array(stacks[shape], dtype=np.complex128).reshape(-1, *shape)
+        for shape in sorted(stacks)
+    ]
+
+
 def gram_schmidt_reference(vectors) -> np.ndarray:
     """Modified Gram-Schmidt, one vdot per kept vector and sweep, twice.
 

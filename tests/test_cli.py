@@ -496,6 +496,23 @@ def test_hydrogen_output_sha256(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+SCHMIDT_PINS = [
+    line.split(maxsplit=1)
+    for line in (GOLDEN / "schmidt_sha256.txt").read_text().splitlines()
+]
+
+
+@pytest.mark.parametrize(
+    "digest, argv", SCHMIDT_PINS, ids=[argv for _, argv in SCHMIDT_PINS]
+)
+def test_preset_output_sha256(capsys, argv, digest):
+    # the json output carries the strings, measures and projector defects
+    # at 17 significant digits
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

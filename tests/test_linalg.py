@@ -24,6 +24,7 @@ from subent import (
 from subent.tolerances import DROP_TOL
 
 from .helpers import (
+    blocks_reference,
     char_poly_eigenvalues,
     gram_schmidt_reference,
     kept_whole,
@@ -151,6 +152,85 @@ class TestBlockwiseSpectrum:
             h += np.diag(np.ones(11), 1) + np.diag(np.ones(11), -1)
         assert kept_whole(h)
         assert np.array_equal(hermitian_eigenvalues(h), np.linalg.eigvalsh(h)[::-1])
+
+
+@st.composite
+def block_patterns(draw, square):
+    """(rows, cols, values, shape) of a sparse pattern in random entry order:
+    a random pattern, or a permuted block-diagonal one whose blocks repeat
+    shapes, or one block, or all singletons."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "blocks", "one block", "singletons"]))
+    if kind == "blocks":
+        shapes = st.sampled_from([(1, 1), (2, 1), (1, 3), (2, 2), (3, 2)])
+        sizes = draw(st.lists(shapes, min_size=1, max_size=10))
+        if square:
+            sizes = [(r, r) for r, _ in sizes]
+        side_r, side_c = sum(r for r, _ in sizes), sum(c for _, c in sizes)
+        row_perm = rng.permutation(side_r)
+        col_perm = row_perm if square else rng.permutation(side_c)
+        m = np.zeros((side_r, side_c), dtype=bool)
+        r0 = c0 = 0
+        for r, c in sizes:
+            m[np.ix_(row_perm[r0 : r0 + r], col_perm[c0 : c0 + c])] = True
+            r0, c0 = r0 + r, c0 + c
+    else:
+        side = draw(st.integers(1, 14))
+        shape = (side, side) if square else (side, draw(st.integers(1, 14)))
+        if kind == "random":
+            m = rng.random(shape) < draw(st.sampled_from([0.05, 0.15, 0.4]))
+        elif kind == "one block":
+            m = np.ones(shape, dtype=bool)
+        else:
+            m = np.zeros(shape, dtype=bool)
+            k = min(shape)
+            m[rng.permutation(shape[0])[:k], rng.permutation(shape[1])[:k]] = True
+    # a rectangular extent larger than the pattern, as A's is
+    if not square and draw(st.booleans()):
+        m = np.pad(m, ((0, draw(st.integers(0, 4))), (0, draw(st.integers(0, 4)))))
+    rows, cols = np.nonzero(m)
+    if not square and rows.size == 0:
+        rows, cols = np.array([0]), np.array([0])
+    order = rng.permutation(rows.size)
+    rows, cols = rows[order], cols[order]
+    values = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+    return rows, cols, values, m.shape
+
+
+class TestBlocksReference:
+    """`_blocks` bit for bit against a breadth-first search."""
+
+    @staticmethod
+    def assert_matches(pattern, square, settled):
+        got = linalg._blocks(*pattern, square)
+        want = blocks_reference(*pattern, square, settled)
+        assert [b.shape for b in got] == [b.shape for b in want]
+        for g, w in zip(got, want):
+            assert g.dtype == np.complex128
+            assert np.array_equal(g, w)
+            assert np.array_equal(np.signbit(g.real), np.signbit(w.real))
+            assert np.array_equal(np.signbit(g.imag), np.signbit(w.imag))
+
+    @settings(max_examples=300, deadline=None)
+    @given(pattern=block_patterns(square=True))
+    def test_square(self, pattern):
+        self.assert_matches(pattern, True, True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pattern=block_patterns(square=False))
+    def test_rectangular(self, pattern):
+        self.assert_matches(pattern, False, True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(square=st.booleans(), data=st.data())
+    def test_unsettled_labels_make_one_block(self, square, data):
+        pattern = data.draw(block_patterns(square=square))
+        original = linalg._component_labels
+        linalg._component_labels = lambda *args: None
+        try:
+            self.assert_matches(pattern, square, False)
+        finally:
+            linalg._component_labels = original
 
 
 class TestGramSchmidt:

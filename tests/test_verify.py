@@ -1,4 +1,6 @@
+import hashlib
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,24 @@ from subent import (
 from subent import verify as verify_module
 
 from .helpers import verify_hydrogen_reference
+
+
+# sha256 of each sweep's checks, one `repr` a line: the deviations at full
+# precision, so a change that moves any last bit of a check shows
+CHECK_PINS = [
+    line.split(maxsplit=1)
+    for line in (Path(__file__).parent / "golden" / "verify_checks_sha256.txt")
+    .read_text()
+    .splitlines()
+]
+
+
+@pytest.mark.parametrize("digest, call", CHECK_PINS, ids=[c for _, c in CHECK_PINS])
+def test_check_reprs_sha256(digest, call):
+    name, args = call.rstrip(")").split("(")
+    report = getattr(verify_module, name)(*(int(a) for a in args.split(", ") if a))
+    text = "\n".join(repr(c) for c in report.checks)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestCheck:
