@@ -164,20 +164,24 @@ def sort_chain(
         raise InputError("sort_chain needs at least two strings")
     labels = [str(label) for label, _ in entries]
     below = _below(partial_sums(s for _, s in entries), tol)
-    codes = 2 * below + below.T  # indexes _VERDICTS for string i against j
 
-    def pairs(verdict: Verdict) -> tuple[tuple[str, str], ...]:
-        i, j = np.nonzero(np.triu(codes == _VERDICTS.index(verdict), 1))
-        return tuple((labels[a], labels[b]) for a, b in zip(i, j))
+    def pairs(mask: np.ndarray) -> tuple[tuple[str, str], ...]:
+        # the pairs i < j where the symmetric `mask` holds, row-major
+        i, j = (x.tolist() for x in mask.nonzero()) if mask.any() else ((), ())
+        return tuple((labels[a], labels[b]) for a, b in zip(i, j) if a < b)
 
-    ties, incomparable = pairs(Verdict.EQUAL), pairs(Verdict.INCOMPARABLE)
+    # string i against j: equal where both below[i, j] and below[j, i] hold,
+    # incomparable where neither does, more entangled where only below[i, j]
+    equal = below & below.T
+    np.fill_diagonal(equal, False)  # each string equals itself; skip those
+    ties, incomparable = pairs(equal), pairs(~(below | below.T))
     if incomparable:
         return ChainResult(
             ordered=False, labels=None, ties=ties, incomparable=incomparable
         )
     # Least entangled first: sort by how many strings each one strictly
     # dominates; stable, so equal strings keep their input order.
-    scores = np.sum(codes == _VERDICTS.index(Verdict.MORE_ENTANGLED), axis=1)
+    scores = (below & ~below.T).sum(axis=1)
     order = np.argsort(scores, kind="stable")
     return ChainResult(
         ordered=True, labels=tuple(labels[i] for i in order), ties=ties, incomparable=()

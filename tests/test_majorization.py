@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from subent import (
     Branch,
+    ChainResult,
     InputError,
     SchmidtString,
     SpinLabel,
@@ -264,27 +265,47 @@ class TestSortChain:
             with pytest.raises(InputError, match="tol must be finite and >= 0"):
                 sort_chain(items, tol=tol)
 
-    @settings(max_examples=150, deadline=None)
-    @given(family=string_families(), tol=st.sampled_from([0.0, 1e-9, 0.05]))
-    def test_matches_pairwise_compare(self, family, tol):
+    @staticmethod
+    def pairwise_chain(family, tol):
+        """The ChainResult pairwise `compare` gives for labels s0, s1, ...:
+        pairs (i, j), i < j, row-major, and an ordered chain sorted stably
+        by how many strings each one strictly dominates."""
         n = len(family)
         labels = [f"s{i}" for i in range(n)]
-        chain = sort_chain(zip(labels, family), tol)
         verdict = [[compare(p, q, tol) for q in family] for p in family]
         upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
         def pairs(v):
             return tuple((labels[i], labels[j]) for i, j in upper if verdict[i][j] is v)
 
-        assert chain.ties == pairs(Verdict.EQUAL)
-        assert chain.incomparable == pairs(Verdict.INCOMPARABLE)
-        assert chain.ordered == (not chain.incomparable)
-        if chain.ordered:
-            score = [row.count(Verdict.MORE_ENTANGLED) for row in verdict]
-            order = sorted(range(n), key=lambda i: score[i])
-            assert chain.labels == tuple(labels[i] for i in order)
-        else:
-            assert chain.labels is None
+        ties, incomparable = pairs(Verdict.EQUAL), pairs(Verdict.INCOMPARABLE)
+        if incomparable:
+            return ChainResult(False, None, ties, incomparable)
+        score = [row.count(Verdict.MORE_ENTANGLED) for row in verdict]
+        order = sorted(range(n), key=lambda i: score[i])
+        return ChainResult(True, tuple(labels[i] for i in order), ties, ())
+
+    @settings(max_examples=150, deadline=None)
+    @given(family=string_families(), tol=st.sampled_from([0.0, 1e-9, 0.05]))
+    def test_matches_pairwise_compare(self, family, tol):
+        chain = sort_chain(((f"s{i}", p) for i, p in enumerate(family)), tol)
+        assert chain == self.pairwise_chain(family, tol)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.05])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ties_and_incomparable_pairs(self, seed, tol):
+        family = pooled_family(np.random.default_rng(seed), 40, 6)
+        chain = sort_chain(((f"s{i}", p) for i, p in enumerate(family)), tol)
+        assert len(chain.ties) >= 3 and len(chain.incomparable) >= 3
+        assert chain == self.pairwise_chain(family, tol)
+
+    def test_ordered_chain_with_ties(self):
+        # uniform strings are totally ordered; each appears three times
+        rng = np.random.default_rng(5)
+        family = [uniform(k) for k in rng.permutation(np.repeat(np.arange(1, 9), 3))]
+        chain = sort_chain((f"s{i}", p) for i, p in enumerate(family))
+        assert chain.ordered and len(chain.ties) == 8 * 3
+        assert chain == self.pairwise_chain(family, 1e-9)
 
     def test_spin_branches_ordered(self):
         items = []
