@@ -315,16 +315,17 @@ def blocks_reference(rows, cols, values, shape, square: bool, settled: bool = Tr
     ]
 
 
-def gram_schmidt_reference(vectors) -> np.ndarray:
+def gram_schmidt_reference(vectors, kept_rows: list | None = None) -> np.ndarray:
     """Modified Gram-Schmidt, one vdot per kept vector and sweep, twice.
 
     The per-vector loop `gram_schmidt` ran before it projected against all
     kept vectors at once; same drop rule (residual below
-    DROP_TOL * max(1, ||v||)) and warning.
+    DROP_TOL * max(1, ||v||)) and warning.  The index of each kept vector
+    is appended to `kept_rows` when it is given.
     """
     kept: list[np.ndarray] = []
     dropped = 0
-    for v in vectors:
+    for row, v in enumerate(vectors):
         w = np.array(v, dtype=np.complex128)
         for _ in range(2):
             for u in kept:
@@ -334,6 +335,8 @@ def gram_schmidt_reference(vectors) -> np.ndarray:
             dropped += 1
             continue
         kept.append(w / norm)
+        if kept_rows is not None:
+            kept_rows.append(row)
     if not kept:
         raise InputError("no linearly independent vectors above the drop tolerance")
     if dropped:
