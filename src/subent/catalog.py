@@ -60,7 +60,7 @@ def _exchange_subspace(n, sign: int) -> SubspaceBasis:
 def _adopted(f: Factorization, dim: int, flat, values) -> Projector:
     """The projector with `values` at the flat indices `flat` of its
     matrix, adopted in row-major order without its exact zeros."""
-    order = np.argsort(flat)
+    order = flat.argsort()
     order = order[values[order] != 0]
     return Projector._adopt(f, dim, _Entries(f.dim, flat[order], values[order]))
 
@@ -212,7 +212,8 @@ def spin_projector(s: SpinLabel | int, branch: Branch) -> Projector:
     # (2j + 1) (2j = 10^3..3*10^5)
     within_budget(f"2j={s.two_j}", 720 * s.dim)
     m = (s.two_j - 2.0 * np.arange(s.dim)) / 2.0
-    diag = np.stack([m, -m], axis=1).ravel()
+    diag = np.empty(2 * s.dim)
+    diag[0::2], diag[1::2] = m, -m
     k = np.arange(1, s.dim)
     off = np.sqrt(k * (s.two_j + 1 - k))
     if branch is Branch.PLUS:

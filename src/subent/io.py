@@ -24,7 +24,7 @@ import numpy as np
 from .catalog import HydrogenLevel
 from .errors import InputError
 from .majorization import ChainResult, Verdict
-from .schmidt import SchmidtString, _row_measures
+from .schmidt import SchmidtString, _measures_of
 from .spaces import Factorization, Projector, SubspaceBasis
 
 JSON_DIGITS = ".17g"
@@ -257,15 +257,12 @@ def dumps_json(obj) -> str:
 
 
 def _string_fields(strings: list[SchmidtString]) -> list[dict]:
-    """Each record's schmidt_string, k and measures, one call per string length."""
-    fields: list = [None] * len(strings)
-    for length in {len(s) for s in strings}:
-        at = [i for i, s in enumerate(strings) if len(s) == length]
-        stack, ks = np.stack([strings[i].probs for i in at]), [strings[i].k for i in at]
-        for i, p, k, d, e, t in zip(at, stack.tolist(), ks, *_row_measures(stack, ks)):
-            measures = {"e_d": d, "e_i": e, "e_t": t}
-            fields[i] = {"schmidt_string": p, "k": k, "measures": measures}
-    return fields
+    """Each record's schmidt_string, k and measures, the measures stacked."""
+    keys = ("e_d", "e_i", "e_t")
+    return [
+        {"schmidt_string": s.probs.tolist(), "k": s.k, "measures": dict(zip(keys, m))}
+        for s, m in zip(strings, _measures_of(strings))
+    ]
 
 
 def result_document(

@@ -8,6 +8,7 @@ the package relies on; they do not try to be a general-purpose wrapper.
 from __future__ import annotations
 
 import warnings
+from itertools import pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +42,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise InputError(f"{name} must be 2-dimensional, got ndim={m.ndim}")
     if m.size == 0:
         raise InputError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InputError(f"{name} contains non-finite entries")
     return m
 
@@ -58,7 +59,6 @@ def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray 
     """
     lab = np.arange(n)
     for _ in range(2 * n.bit_length() + 2):
-        lab = lab.copy()
         np.minimum.at(lab, rows, lab[cols])
         np.minimum.at(lab, cols, lab[rows])
         lab = lab[lab]
@@ -88,20 +88,26 @@ class _Entries(NamedTuple):
 
 def _entries_of(m: np.ndarray) -> _Entries:
     """The nonzero entries of the square complex matrix `m`."""
-    nonzero = np.flatnonzero(m)
+    nonzero = m.ravel().nonzero()[0]
     if nonzero.size == m.size:
         return _Entries(m.shape[0], None, m.ravel())
     return _Entries(m.shape[0], nonzero, m.ravel()[nonzero])
 
 
-def _numbered(index: np.ndarray, extent: int) -> tuple[np.ndarray, int]:
+def _numbered(index: np.ndarray, extent: int, masked: bool) -> tuple[np.ndarray, int]:
     """`index` (in [0, `extent`)) renumbered 0, 1, ... in increasing order,
-    and how many values it holds.  Here and in `_blocks` integers are sorted
-    in the narrowest type that holds them: numpy radix sorts up to 16 bits."""
-    order = np.argsort(index.astype(np.min_scalar_type(extent)), kind="stable")
+    and how many values it holds; by a mask over the extent when `masked`.
+    Here and in `_blocks` integers are sorted in the narrowest type that
+    holds them: numpy radix sorts up to 16 bits."""
+    if masked:
+        number = np.zeros(extent, dtype=np.intp)
+        number[index] = 1
+        number = number.cumsum() - 1
+        return number[index], int(number[-1]) + 1
+    order = index.astype(np.min_scalar_type(extent)).argsort(kind="stable")
     s = index[order]
     new = np.empty(index.size, dtype=np.intp)
-    new[order] = np.cumsum(np.concatenate(([0], s[1:] != s[:-1])))
+    new[order] = np.concatenate(([0], s[1:] != s[:-1])).cumsum()
     return new, int(new[order[-1]]) + 1
 
 
@@ -113,12 +119,15 @@ def _blocks(rows, cols, values, shape, square: bool) -> list[np.ndarray]:
 
     A `square` matrix has row k and column k as one vertex, so its blocks are
     diagonal and cover every index.  Otherwise rows and columns are separate
-    vertices, and only those with a nonzero are in a block.  Blocks keep the
-    order of their rows and columns.  Unsettled labels make one block.
+    vertices, and only those with a nonzero are in a block; a side no longer
+    than the other (d1 d2 at most for a realigned A) is numbered by a mask.
+    Blocks keep the order of their rows and columns.  Unsettled labels make
+    one block.
     """
     n = n_r = shape[0]
     if not square:
-        (rows, n_r), (cols, n_c) = _numbered(rows, shape[0]), _numbered(cols, shape[1])
+        rows, n_r = _numbered(rows, shape[0], shape[0] <= shape[1])
+        cols, n_c = _numbered(cols, shape[1], shape[1] <= shape[0])
         n = n_r + n_c
         cols = cols + n_r
     lab = _component_labels(rows, cols, n)
@@ -127,25 +136,26 @@ def _blocks(rows, cols, values, shape, square: bool) -> list[np.ndarray]:
     # ranked by shape, then by label
     r = np.bincount(lab[:n_r], minlength=n)
     c = r if square else np.bincount(lab[n_r:], minlength=n)
-    labels = np.flatnonzero(r)
+    labels = r.nonzero()[0]
     labels = labels[np.lexsort((c[labels], r[labels]))]
     rank = np.empty(n, dtype=np.intp)
     rank[labels] = np.arange(labels.size)
     r, c, q = r[labels], c[labels], rank[lab]
-    # each vertex's place among the rows (columns) of its block
+    # each vertex's place in its block, from one stable sort by block: its
+    # rows, then its columns, each in order
+    order = q.astype(np.min_scalar_type(labels.size)).argsort(kind="stable")
+    size = r if square else r + c
     within = np.empty(n, dtype=np.intp)
-    for lo, hi, size in [(0, n_r, r)] if square else [(0, n_r, r), (n_r, n, c)]:
-        keys = q[lo:hi].astype(np.min_scalar_type(labels.size))
-        order = np.argsort(keys, kind="stable") + lo
-        within[order] = np.arange(hi - lo) - (np.cumsum(size) - size)[q[order]]
-    # the blocks one after another in one buffer, cut into stacks by shape
-    start = np.concatenate(([0], np.cumsum(r * c)))
-    row_start = start[q[:n_r]] + within[:n_r] * c[q[:n_r]]
+    within[order] = np.arange(n) - (size.cumsum() - size).repeat(size)
+    within[n_r:] -= r[q[n_r:]]
+    # the blocks one after another in one buffer, sliced into stacks by shape
+    start = np.concatenate(([0], (r * c).cumsum()))
     buf = np.zeros(start[-1], dtype=np.complex128)
-    buf[row_start[rows] + within[cols]] = values
-    cuts = np.flatnonzero(np.diff(r) | np.diff(c)) + 1
-    stacks = np.split(buf, start[cuts])
-    return [s.reshape(-1, r[a], c[a]) for s, a in zip(stacks, [0, *cuts])]
+    q = q[rows]
+    buf[start[q] + within[rows] * c[q] + within[cols]] = values
+    cuts = ((r[1:] != r[:-1]) | (c[1:] != c[:-1])).nonzero()[0] + 1
+    ends = [0, *cuts.tolist(), r.size]
+    return [buf[start[a] : start[b]].reshape(-1, r[a], c[a]) for a, b in pairwise(ends)]
 
 
 def _spectrum(blocks: list[np.ndarray]) -> np.ndarray:
@@ -155,7 +165,7 @@ def _spectrum(blocks: list[np.ndarray]) -> np.ndarray:
     off the trace by a relative `EIGENVALUE_SUM_TOL` is a NumericalError."""
     w = [np.linalg.eigvalsh((b + b.conj().swapaxes(1, 2)) / 2).ravel() for b in blocks]
     w = np.sort(np.concatenate(w))[::-1]
-    trace = float(sum(np.trace(b, axis1=1, axis2=2).real.sum() for b in blocks))
+    trace = float(sum(b.trace(axis1=1, axis2=2).real.sum() for b in blocks))
     if abs(float(w.sum()) - trace) > EIGENVALUE_SUM_TOL * max(1.0, abs(trace)):
         raise NumericalError(
             f"eigenvalue sum {w.sum():.17g} disagrees with trace {trace:.17g}"

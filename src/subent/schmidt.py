@@ -47,14 +47,14 @@ from .tolerances import (
 
 def _check_rows(stack: np.ndarray) -> None:
     """Raise the one-row constructor's InputError for a bad row of an (m, L) stack."""
-    negative = (stack < 0).any(axis=1)
+    negative = stack < 0
     if negative.any():
-        low = stack[negative.argmax()].min()
+        low = stack[negative.any(axis=1).argmax()].min()
         raise InputError(f"probs contains negative entries (min {low:.3e})")
     if (stack[:, 1:] > stack[:, :-1]).any():
         raise InputError("probs must be sorted in non-increasing order")
     totals = stack.sum(axis=1)
-    off = ~(np.abs(totals - 1.0) <= STRING_SUM_TOL)  # also catches NaN
+    off = ~(abs(totals - 1.0) <= STRING_SUM_TOL)  # also catches NaN
     if off.any():
         raise InputError(
             f"probs sum to {totals[off.argmax()]:.17g}, expected 1 within "
@@ -92,7 +92,7 @@ class SchmidtString:
         """One checked string per row of an (m, L) stack, each a read-only view."""
         _check_rows(stack)
         stack = np.ascontiguousarray(stack)
-        ks = np.count_nonzero(stack, axis=1).tolist()
+        ks = (stack != 0).sum(axis=1).tolist()
         return [cls.__new__(cls)._adopt(p, k) for p, k in zip(stack, ks)]
 
     def __len__(self) -> int:
@@ -120,21 +120,22 @@ class SchmidtString:
         p = as_array(values, "probs", np.float64).ravel()
         if p.size == 0:
             raise InputError("probability string must be non-empty")
-        if np.any(p < -NEGATIVE_EIGENVALUE_FLOOR):
+        if (p < -NEGATIVE_EIGENVALUE_FLOOR).any():
             raise InputError(f"negative probability {p.min():.3e}")
-        p = np.clip(p, 0.0, None)
+        p = np.maximum(p, 0.0)  # what np.clip(p, 0.0, None) calls
         below = p < zero_threshold
-        floored = float(p[below].sum())
-        p[below] = 0.0
-        p = np.sort(p)[::-1]
-        if length is not None:
-            length = as_count(length, "length")
-            if length < p.size:
-                raise InputError(f"length {length} shorter than {p.size} values")
-            p = np.concatenate([p, np.zeros(length - p.size)])
+        size = p.size if length is None else as_count(length, "length")
+        if size < p.size:
+            raise InputError(f"length {size} shorter than {p.size} values")
+        # floored entries as exact zeros, sorted descending, padded with zeros
+        q = np.where(below, 0.0, p)
+        q.sort()
+        row = np.zeros((1, size))
+        row[0, : p.size] = q[::-1]
         try:
-            return cls._rows(p[None])[0]
+            return cls._rows(row)[0]
         except InputError as exc:
+            floored = float(p[below].sum())
             if floored > 0:
                 raise InputError(
                     f"zero_threshold {zero_threshold:g} floored weight "
@@ -157,27 +158,29 @@ class Measures:
     e_t: float
 
 
-def _row_measures(stack: np.ndarray, ks: list[int]) -> tuple[list, list, list]:
-    """e_d, e_i and e_t of each row of a stack of strings of Schmidt ranks `ks`."""
-    # p1 may exceed 1 by up to the string sum tolerance; clamp the radicand.
-    e_d = np.sqrt(np.maximum(2.0 * (1.0 - np.sqrt(stack[:, 0])), 0.0))
-    e_t = np.maximum(1.0 - (stack * stack).sum(axis=1), 0.0)
-    # entropies sum each row's k positive entries alone, one call per distinct
-    # k: the trailing zeros would regroup the pairwise sum and move last bits
-    e_i = np.empty(len(ks))
-    for k in set(ks):
-        rows = np.equal(ks, k)
-        nz = stack[rows, :k]
-        e_i[rows] = 0.0 - (nz * np.log2(nz)).sum(axis=1)  # 0.0, never -0.0
-    return e_d.tolist(), e_i.tolist(), e_t.tolist()
+def _measures_of(strings: list[SchmidtString]) -> list[tuple[float, float, float]]:
+    """(e_d, e_i, e_t) of each string, one stack per string length and rank."""
+    found: list = [None] * len(strings)
+    for length, k in {(len(s), s.k) for s in strings}:
+        at = [i for i, s in enumerate(strings) if len(s) == length and s.k == k]
+        stack = np.array([strings[i].probs for i in at])
+        # p1 may exceed 1 by up to the string sum tolerance; clamp the radicand.
+        e_d = np.sqrt(np.maximum(2.0 * (1.0 - np.sqrt(stack[:, 0])), 0.0))
+        e_t = np.maximum(1.0 - (stack * stack).sum(axis=1), 0.0)
+        # the entropy sums the k positive entries alone: the trailing zeros
+        # would regroup the pairwise sum and move last bits
+        nz = stack[:, :k]
+        e_i = 0.0 - (nz * np.log2(nz)).sum(axis=1)  # 0.0, never -0.0
+        for i, m in zip(at, zip(e_d.tolist(), e_i.tolist(), e_t.tolist())):
+            found[i] = m
+    return found
 
 
 def measures(s: SchmidtString) -> Measures:
     """Evaluate all three measures on a Schmidt string."""
     if not isinstance(s, SchmidtString):
         raise InputError(f"measures needs a SchmidtString, got {type(s).__name__}")
-    (e_d,), (e_i,), (e_t,) = _row_measures(s.probs[None], [s.k])
-    return Measures(e_d=e_d, e_i=e_i, e_t=e_t)
+    return Measures(*_measures_of([s])[0])
 
 
 def realign(p: Projector) -> np.ndarray:
@@ -208,7 +211,7 @@ def schmidt_string(
         blocks = [realign(p)[None]]
     else:
         # P[(i, k), (j, l)] is A[(i, j), (k, l)] times sqrt(dim V)
-        (i, k), (j, l) = (np.divmod(x, f.d2) for x in np.divmod(nonzero, f.dim))
+        i, k, j, l = np.unravel_index(nonzero, (f.d1, f.d2, f.d1, f.d2))
         entries = (i * f.d1 + j, k * f.d2 + l, values / math.sqrt(p.dim))
         blocks = _blocks(*entries, (f.d1**2, f.d2**2), False)
     # each stack's smaller Gram takes its place, so A is freed before the solve

@@ -90,7 +90,7 @@ class SubspaceBasis:
                 f"basis size {v.shape[0]} out of range [1, {self.factorization.dim}]"
             )
         gram = v @ v.conj().T
-        defect = float(np.max(np.abs(gram - np.eye(v.shape[0]))))
+        defect = float(abs(gram - np.eye(v.shape[0])).max())
         if defect > ORTHONORMALITY_TOL:
             raise InputError(
                 f"basis is not orthonormal (Gram defect {defect:.3e}); "
@@ -144,7 +144,7 @@ def validate_projector(p, dim: int | None = None) -> ProjectorReport:
             raise InputError(f"projector must be square, got shape {matrix.shape}")
         p = _entries_of(matrix)
     side, nonzero, values = p
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise InputError("projector contains non-finite entries")
     # an entry of P - P^dagger or of P @ P between two blocks is a sum of
     # exact zeros, as is the entry of P
@@ -153,8 +153,9 @@ def validate_projector(p, dim: int | None = None) -> ProjectorReport:
         blocks = [p.dense()[None]]
     else:
         rows, cols = np.divmod(nonzero, side)
+        on = rows == cols
         diagonal = np.zeros(side, dtype=np.complex128)
-        diagonal[rows[rows == cols]] = values[rows == cols]
+        diagonal[rows[on]] = values[on]
         blocks = _blocks(rows, cols, values, (side, side), True)
     total = complex(diagonal.sum())
     if dim is None:
@@ -162,10 +163,12 @@ def validate_projector(p, dim: int | None = None) -> ProjectorReport:
     else:
         dim = as_count(dim, "dim", least=0)
     trace = float(abs(total - dim))
-    hermiticity = max(
-        float(np.max(np.abs(b - b.conj().transpose(0, 2, 1)))) for b in blocks
-    )
-    idempotency = max(float(np.max(np.abs(b @ b - b))) for b in blocks)
+    # both defects in one pass over the stacks
+    defects = [
+        (abs(b - b.conj().transpose(0, 2, 1)).max(), abs(b @ b - b).max())
+        for b in blocks
+    ]
+    hermiticity, idempotency = (float(max(d)) for d in zip(*defects))
     norm = math.inf
     if dim >= 1:
         norm = abs(float(np.linalg.norm(values)) / math.sqrt(dim) - 1.0)

@@ -15,20 +15,20 @@ import numpy as np
 from .catalog import (
     Branch,
     SpinLabel,
+    _spin_rows,
     antisym_string_closed,
     antisymmetric_subspace,
     closed_measures,
     hydrogen_level,
     limiting_string,
     spin_projector,
-    spin_string_closed,
     spin_x_operator,
     sym_string_closed,
     symmetric_subspace,
 )
 from .linalg import hermitian_eigenvalues
 from .majorization import sort_chain
-from .schmidt import Measures, SchmidtString, measures, realign, schmidt_string
+from .schmidt import Measures, SchmidtString, _measures_of, realign, schmidt_string
 from .spaces import Factorization, SubspaceBasis, as_count, projector_from_basis
 from .tolerances import COMPLETENESS_TOL, MEASURE_TOL, Q_MATRIX_TOL, STRING_TOL
 from .tolerances import within_budget
@@ -66,14 +66,27 @@ class FamilyReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
-def _measure_deviation(a: Measures, b: Measures) -> float:
-    return max(abs(a.e_d - b.e_d), abs(a.e_i - b.e_i), abs(a.e_t - b.e_t))
-
-
-def _string_deviation(a: SchmidtString, b: SchmidtString) -> float:
-    n = max(len(a), len(b))
-    pa, pb = (np.pad(s.probs, (0, n - len(s))) for s in (a, b))
-    return float(np.max(np.abs(pa - pb)))
+def _report(family: str, rows: list, numeric, closed, closed_m=None) -> FamilyReport:
+    """A sweep's `rows`, with each name in turn made the string check of a
+    `numeric` string against its `closed` string, and with `closed_m` the
+    check of its measures; the strings zero padded into one stack."""
+    pairs = np.zeros((2, len(numeric), max(map(len, numeric + closed))))
+    for side, strings in zip(pairs, (numeric, closed)):
+        for row, s in zip(side, strings):
+            row[: len(s)] = s.probs
+    deviations = iter(abs(pairs[0] - pairs[1]).max(axis=1).tolist())
+    found = iter(zip(_measures_of(numeric), closed_m) if closed_m else ())
+    checks: list[Check] = []
+    for row in rows:
+        if isinstance(row, Check):
+            checks.append(row)
+            continue
+        checks.append(Check(f"{row} string", next(deviations), STRING_TOL))
+        if closed_m:
+            (e_d, e_i, e_t), b = next(found)
+            dev = max(abs(e_d - b.e_d), abs(e_i - b.e_i), abs(e_t - b.e_t))
+            checks.append(Check(f"{row} measures", dev, MEASURE_TOL))
+    return FamilyReport(family=family, checks=tuple(checks))
 
 
 def _verify_exchange(family: str, max_n: int) -> FamilyReport:
@@ -83,14 +96,16 @@ def _verify_exchange(family: str, max_n: int) -> FamilyReport:
     else:
         least, build, closed_string = 1, symmetric_subspace, sym_string_closed
     max_n = as_count(max_n, "max_n", least)
-    checks: list[Check] = []
-    for n in range(least, max_n + 1):
-        numeric = schmidt_string(projector_from_basis(build(n)))
-        dev = _string_deviation(numeric, closed_string(n))
-        checks.append(Check(f"{family} n={n} string", dev, STRING_TOL))
-        dev = _measure_deviation(measures(numeric), closed_measures(family, n))
-        checks.append(Check(f"{family} n={n} measures", dev, MEASURE_TOL))
-    return FamilyReport(family=family, checks=tuple(checks))
+    # the largest basis's estimate, as the library bases take it, before any
+    within_budget(f"max_n={max_n}", 28 * max_n**4)
+    ns = range(least, max_n + 1)
+    return _report(
+        family,
+        [f"{family} n={n}" for n in ns],
+        [schmidt_string(projector_from_basis(build(n))) for n in ns],
+        [closed_string(n) for n in ns],
+        [closed_measures(family, n) for n in ns],
+    )
 
 
 def verify_antisym(max_n: int = 12) -> FamilyReport:
@@ -129,25 +144,17 @@ def verify_spin(max_two_j: int = 20) -> FamilyReport:
     completeness relation P(plus) + P(minus) = identity.
     """
     max_two_j = as_count(max_two_j, "max_two_j")
-    checks: list[Check] = []
+    checks: list = []
+    numeric: list[SchmidtString] = []
+    closed_m: list[Measures] = []
     for two_j in range(1, max_two_j + 1):
         s = SpinLabel(two_j)
         plus = spin_projector(s, Branch.PLUS)
         minus = spin_projector(s, Branch.MINUS)
         for branch, proj in (("plus", plus), ("minus", minus)):
-            numeric = schmidt_string(proj)
-            closed = spin_string_closed(s, Branch(branch))
-            checks.append(
-                Check(
-                    f"spin 2j={two_j} {branch} string",
-                    _string_deviation(numeric, closed),
-                    STRING_TOL,
-                )
-            )
-            dev = _measure_deviation(
-                measures(numeric), closed_measures(f"spin_{branch}", two_j)
-            )
-            checks.append(Check(f"spin 2j={two_j} {branch} measures", dev, MEASURE_TOL))
+            checks.append(f"spin 2j={two_j} {branch}")
+            numeric.append(schmidt_string(proj))
+            closed_m.append(closed_measures(f"spin_{branch}", two_j))
 
         a = realign(plus)
         q_dev = float(np.max(np.abs(a.conj().T @ a - _expected_q_matrix(two_j))))
@@ -166,7 +173,10 @@ def verify_spin(max_two_j: int = 20) -> FamilyReport:
         checks.append(
             Check(f"spin 2j={two_j} completeness", comp_dev, COMPLETENESS_TOL)
         )
-    return FamilyReport(family="spin", checks=tuple(checks))
+    # the closed strings as one stack, plus rows first
+    two_js = np.repeat(np.arange(1, max_two_j + 1), 2)
+    closed = SchmidtString._rows(_spin_rows(two_js, np.arange(two_js.size) % 2 == 0))
+    return _report("spin", checks, numeric, closed, closed_m)
 
 
 def hydrogen_chain_expected(n: int) -> tuple[str, ...]:
@@ -187,7 +197,9 @@ def verify_hydrogen(max_n: int = 8) -> FamilyReport:
     max_n = as_count(max_n, "max_n")
     # the largest level's estimate, as `hydrogen_level` takes it, before level 1
     within_budget(f"max_n={max_n}", 16 * (2 * max_n) ** 2)
-    checks: list[Check] = []
+    checks: list = []
+    numeric: list[SchmidtString] = []
+    closed: list[SchmidtString] = []
     # each eigenspace recurs in every later level; the pipeline is
     # deterministic, so it runs once per (l, branch)
     strings: dict[tuple[int, Branch], SchmidtString] = {}
@@ -206,13 +218,9 @@ def verify_hydrogen(max_n: int = 8) -> FamilyReport:
             elif key not in strings:
                 p = spin_projector(SpinLabel(2 * entry.l), entry.branch)
                 strings[key] = schmidt_string(p)
-            checks.append(
-                Check(
-                    f"hydrogen n={n} {entry.label} string",
-                    _string_deviation(strings[key], entry.string),
-                    STRING_TOL,
-                )
-            )
+            checks.append(f"hydrogen n={n} {entry.label}")
+            numeric.append(strings[key])
+            closed.append(entry.string)
         chain = sort_chain(
             [(e.label, e.string) for e in level.entries]
             + [("S_0", limiting_string())]
@@ -221,7 +229,7 @@ def verify_hydrogen(max_n: int = 8) -> FamilyReport:
         checks.append(
             Check(f"hydrogen n={n} chain order", 0.0 if order_ok else 1.0, 0.0)
         )
-    return FamilyReport(family="hydrogen", checks=tuple(checks))
+    return _report("hydrogen", checks, numeric, closed)
 
 
 # Each family of the `verify` command: its sweep and the range keyword it reads.

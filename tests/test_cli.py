@@ -623,6 +623,22 @@ class TestVerify:
         assert (code, out, err) == (2, "", message)
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("family", ["antisym", "sym"])
+    @pytest.mark.parametrize("max_n", [78, 10**20, 10**40])
+    def test_exchange_range_over_the_byte_budget(self, capsys, monkeypatch, family, max_n):
+        # refused from the largest basis's 28 max_n^4 bytes, before any basis
+        def no_basis(n):
+            raise AssertionError(f"basis n={n} was built")
+
+        monkeypatch.setattr("subent.verify.antisymmetric_subspace", no_basis)
+        monkeypatch.setattr("subent.verify.symmetric_subspace", no_basis)
+        argv = ["verify", "--family", family, "--max-n", str(max_n)]
+        code, out, err, peak = traced_run(capsys, *argv)
+        need = f"{28 * max_n**4:,}"
+        message = f"input error: max_n={max_n} needs about {need} bytes, budget 1,000,000,000\n"
+        assert (code, out, err) == (2, "", message)
+        assert peak < 1_000_000
+
     def test_spin_range_is_read(self, capsys):
         code, out, _ = run(capsys, "verify", "--family", "spin", "--max-two-j", "3")
         assert code == 0

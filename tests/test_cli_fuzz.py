@@ -4,8 +4,9 @@ Every argv, valid or not, must end in an exit code the CLI documents (0, 1,
 2 or 3) with no exception escaping `main` and no traceback on stderr.  Sizes
 are capped (antisym/sym n <= 64, verify n <= 12, 2j <= 60, hydrogen n <= 30)
 so each call stays small; no subprocess is started.  Exchange preset, spin
-preset, hydrogen, `verify --family hydrogen` range and basis document sizes
-over the byte budget are drawn on their own, and each must be refused at once.
+preset, hydrogen, `verify --family antisym|sym|hydrogen` range and basis
+document sizes over the byte budget are drawn on their own, and each must be
+refused at once.
 """
 
 import contextlib
@@ -163,6 +164,12 @@ def over_budget_header(draw):
     return d1, d2
 
 
+# 28 max_n^4 estimated bytes is over BYTE_BUDGET from max_n = 78 on
+EXCHANGE_RANGE_OVER_BUDGET = st.one_of(
+    st.integers(78, 200), st.integers(200, 10**6), st.integers(10**6, 10**40)
+).map(str)
+
+
 # 16 (2n)^2 estimated bytes is over BYTE_BUDGET from n = 3953 on
 HYDROGEN_OVER_BUDGET = st.one_of(
     st.integers(3953, 4100), st.integers(4100, 10**6), st.integers(10**6, 10**40)
@@ -219,6 +226,16 @@ class TestOverBudget:
     @given(max_n=HYDROGEN_OVER_BUDGET)
     def test_verify_hydrogen_range_is_refused_at_once(self, max_n):
         argv = ["verify", "--family", "hydrogen", "--max-n", max_n]
+        code, err = run(argv)
+        assert code == 2, (argv, err)
+        assert err.startswith(f"input error: max_n={max_n} needs about "), err
+
+    @settings(max_examples=60, deadline=500)
+    @given(
+        family=st.sampled_from(["antisym", "sym"]), max_n=EXCHANGE_RANGE_OVER_BUDGET
+    )
+    def test_verify_exchange_range_is_refused_at_once(self, family, max_n):
+        argv = ["verify", "--family", family, "--max-n", max_n]
         code, err = run(argv)
         assert code == 2, (argv, err)
         assert err.startswith(f"input error: max_n={max_n} needs about "), err

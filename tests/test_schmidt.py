@@ -204,12 +204,11 @@ def trailing_zero_strings(rng, length: int, count: int) -> list[SchmidtString]:
 
 
 class TestStackedMeasures:
-    """`schmidt._row_measures` on a stack agrees bit for bit with `measures`
-    on each row, and both with the one-string formulas."""
+    """`schmidt._measures_of` on many strings agrees bit for bit with
+    `measures` on each, and both with the one-string formulas."""
 
     def assert_bit_equal(self, strings):
-        stack = np.stack([s.probs for s in strings])
-        e_d, e_i, e_t = schmidt._row_measures(stack, [s.k for s in strings])
+        e_d, e_i, e_t = zip(*schmidt._measures_of(strings))
         one = [measures(s) for s in strings]
         reference = [measures_reference(s.probs) for s in strings]
         for got, name, column in zip((e_d, e_i, e_t), ("e_d", "e_i", "e_t"), zip(*reference)):

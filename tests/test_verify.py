@@ -135,6 +135,26 @@ class TestFamilies:
         with pytest.raises(LookupError, match="^level 1$"):
             verify_hydrogen(max_n=3952)
 
+    @pytest.mark.parametrize(
+        "sweep, build, least",
+        [
+            (verify_antisym, "antisymmetric_subspace", 2),
+            (verify_sym, "symmetric_subspace", 1),
+        ],
+    )
+    def test_exchange_range_within_the_byte_budget_runs(
+        self, monkeypatch, sweep, build, least
+    ):
+        # 77 is the largest max_n within BYTE_BUDGET, so its sweep starts
+        def first_basis(n):
+            raise LookupError(f"basis {n}")
+
+        monkeypatch.setattr(verify_module, build, first_basis)
+        with pytest.raises(LookupError, match=f"^basis {least}$"):
+            sweep(max_n=77)
+        with pytest.raises(InputError, match="^max_n=78 needs about "):
+            sweep(max_n=78)
+
     def test_tightened_tolerance_fails(self, monkeypatch):
         # machine noise exceeds an absurd tolerance, proving checks are live
         monkeypatch.setattr("subent.verify.STRING_TOL", 0.0)
