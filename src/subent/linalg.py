@@ -143,16 +143,17 @@ def _blocks(rows, cols, values, shape, square: bool) -> list[np.ndarray]:
     r, c, q = r[labels], c[labels], rank[lab]
     # each vertex's place in its block, from one stable sort by block: its
     # rows, then its columns, each in order
-    order = q.astype(np.min_scalar_type(labels.size)).argsort(kind="stable")
     size = r if square else r + c
     within = np.empty(n, dtype=np.intp)
-    within[order] = np.arange(n) - (size.cumsum() - size).repeat(size)
+    within[q.astype(np.min_scalar_type(labels.size)).argsort(kind="stable")] = (
+        np.arange(n) - (size.cumsum() - size).repeat(size)
+    )
     within[n_r:] -= r[q[n_r:]]
     # the blocks one after another in one buffer, sliced into stacks by shape
     start = np.concatenate(([0], (r * c).cumsum()))
     buf = np.zeros(start[-1], dtype=np.complex128)
-    q = q[rows]
-    buf[start[q] + within[rows] * c[q] + within[cols]] = values
+    row_start = start[q[:n_r]] + within[:n_r] * c[q[:n_r]]
+    buf[row_start[rows] + within[cols]] = values
     cuts = ((r[1:] != r[:-1]) | (c[1:] != c[:-1])).nonzero()[0] + 1
     ends = [0, *cuts.tolist(), r.size]
     return [buf[start[a] : start[b]].reshape(-1, r[a], c[a]) for a, b in pairwise(ends)]

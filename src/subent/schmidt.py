@@ -45,23 +45,6 @@ from .tolerances import (
 )
 
 
-def _check_rows(stack: np.ndarray) -> None:
-    """Raise the one-row constructor's InputError for a bad row of an (m, L) stack."""
-    negative = stack < 0
-    if negative.any():
-        low = stack[negative.any(axis=1).argmax()].min()
-        raise InputError(f"probs contains negative entries (min {low:.3e})")
-    if (stack[:, 1:] > stack[:, :-1]).any():
-        raise InputError("probs must be sorted in non-increasing order")
-    totals = stack.sum(axis=1)
-    off = ~(abs(totals - 1.0) <= STRING_SUM_TOL)  # also catches NaN
-    if off.any():
-        raise InputError(
-            f"probs sum to {totals[off.argmax()]:.17g}, expected 1 within "
-            f"{STRING_SUM_TOL:g}"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class SchmidtString:
     """Descending probability string of squared Schmidt coefficients.
@@ -78,8 +61,8 @@ class SchmidtString:
         p = as_array(self.probs, "probs", np.float64)
         if p.ndim != 1 or p.size == 0:
             raise InputError("probs must be a non-empty 1-D array")
-        _check_rows(p[None])
-        self._adopt(np.ascontiguousarray(p), int(np.count_nonzero(p)))
+        (row,) = self._rows(p[None])  # checked as a stack of one row
+        self._adopt(np.ascontiguousarray(p), row.k)
 
     def _adopt(self, p: np.ndarray, k: int) -> "SchmidtString":
         p.setflags(write=False)
@@ -89,8 +72,21 @@ class SchmidtString:
 
     @classmethod
     def _rows(cls, stack: np.ndarray) -> list["SchmidtString"]:
-        """One checked string per row of an (m, L) stack, each a read-only view."""
-        _check_rows(stack)
+        """One string per row of an (m, L) stack, each a read-only view; a bad
+        row is the InputError the constructor gives for that row alone."""
+        negative = stack < 0
+        if negative.any():
+            low = stack[negative.any(axis=1).argmax()].min()
+            raise InputError(f"probs contains negative entries (min {low:.3e})")
+        if (stack[:, 1:] > stack[:, :-1]).any():
+            raise InputError("probs must be sorted in non-increasing order")
+        totals = stack.sum(axis=1)
+        off = ~(abs(totals - 1.0) <= STRING_SUM_TOL)  # also catches NaN
+        if off.any():
+            raise InputError(
+                f"probs sum to {totals[off.argmax()]:.17g}, expected 1 within "
+                f"{STRING_SUM_TOL:g}"
+            )
         stack = np.ascontiguousarray(stack)
         ks = (stack != 0).sum(axis=1).tolist()
         return [cls.__new__(cls)._adopt(p, k) for p, k in zip(stack, ks)]

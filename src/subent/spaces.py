@@ -163,7 +163,6 @@ def validate_projector(p, dim: int | None = None) -> ProjectorReport:
     else:
         dim = as_count(dim, "dim", least=0)
     trace = float(abs(total - dim))
-    # both defects in one pass over the stacks
     defects = [
         (abs(b - b.conj().transpose(0, 2, 1)).max(), abs(b @ b - b).max())
         for b in blocks

@@ -66,10 +66,17 @@ class FamilyReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
-def _report(family: str, rows: list, numeric, closed, closed_m=None) -> FamilyReport:
-    """A sweep's `rows`, with each name in turn made the string check of a
-    `numeric` string against its `closed` string, and with `closed_m` the
-    check of its measures; the strings zero padded into one stack."""
+def _report(
+    family: str,
+    rows: list[Check | str],
+    numeric: list[SchmidtString],
+    closed: list[SchmidtString],
+    closed_m: list[Measures] | None = None,
+) -> FamilyReport:
+    """The report of a sweep's `rows`: a Check stays, and the i-th name
+    becomes the check of numeric[i] against closed[i], then, with `closed_m`,
+    of its measures against closed_m[i].  The string deviations are taken
+    as one zero-padded stack, and the measures stacked by `_measures_of`."""
     pairs = np.zeros((2, len(numeric), max(map(len, numeric + closed))))
     for side, strings in zip(pairs, (numeric, closed)):
         for row, s in zip(side, strings):
@@ -96,7 +103,7 @@ def _verify_exchange(family: str, max_n: int) -> FamilyReport:
     else:
         least, build, closed_string = 1, symmetric_subspace, sym_string_closed
     max_n = as_count(max_n, "max_n", least)
-    # the largest basis's estimate, as the library bases take it, before any
+    # the largest basis's estimate, as the library bases take it, before n = least
     within_budget(f"max_n={max_n}", 28 * max_n**4)
     ns = range(least, max_n + 1)
     return _report(
@@ -144,7 +151,7 @@ def verify_spin(max_two_j: int = 20) -> FamilyReport:
     completeness relation P(plus) + P(minus) = identity.
     """
     max_two_j = as_count(max_two_j, "max_two_j")
-    checks: list = []
+    checks: list[Check | str] = []
     numeric: list[SchmidtString] = []
     closed_m: list[Measures] = []
     for two_j in range(1, max_two_j + 1):
@@ -197,7 +204,7 @@ def verify_hydrogen(max_n: int = 8) -> FamilyReport:
     max_n = as_count(max_n, "max_n")
     # the largest level's estimate, as `hydrogen_level` takes it, before level 1
     within_budget(f"max_n={max_n}", 16 * (2 * max_n) ** 2)
-    checks: list = []
+    checks: list[Check | str] = []
     numeric: list[SchmidtString] = []
     closed: list[SchmidtString] = []
     # each eigenspace recurs in every later level; the pipeline is
