@@ -118,7 +118,7 @@ class SchmidtString:
             raise InputError("probability string must be non-empty")
         if (p < -NEGATIVE_EIGENVALUE_FLOOR).any():
             raise InputError(f"negative probability {p.min():.3e}")
-        p = np.maximum(p, 0.0)  # what np.clip(p, 0.0, None) calls
+        p = np.maximum(p, 0.0)
         below = p < zero_threshold
         size = p.size if length is None else as_count(length, "length")
         if size < p.size:
