@@ -258,10 +258,13 @@ def dumps_json(obj) -> str:
 
 def _string_fields(strings: list[SchmidtString]) -> list[dict]:
     """Each record's schmidt_string, k and measures, the measures stacked."""
-    keys = ("e_d", "e_i", "e_t")
     return [
-        {"schmidt_string": s.probs.tolist(), "k": s.k, "measures": dict(zip(keys, m))}
-        for s, m in zip(strings, _measures_of(strings))
+        {
+            "schmidt_string": s.probs.tolist(),
+            "k": s.k,
+            "measures": {"e_d": e_d, "e_i": e_i, "e_t": e_t},
+        }
+        for s, (e_d, e_i, e_t) in zip(strings, _measures_of(strings))
     ]
 
 

@@ -156,9 +156,11 @@ class Measures:
 
 def _measures_of(strings: list[SchmidtString]) -> list[tuple[float, float, float]]:
     """(e_d, e_i, e_t) of each string, one stack per string length and rank."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, s in enumerate(strings):
+        groups.setdefault((s.probs.size, s.k), []).append(i)
     found: list = [None] * len(strings)
-    for length, k in {(len(s), s.k) for s in strings}:
-        at = [i for i, s in enumerate(strings) if len(s) == length and s.k == k]
+    for (_, k), at in groups.items():
         stack = np.array([strings[i].probs for i in at])
         # p1 may exceed 1 by up to the string sum tolerance; clamp the radicand.
         e_d = np.sqrt(np.maximum(2.0 * (1.0 - np.sqrt(stack[:, 0])), 0.0))
