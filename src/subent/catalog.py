@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import InputError
 from .schmidt import Measures, SchmidtString
-from .linalg import _Entries
 from .spaces import Factorization, Projector, SubspaceBasis, as_count
 from .tolerances import within_budget
 
@@ -57,14 +56,6 @@ def _exchange_subspace(n, sign: int) -> SubspaceBasis:
     return SubspaceBasis(factorization=Factorization(n, n), vectors=vectors)
 
 
-def _adopted(f: Factorization, dim: int, flat, values) -> Projector:
-    """The projector with `values` at the flat indices `flat` of its
-    matrix, adopted in row-major order without its exact zeros."""
-    order = flat.argsort()
-    order = order[values[order] != 0]
-    return Projector._adopt(f, dim, _Entries(f.dim, flat[order], values[order]))
-
-
 def _exchange_projector(n, sign: int) -> Projector:
     """P = (I + sign SWAP) / 2 from its nonzero entries alone: e_k e_l on
     the diagonal, and the swap pair (e_k e_l, e_l e_k) for k != l."""
@@ -81,7 +72,7 @@ def _exchange_projector(n, sign: int) -> Projector:
     values = np.concatenate([
         np.where(k == l, (1 + sign) / 2, half), np.where(k == l, 0.0, sign * half)
     ]).astype(np.complex128)
-    return _adopted(Factorization(n, n), n * (n + sign) // 2, flat, values)
+    return Projector._adopt(Factorization(n, n), n * (n + sign) // 2, flat, values)
 
 
 def antisymmetric_subspace(n: int) -> SubspaceBasis:
@@ -230,7 +221,7 @@ def spin_projector(s: SpinLabel | int, branch: Branch) -> Projector:
     # float64 differs in the last bit
     values = np.concatenate([diag, off, off]).astype(np.complex128) / float(s.dim)
     # the minus branch's stretched states are exact zeros
-    return _adopted(Factorization(s.dim, 2), dim, flat, values)
+    return Projector._adopt(Factorization(s.dim, 2), dim, flat, values)
 
 
 def _spin_rows(two_j: np.ndarray, plus: np.ndarray) -> np.ndarray:

@@ -87,7 +87,7 @@ def _document_projector(path: str, orthonormalize: bool) -> tuple[str | None, Pr
         return doc.label, projector_from_basis(basis)
     if not orthonormalize:
         raise InputError("--no-orthonormalize does not apply to a projector document")
-    return doc.label, Projector.from_matrix(doc.factorization, doc.projector)
+    return doc.label, Projector(doc.factorization, doc.projector)
 
 
 @cli.command(name="schmidt")
@@ -296,8 +296,6 @@ def main(argv: list[str] | None = None) -> int:
     except click.exceptions.Abort:
         click.echo("aborted", err=True)
         return 130
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
     except click.ClickException as exc:
         exc.show()
         return 2

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import warnings
 from itertools import pairwise
-from typing import NamedTuple
 
 import numpy as np
 
@@ -65,33 +64,6 @@ def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray 
         if (lab[rows] == lab[cols]).all():
             return lab
     return None
-
-
-class _Entries(NamedTuple):
-    """The nonzero entries of a square complex matrix of side `side`: sorted
-    flat indices, None when every entry is nonzero, and their values."""
-
-    side: int
-    nonzero: np.ndarray | None
-    values: np.ndarray
-
-    def dense(self) -> np.ndarray:
-        """The matrix, read-only; a view of `values` when they are all of it."""
-        m = self.values
-        if self.nonzero is not None:
-            m = np.zeros(self.side * self.side, dtype=np.complex128)
-            m[self.nonzero] = self.values
-        m = m.reshape(self.side, self.side)
-        m.setflags(write=False)
-        return m
-
-
-def _entries_of(m: np.ndarray) -> _Entries:
-    """The nonzero entries of the square complex matrix `m`."""
-    nonzero = m.ravel().nonzero()[0]
-    if nonzero.size == m.size:
-        return _Entries(m.shape[0], None, m.ravel())
-    return _Entries(m.shape[0], nonzero, m.ravel()[nonzero])
 
 
 def _numbered(index: np.ndarray, extent: int, masked: bool) -> tuple[np.ndarray, int]:

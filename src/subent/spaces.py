@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError
-from .linalg import _blocks, _entries_of, _Entries, as_array, as_matrix
+from .linalg import _blocks, as_array, as_matrix
 from .tolerances import (
     ORTHONORMALITY_TOL,
     PROJECTOR_HERMITICITY_TOL,
@@ -41,6 +42,39 @@ def _freeze(a, name: str) -> np.ndarray:
     out = np.array(as_array(a, name), order="C", copy=True)
     out.setflags(write=False)
     return out
+
+
+class _Entries(NamedTuple):
+    """The nonzero entries of a square complex matrix of side `side`: sorted
+    flat indices, None when every entry is nonzero, and their values."""
+
+    side: int
+    nonzero: np.ndarray | None
+    values: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        """The matrix, read-only; a view of `values` when they are all of it."""
+        m = self.values
+        if self.nonzero is not None:
+            m = np.zeros(self.side * self.side, dtype=np.complex128)
+            m[self.nonzero] = self.values
+        m = m.reshape(self.side, self.side)
+        m.setflags(write=False)
+        return m
+
+
+def _entries_of(side: int, values: np.ndarray, flat=None) -> _Entries:
+    """The nonzero entries of the square matrix of side `side` that holds
+    `values` at the flat indices `flat`, in any order, or that is `values`
+    in row-major order when `flat` is None."""
+    if flat is None:
+        nonzero = values.nonzero()[0]
+        if nonzero.size == values.size:
+            return _Entries(side, None, values)
+        return _Entries(side, nonzero, values[nonzero])
+    order = flat.argsort()
+    order = order[values[order] != 0]
+    return _Entries(side, flat[order], values[order])
 
 
 @dataclass(frozen=True)
@@ -126,10 +160,11 @@ def validate_projector(p, dim: int | None = None) -> ProjectorReport:
     """Check a square matrix against the orthogonal projector contract.
 
     A given `dim` must be an integer >= 0; when it is omitted it is
-    inferred as the rounded real trace.  The report passes when Hermiticity
-    and idempotency defects are at most 1e-10 entrywise, the trace is within
-    1e-8 of `dim`, P / sqrt(dim) has norm within 1e-10 of 1, and `dim` is at
-    least 1.  A :class:`Projector` was validated when it was built; its
+    inferred as the rounded real trace, and a trace that overflows is an
+    InputError.  The report passes when Hermiticity and idempotency defects
+    are at most 1e-10 entrywise, the trace is within 1e-8 of `dim`,
+    P / sqrt(dim) has norm within 1e-10 of 1, and `dim` is at least 1.  A
+    :class:`Projector` was validated when it was built; its
     :meth:`Projector.report` holds the result.
 
     The defects are measured on the nonzero entries: the norm over them,
@@ -142,7 +177,7 @@ def validate_projector(p, dim: int | None = None) -> ProjectorReport:
         matrix = as_matrix(p, "projector")
         if matrix.shape[0] != matrix.shape[1]:
             raise InputError(f"projector must be square, got shape {matrix.shape}")
-        p = _entries_of(matrix)
+        p = _entries_of(matrix.shape[0], matrix.ravel())
     side, nonzero, values = p
     if not np.isfinite(values).all():
         raise InputError("projector contains non-finite entries")
@@ -157,20 +192,25 @@ def validate_projector(p, dim: int | None = None) -> ProjectorReport:
         diagonal = np.zeros(side, dtype=np.complex128)
         diagonal[rows[on]] = values[on]
         blocks = _blocks(rows, cols, values, (side, side), True)
-    total = complex(diagonal.sum())
-    if dim is None:
-        dim = int(round(total.real))
-    else:
-        dim = as_count(dim, "dim", least=0)
-    trace = float(abs(total - dim))
-    defects = [
-        (abs(b - b.conj().transpose(0, 2, 1)).max(), abs(b @ b - b).max())
-        for b in blocks
-    ]
-    hermiticity, idempotency = (float(max(d)) for d in zip(*defects))
-    norm = math.inf
-    if dim >= 1:
-        norm = abs(float(np.linalg.norm(values)) / math.sqrt(dim) - 1.0)
+    # finite entries can overflow the trace, the products and the norm; a
+    # defect of inf, or of nan from inf - inf, fails the report
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = complex(diagonal.sum())
+        if dim is None:
+            if math.isinf(total.real):
+                raise InputError(f"projector trace overflows to {total.real}")
+            dim = round(total.real)
+        else:
+            dim = as_count(dim, "dim", least=0)
+        trace = float(abs(total - dim))
+        defects = [
+            (abs(b - b.conj().transpose(0, 2, 1)).max(), abs(b @ b - b).max())
+            for b in blocks
+        ]
+        hermiticity, idempotency = (float(max(d)) for d in zip(*defects))
+        norm = math.inf
+        if dim >= 1:
+            norm = abs(float(np.linalg.norm(values)) / math.sqrt(dim) - 1.0)
     passes = (
         hermiticity <= PROJECTOR_HERMITICITY_TOL
         and idempotency <= PROJECTOR_IDEMPOTENCY_TOL
@@ -187,20 +227,21 @@ class Projector:
 
     Construction runs :func:`validate_projector` once on the nonzero
     entries of a frozen copy of `matrix` and refuses matrices that fail it,
-    so holding a `Projector` is proof of validity.  The measured defects are
-    kept and returned by :meth:`report`.  The catalog builders hand over
+    so holding a `Projector` is proof of validity.  When `dim` is omitted it
+    is the rounded trace, which must be at least 1.  The measured defects
+    are kept and returned by :meth:`report`.  The catalog builders hand over
     only the nonzero entries; `matrix` is then built, read-only, when it is
     first read.
     """
 
     factorization: Factorization
     matrix: np.ndarray
-    dim: int
+    dim: int | None = None
     _report: ProjectorReport = field(init=False, repr=False)
     _entries: _Entries = field(init=False, repr=False)
 
     def __post_init__(self, entries: _Entries | None = None) -> None:
-        dim = as_count(self.dim, "dim")
+        dim = None if self.dim is None else as_count(self.dim, "dim")
         if entries is None:
             m = _freeze(self.matrix, "projector")
             expected = self.factorization.dim
@@ -209,9 +250,11 @@ class Projector:
                     f"projector shape {m.shape} does not match factorization "
                     f"{self.factorization.d1}x{self.factorization.d2}"
                 )
-            entries = _entries_of(m)
+            entries = _entries_of(expected, m.ravel())
             object.__setattr__(self, "matrix", m)
         report = validate_projector(entries, dim=dim)
+        if report.dim < 1:  # a given dim is at least 1
+            raise InputError(f"projector trace rounds to {report.dim}, expected >= 1")
         if not report.passes:
             raise InputError(
                 "matrix fails projector validation: "
@@ -220,17 +263,20 @@ class Projector:
                 f"trace defect={report.trace:.3e}, "
                 f"norm defect={report.norm:.3e}, dim={report.dim}"
             )
-        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "dim", report.dim)
         object.__setattr__(self, "_report", report)
         object.__setattr__(self, "_entries", entries)
 
     @classmethod
-    def _adopt(cls, factorization, dim: int, entries: _Entries) -> "Projector":
-        """A projector on the nonzero entries that a builder made for it
-        alone: validated once, not copied; `matrix` is built when first read."""
+    def _adopt(cls, factorization, dim: int, flat, values) -> "Projector":
+        """The projector with `values` at the flat indices `flat` of its
+        matrix (in any order; None when `values` is the whole matrix,
+        row-major), made by a builder for it alone: held in row-major order
+        without its exact zeros, validated once and not copied.  `matrix`
+        is built when first read."""
         p = object.__new__(cls)
         p.__dict__.update(factorization=factorization, dim=dim)
-        p.__post_init__(entries)
+        p.__post_init__(_entries_of(factorization.dim, values, flat))
         return p
 
     def __getattr__(self, name: str):
@@ -240,22 +286,6 @@ class Projector:
         self.__dict__["matrix"] = m = self._entries.dense()
         return m
 
-    @classmethod
-    def from_matrix(
-        cls, factorization: Factorization, matrix, dim: int | None = None
-    ) -> "Projector":
-        """Build a projector from a raw matrix, inferring `dim` from the trace."""
-        m = as_matrix(matrix, "matrix")
-        if dim is None:
-            with np.errstate(over="ignore"):  # finite entries, overflowing sum
-                trace = float(np.trace(m).real)
-            if math.isinf(trace):
-                raise InputError(f"projector trace overflows to {trace}")
-            dim = round(trace)
-            if dim < 1:
-                raise InputError(f"projector trace rounds to {dim}, expected >= 1")
-        return cls(factorization=factorization, matrix=m, dim=dim)
-
     def report(self) -> ProjectorReport:
         """Defects measured when the projector was validated."""
         return self._report
@@ -264,7 +294,8 @@ class Projector:
 def projector_from_basis(basis: SubspaceBasis) -> Projector:
     """Orthogonal projector P = sum_a |v_a><v_a| onto the span of `basis`."""
     v = basis.vectors
-    return Projector._adopt(basis.factorization, basis.dim, _entries_of(v.T @ v.conj()))
+    p = (v.T @ v.conj()).ravel()
+    return Projector._adopt(basis.factorization, basis.dim, None, p)
 
 
 def embed(basis: SubspaceBasis, d1: int, d2: int) -> SubspaceBasis:

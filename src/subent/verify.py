@@ -151,6 +151,9 @@ def verify_spin(max_two_j: int = 20) -> FamilyReport:
     completeness relation P(plus) + P(minus) = identity.
     """
     max_two_j = as_count(max_two_j, "max_two_j")
+    # whole `verify --family spin` ops peak at 119-148 traced bytes per
+    # (2 max_two_j + 2)^2, from the dense X and P of the largest 2j (40..200)
+    within_budget(f"max_two_j={max_two_j}", 150 * (2 * max_two_j + 2) ** 2)
     checks: list[Check | str] = []
     numeric: list[SchmidtString] = []
     closed_m: list[Measures] = []

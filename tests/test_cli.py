@@ -1,13 +1,14 @@
 import hashlib
 import json
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from subent import NumericalError, SchmidtString, linalg
+from subent import NumericalError, SchmidtString, linalg, spaces
 from subent.cli import main
 from subent.tolerances import BYTE_BUDGET
 
@@ -138,7 +139,7 @@ class TestSchmidt:
         def dense(entries):
             raise AssertionError("the dense projector was built")
 
-        monkeypatch.setattr(linalg._Entries, "dense", dense)
+        monkeypatch.setattr(spaces._Entries, "dense", dense)
         argv = ["schmidt", "--preset", "sym", "--n", "64"]
         code, out, err, peak = traced_run(capsys, *argv)
         assert (code, err) == (0, "")
@@ -639,6 +640,23 @@ class TestVerify:
         assert (code, out, err) == (2, "", message)
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("max_two_j", [1290, 10**20, 10**40])
+    def test_spin_range_over_the_byte_budget(self, capsys, monkeypatch, max_two_j):
+        # refused from the largest 2j's 150 (2 max_two_j + 2)^2 bytes, before
+        # 2j = 1 runs
+        def no_projector(s, branch):
+            raise AssertionError(f"projector 2j={s.two_j} was built")
+
+        monkeypatch.setattr("subent.verify.spin_projector", no_projector)
+        argv = ["verify", "--family", "spin", "--max-two-j", str(max_two_j)]
+        start = time.perf_counter()
+        code, out, err, peak = traced_run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        need = f"{150 * (2 * max_two_j + 2) ** 2:,}"
+        message = f"input error: max_two_j={max_two_j} needs about {need} bytes, budget 1,000,000,000\n"
+        assert (code, out, err) == (2, "", message)
+        assert peak < 1_000_000
+
     def test_spin_range_is_read(self, capsys):
         code, out, _ = run(capsys, "verify", "--family", "spin", "--max-two-j", "3")
         assert code == 0
@@ -738,11 +756,12 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "norm defect=4.142e-01" in err
-        # a validator that lets it through still gets no string printed
+        # a validator that lets it through, with the dim its trace rounds
+        # to, still gets no string printed
         monkeypatch.setattr(
             spaces,
             "validate_projector",
-            lambda m, dim=None: ProjectorReport(0.0, 0.0, 0.0, int(dim), True, 0.0),
+            lambda m, dim=None: ProjectorReport(0.0, 0.0, 0.0, 8, True, 0.0),
         )
         code, out, err = run(capsys, "schmidt", path)
         assert code != 0
@@ -846,6 +865,16 @@ class TestExitCodes:
         monkeypatch.setattr(cli_module, "schmidt_string", no_memory)
         code, out, err = run(capsys, "schmidt", "--preset", "sym", "--n", "2")
         assert (code, out, err) == (2, "", "input error: out of memory\n")
+
+    def test_keyboard_interrupt_is_exit_130(self, capsys, monkeypatch):
+        # click turns an interrupt inside a subcommand into Abort
+        def interrupted(projector, zero_threshold=0.0):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_module, "schmidt_string", interrupted)
+        code, out, err = run(capsys, "schmidt", "--preset", "sym", "--n", "2")
+        assert (code, out) == (130, "")
+        assert err.splitlines()[-1] == "aborted"
 
     def test_no_args_shows_usage(self, capsys):
         # a bare invocation is treated as invalid input

@@ -578,7 +578,7 @@ class TestRealignmentCriterion:
         # entangled (Bennett et al., PRL 82, 5385, 1999)
         f = Factorization(3, 3)
         upb = projector_from_basis(SubspaceBasis(f, tiles_upb()))
-        p = Projector.from_matrix(f, np.eye(9) - upb.matrix)
+        p = Projector(f, np.eye(9) - upb.matrix)
         assert p.dim == 4
         norm = self.root_sum(p) / 2.0
         assert norm > 1.0
@@ -701,7 +701,7 @@ class TestGates:
         # passes validation with idempotency and trace defects just inside
         # their tolerances; ||A||_F^2 - 1 is about 2e-10
         f = Factorization(10, 10)
-        p = Projector.from_matrix(f, (1 + 0.99e-10) * np.eye(100))
+        p = Projector(f, (1 + 0.99e-10) * np.eye(100))
         assert p.report().passes
         s = schmidt_string(p)
         assert s.k == 1

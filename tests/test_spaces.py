@@ -143,7 +143,7 @@ class TestProjector:
         assert report.norm == pytest.approx(5e-9, rel=1e-3)
         assert not report.passes
         with pytest.raises(InputError, match="norm defect=5.000e-09"):
-            Projector.from_matrix(Factorization(10, 10), m)
+            Projector(Factorization(10, 10), m)
 
     def test_caller_array_stays_writable(self):
         m = np.eye(4, dtype=np.complex128)
@@ -180,70 +180,62 @@ class TestProjector:
         assert p.matrix is m
         assert np.array_equal(np.flatnonzero(m), nonzero)
 
-    def test_from_matrix_infers_dim(self):
-        p = Projector.from_matrix(Factorization(2, 2), np.eye(4))
+    def test_constructor_infers_dim(self):
+        p = Projector(Factorization(2, 2), np.eye(4))
         assert p.dim == 4
+        assert p.report() == validate_projector(np.eye(4), dim=4)
 
-    def test_from_matrix_rejects_zero_trace(self):
-        with pytest.raises(InputError):
-            Projector.from_matrix(Factorization(2, 2), np.zeros((4, 4)))
+    @pytest.mark.parametrize("scale, dim", [(0.0, 0), (0.1, 0), (-0.15, -1)])
+    def test_constructor_rejects_trace_below_one(self, scale, dim):
+        message = f"^projector trace rounds to {dim}, expected >= 1$"
+        with pytest.raises(InputError, match=message):
+            Projector(Factorization(2, 2), scale * np.eye(4))
 
-    def test_from_matrix_coerces_once(self, monkeypatch):
+    @pytest.mark.parametrize("dim", [None, 1])
+    def test_constructor_coerces_once(self, monkeypatch, dim):
         calls = []
-        original = spaces.as_matrix
 
-        def counting(a, name="matrix"):
-            calls.append(name)
-            return original(a, name)
+        def counting(original):
+            def call(a, name="matrix"):
+                calls.append((original.__name__, name))
+                return original(a, name)
 
-        monkeypatch.setattr(spaces, "as_matrix", counting)
-        p = Projector.from_matrix(Factorization(2, 2), SINGLET_PROJECTOR)
+            return call
+
+        for name in ("as_array", "as_matrix"):
+            monkeypatch.setattr(spaces, name, counting(getattr(spaces, name)))
+        p = Projector(Factorization(2, 2), SINGLET_PROJECTOR, dim)
         assert p.dim == 1
-        assert calls == ["matrix"]
-        # the constructor's finiteness pass is validation's, on the entries
-        Projector(Factorization(2, 2), SINGLET_PROJECTOR, 1)
-        assert calls == ["matrix"]
+        # the frozen copy's coercion; the finiteness pass is validation's,
+        # on the entries
+        assert calls == [("as_array", "projector")]
 
     @pytest.mark.parametrize("dim", [None, 1])
     @pytest.mark.parametrize(
-        "where, value, message",
+        "where, matrix, message",
         [
-            ((0, 1), np.nan, "matrix contains non-finite entries"),
-            ((1, 1), np.nan, "matrix contains non-finite entries"),
-            ((1, 1), np.inf, "matrix contains non-finite entries"),
-            (None, np.ones(4), "matrix must be 2-dimensional, got ndim=1"),
-            (None, np.ones((2, 2, 2)), "matrix must be 2-dimensional, got ndim=3"),
-            (None, np.zeros((0, 0)), "matrix must be non-empty"),
+            (None, np.ones(4), r"projector shape \(4,\) does not match factorization 2x2"),
+            (None, np.ones((2, 2, 2)), r"projector shape \(2, 2, 2\) does not match"),
+            (None, np.zeros((0, 0)), r"projector shape \(0, 0\) does not match"),
+            (None, np.full((4, 4), np.nan), "^projector contains non-finite entries$"),
+            ((0, 1), np.nan, "^projector contains non-finite entries$"),
+            ((1, 1), np.inf, "^projector contains non-finite entries$"),
         ],
     )
-    def test_from_matrix_names_malformed_matrix(self, where, value, message, dim):
-        m = SINGLET_PROJECTOR.copy()
-        if where is None:
-            m = value
-        else:
-            m[where] = value
-        with pytest.raises(InputError, match=f"^{message}$"):
-            Projector.from_matrix(Factorization(2, 2), m, dim)
-
-    @pytest.mark.parametrize(
-        "matrix, message",
-        [
-            (np.ones(4), r"projector shape \(4,\) does not match factorization 2x2"),
-            (np.zeros((0, 0)), r"projector shape \(0, 0\) does not match"),
-            (np.full((4, 4), np.nan), "^projector contains non-finite entries$"),
-            (np.diag([1.0, np.inf, 0, 0]), "^projector contains non-finite entries$"),
-        ],
-    )
-    def test_constructor_names_malformed_matrix(self, matrix, message):
+    def test_constructor_names_malformed_matrix(self, where, matrix, message, dim):
         # the shape check fixes ndim and size; validation checks finiteness
+        # before it reads the trace
+        if where is not None:
+            m, matrix = matrix, SINGLET_PROJECTOR.copy()
+            matrix[where] = m
         with pytest.raises(InputError, match=message):
-            Projector(Factorization(2, 2), matrix, 1)
+            Projector(Factorization(2, 2), matrix, dim)
 
-    def test_from_matrix_trace_that_overflows(self):
+    def test_constructor_trace_that_overflows(self):
         # finite entries whose trace is inf cannot name a dimension
         m = np.diag([1e308, 1e308, 0.0, 0.0])
         with pytest.raises(InputError, match="^projector trace overflows to inf$"):
-            Projector.from_matrix(Factorization(2, 2), m)
+            Projector(Factorization(2, 2), m)
 
 
 class TestValidateProjector:
@@ -254,6 +246,18 @@ class TestValidateProjector:
         assert report.hermiticity == 0
         assert report.idempotency == 0
         assert report.trace == 0
+
+    def test_trace_that_overflows(self):
+        import warnings
+
+        big = [np.diag([1e308, 1e308]), np.array([[1, 1], [1, -1]]) * 1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="^projector trace overflows to inf$"):
+                validate_projector(big[0])
+            # a given dim reads no trace; overflowing products fail the report
+            for m in big:
+                assert not validate_projector(m, dim=2).passes
 
     def test_half_identity_fails_idempotency(self):
         report = validate_projector(np.eye(4) / 2.0)
@@ -516,9 +520,9 @@ COUNT_HOLES = {
         lambda: Projector(Factorization(1, 1), np.eye(1), True),
         "dim must be an integer >= 1, got True",
     ),
-    "from_matrix dim float": (
-        lambda: Projector.from_matrix(Factorization(2, 2), np.eye(4), 4.0),
-        "dim must be an integer >= 1, got 4.0",
+    "Projector dim zero": (
+        lambda: Projector(Factorization(2, 2), np.zeros((4, 4)), 0),
+        "dim must be an integer >= 1, got 0",
     ),
     "validate_projector dim float": (
         lambda: validate_projector(np.eye(4), 2.5),

@@ -135,6 +135,17 @@ class TestFamilies:
         with pytest.raises(LookupError, match="^level 1$"):
             verify_hydrogen(max_n=3952)
 
+    def test_spin_range_within_the_byte_budget_runs(self, monkeypatch):
+        # 1289 is the largest max_two_j within BYTE_BUDGET, so its sweep starts
+        def first_projector(s, branch):
+            raise LookupError(f"2j={s.two_j}")
+
+        monkeypatch.setattr(verify_module, "spin_projector", first_projector)
+        with pytest.raises(LookupError, match="^2j=1$"):
+            verify_spin(max_two_j=1289)
+        with pytest.raises(InputError, match="^max_two_j=1290 needs about "):
+            verify_spin(max_two_j=1290)
+
     @pytest.mark.parametrize(
         "sweep, build, least",
         [
