@@ -179,37 +179,81 @@ def _format_float(x: float, spec: str) -> str:
     return "0" if out in ("-0", "0") else out
 
 
-def _float_array(a: np.ndarray, depth: int) -> str:
-    """A float64 array with no empty axis, as `dumps_json` writes a.tolist()."""
-    bad = ~np.isfinite(a)
-    if bad.any():
-        raise InputError(f"cannot serialize non-finite float {a[bad][0].item()!r}")
-    # + 0.0 turns -0.0 into 0.0, as _format_float does
-    flat = (a + 0.0).ravel().tolist()
-    n = a.shape[-1]
-    if n <= 2:  # innermost rows of one or two values stay on one line
-        row = "[" + ", ".join([f"%{JSON_DIGITS}"] * n) + "]"
-        items = list(map(row.__mod__, zip(*[iter(flat)] * n)))
-        axes = a.ndim - 1
-    else:
-        items = [format(x, JSON_DIGITS) for x in flat]
-        axes = a.ndim
-    for axis in reversed(range(axes)):
-        n = a.shape[axis]
-        pad = "  " * (depth + axis)
-        head, sep, tail = f"[\n{pad}  ", f",\n{pad}  ", f"\n{pad}]"
-        items = [
-            head + sep.join(items[i : i + n]) + tail for i in range(0, len(items), n)
-        ]
-    return items[0]
+@dataclass(frozen=True)
+class _Slot:
+    """A template's hole for one leaf: `emit` writes it as the %-conversion
+    of `spec`."""
+
+    spec: str
+
+
+_SLOTS = {float: _Slot(JSON_DIGITS), int: _Slot("d"), str: _Slot("s")}
+
+
+def _leaves(value, shape: list, leaves: list) -> bool:
+    """Append the scalar leaves of a dict or list to `leaves` in document
+    order, as its template's slots take them, and its shape to `shape`: its
+    lengths, its keys and the types of its values.
+
+    False when it holds what no slot takes: a non-finite float, a bool,
+    None, a numpy value or array, a tuple, a str subclass, or a key that is
+    not exactly a str.
+    """
+    shape.append(len(value))
+    if type(value) is dict:
+        if not set(map(type, value)) <= {str}:
+            return False
+        shape.extend(value)
+        value = value.values()
+    for v in value:
+        kind = type(v)
+        shape.append(kind)
+        if kind is float:
+            if v - v:  # nan or inf
+                return False
+            leaves.append(v + 0.0)  # -0.0 is written as 0
+        elif kind is str:
+            leaves.append(encode_basestring_ascii(v))
+        elif kind is int:
+            leaves.append(v)
+        elif (kind is not dict and kind is not list) or not _leaves(v, shape, leaves):
+            return False
+    return True
+
+
+def _skeleton(value):
+    """`value`, which `_leaves` took, with each scalar leaf replaced by its slot."""
+    if type(value) is dict:
+        return {k: _skeleton(v) for k, v in value.items()}
+    if type(value) is list:
+        return list(map(_skeleton, value))
+    return _SLOTS[type(value)]
 
 
 def dumps_json(obj) -> str:
     """Serialize nested dicts/lists, two spaces per level, 17-digit floats.
 
-    A float64 ndarray is written exactly as its ``.tolist()`` would be.
-    Strings are quoted as ``json.dumps`` quotes them.
+    A float64 ndarray is written exactly as its ``.tolist()`` would be, and
+    a 0-d array as its one element.  Strings are quoted as ``json.dumps``
+    quotes them.  A dict in a list is a record; records of one shape, and
+    the rows of a float64 array, are written by filling one template, which
+    `emit` lays out from a skeleton with a slot per leaf.  A record that
+    `_leaves` refuses is written by `emit` alone, with the same bytes.
     """
+    templates: dict[tuple, str] = {}
+
+    def template(skeleton, depth: int) -> str:
+        """`skeleton` as `emit` writes it, with a %-conversion per slot."""
+        return emit(skeleton, depth).replace("%", "%%").replace("\0", "%")
+
+    def record(value: dict, depth: int) -> str:
+        shape, leaves = [depth], []
+        if not _leaves(value, shape, leaves):
+            return emit(value, depth)
+        shape = tuple(shape)
+        if shape not in templates:
+            templates[shape] = template(_skeleton(value), depth)
+        return templates[shape] % tuple(leaves)
 
     def emit(value, depth: int) -> str:
         kind = type(value)  # float, str and int first: nearly every value is one
@@ -219,6 +263,8 @@ def dumps_json(obj) -> str:
             return encode_basestring_ascii(value)
         if kind is int:
             return str(value)
+        if kind is _Slot:  # a template's hole: no written text holds a NUL
+            return "\0" + value.spec
         if value is None:
             return "null"
         if isinstance(value, bool):
@@ -237,21 +283,32 @@ def dumps_json(obj) -> str:
                 for k, v in value.items()
             ]
             return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-        floats = isinstance(value, np.ndarray) and value.dtype == np.float64
-        if floats and value.ndim and value.size:
-            return _float_array(value, depth)
-        if isinstance(value, (list, tuple, np.ndarray)):
+        if isinstance(value, np.ndarray) and not value.ndim:
+            return emit(value[()], depth)
+        if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.size:
+            bad = ~np.isfinite(value)
+            if bad.any():
+                raise InputError(
+                    f"cannot serialize non-finite float {value[bad][0].item()!r}"
+                )
+            # + 0.0 turns -0.0 into 0.0; each row fills one template
+            rows = (value + 0.0).reshape(len(value), -1).tolist()
+            slots = _skeleton(value[0].tolist())
+            items = list(map(template(slots, depth + 1).__mod__, map(tuple, rows)))
+            flat = value.ndim == 1
+        elif isinstance(value, (list, tuple, np.ndarray)):
             seq = list(value)
             if not seq:
                 return "[]"
             flat = all(
                 not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq
             )
-            if flat and len(seq) <= 2:
-                return "[" + ", ".join(emit(v, depth + 1) for v in seq) + "]"
-            rows = [f"{inner}{emit(v, depth + 1)}" for v in seq]
-            return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-        raise InputError(f"cannot serialize {type(value).__name__}")
+            items = [(record if type(v) is dict else emit)(v, depth + 1) for v in seq]
+        else:
+            raise InputError(f"cannot serialize {type(value).__name__}")
+        if flat and len(items) <= 2:  # one or two scalars stay on one line
+            return "[" + ", ".join(items) + "]"
+        return "[\n" + ",\n".join([inner + x for x in items]) + "\n" + pad + "]"
 
     return emit(obj, 0) + "\n"
 

@@ -235,7 +235,7 @@ class Projector:
     """
 
     factorization: Factorization
-    matrix: np.ndarray
+    matrix: np.ndarray = field(repr=False)
     dim: int | None = None
     _report: ProjectorReport = field(init=False, repr=False)
     _entries: _Entries = field(init=False, repr=False)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from json.encoder import encode_basestring_ascii
 
 import mpmath
 import numpy as np
@@ -438,3 +439,88 @@ def verify_hydrogen_reference(max_n: int) -> tuple[Check, ...]:
             Check(f"hydrogen n={n} chain order", 0.0 if order_ok else 1.0, 0.0)
         )
     return tuple(checks)
+
+
+# --- the record-by-record emitter ---------------------------------------------
+#
+# `dumps_json` as it was before list records were written from a per-shape
+# template: one recursive `emit` call per value.  The differential tests hold
+# the template route to these bytes and error messages.
+
+
+def _format_float_reference(x: float, spec: str) -> str:
+    if not math.isfinite(x):
+        raise InputError(f"cannot serialize non-finite float {x!r}")
+    out = format(float(x), spec)
+    return "0" if out in ("-0", "0") else out
+
+
+def _float_array_reference(a: np.ndarray, depth: int) -> str:
+    bad = ~np.isfinite(a)
+    if bad.any():
+        raise InputError(f"cannot serialize non-finite float {a[bad][0].item()!r}")
+    flat = (a + 0.0).ravel().tolist()
+    n = a.shape[-1]
+    if n <= 2:
+        row = "[" + ", ".join(["%.17g"] * n) + "]"
+        items = list(map(row.__mod__, zip(*[iter(flat)] * n)))
+        axes = a.ndim - 1
+    else:
+        items = [format(x, ".17g") for x in flat]
+        axes = a.ndim
+    for axis in reversed(range(axes)):
+        n = a.shape[axis]
+        pad = "  " * (depth + axis)
+        head, sep, tail = f"[\n{pad}  ", f",\n{pad}  ", f"\n{pad}]"
+        items = [
+            head + sep.join(items[i : i + n]) + tail for i in range(0, len(items), n)
+        ]
+    return items[0]
+
+
+def dumps_json_reference(obj) -> str:
+    """`subent.io.dumps_json`, one recursive call per value."""
+
+    def emit(value, depth: int) -> str:
+        kind = type(value)
+        if kind is float:
+            return _format_float_reference(value, ".17g")
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if kind is int:
+            return str(value)
+        if value is None:
+            return "null"
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, (float, np.floating)):
+            return _format_float_reference(float(value), ".17g")
+        pad = "  " * depth
+        inner = pad + "  "
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            rows = [
+                f"{inner}{encode_basestring_ascii(str(k))}: {emit(v, depth + 1)}"
+                for k, v in value.items()
+            ]
+            return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+        floats = isinstance(value, np.ndarray) and value.dtype == np.float64
+        if floats and value.ndim and value.size:
+            return _float_array_reference(value, depth)
+        if isinstance(value, (list, tuple, np.ndarray)):
+            seq = list(value)
+            if not seq:
+                return "[]"
+            flat = all(
+                not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq
+            )
+            if flat and len(seq) <= 2:
+                return "[" + ", ".join(emit(v, depth + 1) for v in seq) + "]"
+            rows = [f"{inner}{emit(v, depth + 1)}" for v in seq]
+            return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+        raise InputError(f"cannot serialize {type(value).__name__}")
+
+    return emit(obj, 0) + "\n"

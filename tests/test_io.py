@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from subent.io import (
 from subent.catalog import antisymmetric_subspace
 from subent.spaces import projector_from_basis
 
-from .helpers import pair_matrix_reference
+from .helpers import dumps_json_reference, pair_matrix_reference
 
 INV = 1.0 / math.sqrt(2.0)
 
@@ -387,6 +388,146 @@ class TestWholeArrayEmit:
         assert matrix.tobytes() == (a + 0.0).tobytes()
         pairs = np.stack([matrix.real, matrix.imag], axis=-1)
         assert dumps_json({"d1": 1, "d2": dim, key: pairs}) == text
+
+
+class TestZeroDimArrays:
+    """A 0-d array is written as its ``.tolist()``, the one scalar it holds."""
+
+    @pytest.mark.parametrize(
+        "a", [np.array(1.5), np.array(-0.0), np.array(7), np.array(3.0, np.float32)]
+    )
+    def test_written_as_its_scalar(self, a):
+        assert dumps_json(a) == dumps_json(a.tolist())
+        assert dumps_json({"x": [a, a, a]}) == dumps_json({"x": [a.tolist()] * 3})
+
+    def test_values(self):
+        assert dumps_json(np.array(1.5)) == "1.5\n"
+        assert dumps_json(np.array(-2)) == "-2\n"
+
+    def test_non_finite_refused(self):
+        with pytest.raises(InputError, match="non-finite float nan"):
+            dumps_json(np.array(math.nan))
+
+
+class Tag(str, Enum):
+    """A str subclass: equal to "a" as a key, written as "Tag.A"."""
+
+    A = "a"
+
+
+# keys with a %, a quote, non-ASCII, a NUL; the rest are not exactly str and
+# are written as their str(): -0.0 == 0.0, True == 1 and Tag.A == "a" as keys
+KEYS = st.one_of(
+    st.sampled_from(["a", "b", "%", "%s", "%(a)d", "%%", '"q"', "ψ é", "\0", Tag.A]),
+    st.text(max_size=3),
+    st.sampled_from([0, 1, True, -0.0, 0.0, None]),
+)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+RECORD_FLOATS = st.one_of(DOCUMENT_FLOATS, NON_FINITE)
+TEXTS = st.one_of(st.sampled_from(["%", "%s", '"', "ψ", "\0", "-0", "nan"]), st.text())
+LEAVES = st.one_of(
+    RECORD_FLOATS,
+    st.integers(),
+    TEXTS,
+    st.booleans(),
+    st.none(),
+    st.builds(np.float64, DOCUMENT_FLOATS),
+    st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+    st.builds(np.float32, st.floats(width=32, allow_nan=False)),
+    arrays(
+        np.float64,
+        st.sampled_from([(1,), (2,), (3,), (2, 2), (2, 0)]),
+        elements=RECORD_FLOATS,
+    ),
+    arrays(np.int64, st.sampled_from([(1,), (3,)])),
+)
+VALUES = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(KEYS, inner, max_size=4),
+    ),
+    max_leaves=10,
+)
+
+
+def _refill(draw, value):
+    """`value` with each exact float, int and str leaf drawn afresh: a record
+    of the same shape, whose floats may be -0.0, subnormal or non-finite."""
+    kind = type(value)
+    if kind is dict:
+        return {k: _refill(draw, v) for k, v in value.items()}
+    if kind is list:
+        return [_refill(draw, v) for v in value]
+    fresh = {float: RECORD_FLOATS, int: st.integers(), str: TEXTS}.get(kind)
+    return value if fresh is None else draw(fresh)
+
+
+@st.composite
+def record_lists(draw):
+    """Lists of records: several of one shape, with records of other shapes
+    and other values mixed in, at the top or under a key."""
+    first = draw(st.dictionaries(KEYS, VALUES, max_size=5))
+    same = [_refill(draw, first) for _ in range(draw(st.integers(0, 5)))]
+    mixed = st.one_of(st.dictionaries(KEYS, VALUES), VALUES)
+    others = draw(st.lists(mixed, max_size=3))
+    records = [first, *same]
+    for other in others:
+        records.insert(draw(st.integers(0, len(records))), other)
+    return draw(st.sampled_from([records, {"n": 1, "entries": records}]))
+
+
+def _outcome(dumps, obj):
+    """The text `dumps` writes for `obj`, or the text of its InputError."""
+    try:
+        return dumps(obj)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+class TestRecordTemplates:
+    """Records written from a template of their shape have the bytes and the
+    errors of the record-by-record emitter in `dumps_json_reference`."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(obj=record_lists())
+    def test_matches_reference(self, obj):
+        assert _outcome(dumps_json, obj) == _outcome(dumps_json_reference, obj)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 25])
+    def test_hydrogen_document(self, n):
+        level, s0 = hydrogen_level(n), limiting_string()
+        chain = sort_chain([(e.label, e.string) for e in level.entries] + [("S_0", s0)])
+        doc = hydrogen_document(level, s0, chain)
+        assert dumps_json(doc) == dumps_json_reference(doc)
+
+    def test_special_records(self):
+        base = {"x": 1.5, "k": 2, "s": "a", "p": [0.5, 0.25, 0.25], "m": {"e": 1.0}}
+        for x in (-0.0, 5e-324, -1e308, 1e308, 3.0, 2.0**53):
+            obj = [base, {**base, "x": x}, {**base, "m": {"e": x}}]
+            assert dumps_json(obj) == dumps_json_reference(obj)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_after_first_record(self, bad):
+        base = {"x": 1.5, "p": [0.5, 0.25, 0.25]}
+        obj = [base, base, {"x": 1.5, "p": [0.5, bad, 0.25]}]
+        with pytest.raises(InputError) as got:
+            dumps_json(obj)
+        assert str(got.value) == f"cannot serialize non-finite float {bad!r}"
+
+    def test_keys_that_format(self):
+        obj = [{"%s": 1, "%%": "%d", '"': 0.5}, {"%s": 2, "%%": "%", '"': -0.0}]
+        assert dumps_json(obj) == dumps_json_reference(obj)
+        assert json.loads(dumps_json(obj)) == [
+            {"%s": 1, "%%": "%d", '"': 0.5},
+            {"%s": 2, "%%": "%", '"': 0.0},
+        ]
+
+    def test_equal_keys_of_other_types(self):
+        # -0.0 == 0.0, True == 1 and Tag.A == "a", but each is written as its str
+        for first, second in ((0.0, -0.0), (1, True), ("a", Tag.A)):
+            obj = [{first: 1.0}, {second: 1.0}, {first: 2.0}]
+            assert dumps_json(obj) == dumps_json_reference(obj)
 
 
 def _mutate(draw, rows):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subent import (
+    Branch,
     Factorization,
     InputError,
     Projector,
@@ -18,6 +20,7 @@ from subent import (
     linalg,
     projector_from_basis,
     spaces,
+    spin_projector,
     validate_projector,
     verify_antisym,
     verify_spin,
@@ -124,6 +127,19 @@ class TestProjector:
             w = np.linalg.eigvalsh(p.matrix)
             assert int((w > 0.5).sum()) == size
 
+    def test_repr_leaves_matrix_unbuilt(self):
+        # the dense matrix of 2j = 1000 is 2004^2 complex entries, 64 MB
+        p = spin_projector(1000, Branch.PLUS)
+        tracemalloc.start()
+        try:
+            text = repr(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == "Projector(factorization=Factorization(d1=1001, d2=2), dim=1002)"
+        assert peak < 1_000_000
+        assert "matrix" not in vars(p)
+
     def test_matrix_read_only(self):
         p = projector_from_basis(SubspaceBasis(Factorization(2, 2), np.eye(4)))
         with pytest.raises(ValueError):
@@ -159,8 +175,6 @@ class TestProjector:
 
     def test_builders_adopt_their_matrix(self):
         # the basis builder's matrix is frozen in place; a caller's is copied
-        from subent import Branch, spin_projector
-
         basis = SubspaceBasis(Factorization(2, 2), SINGLET.reshape(1, 4))
         p = projector_from_basis(basis)
         assert type(p.matrix) is np.ndarray
