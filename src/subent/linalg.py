@@ -46,18 +46,22 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray | None:
+def _component_labels(
+    rows: np.ndarray, cols: np.ndarray, n: int, rounds: int | None = None
+) -> np.ndarray | None:
     """Connected components of the graph on n vertices with edges (rows, cols).
 
     Label propagation in both edge directions with one pointer jump per
     round (Shiloach & Vishkin, J. Algorithms 3, 57, 1982).  Labels only
     decrease and always name a vertex of their own component, so once the
     two ends of every edge share a label, each label is its component's
-    least vertex.  Returns None when that has not happened within
-    2 * bit_length(n) + 2 rounds.
+    least vertex.  Returns None when that has not happened within `rounds`
+    rounds, by default 2 * bit_length(n) + 2.  A round acts on each
+    component alone and only by comparing its vertices, so a component
+    settles in the same round, to its least vertex, beside any others.
     """
     lab = np.arange(n)
-    for _ in range(2 * n.bit_length() + 2):
+    for _ in range(2 * n.bit_length() + 2 if rounds is None else rounds):
         np.minimum.at(lab, rows, lab[cols])
         np.minimum.at(lab, cols, lab[rows])
         lab = lab[lab]
@@ -83,7 +87,7 @@ def _numbered(index: np.ndarray, extent: int, masked: bool) -> tuple[np.ndarray,
     return new, int(new[order[-1]]) + 1
 
 
-def _blocks(rows, cols, values, shape, square: bool) -> list[np.ndarray]:
+def _blocks(rows, cols, values, shape, square: bool, rounds: int | None = None):
     """The blocks of the matrix of `shape` with nonzero entries `values` at
     (`rows`, `cols`), one per connected component of their pattern, stacked
     as one (count, r, c) array per block shape, by r and then c, a stack's
@@ -95,15 +99,23 @@ def _blocks(rows, cols, values, shape, square: bool) -> list[np.ndarray]:
     than the other (d1 d2 at most for a realigned A) is numbered by a mask.
     Blocks keep the order of their rows and columns.  Unsettled labels make
     one block.
+
+    With `rounds`, for matrices laid one after another along the diagonal:
+    the labels must settle within `rounds` rounds, or None is returned, and
+    the stacks come with each block's least row, one array in stack order.
     """
     n = n_r = shape[0]
     if not square:
+        first = rows
         rows, n_r = _numbered(rows, shape[0], shape[0] <= shape[1])
         cols, n_c = _numbered(cols, shape[1], shape[1] <= shape[0])
         n = n_r + n_c
         cols = cols + n_r
-    lab = _component_labels(rows, cols, n)
-    lab = np.zeros(n, dtype=np.intp) if lab is None else lab
+    lab = _component_labels(rows, cols, n, rounds)
+    if lab is None:
+        if rounds is not None:
+            return None
+        lab = np.zeros(n, dtype=np.intp)
     # rows and columns per label; each block has a row, and the blocks are
     # ranked by shape, then by label
     r = np.bincount(lab[:n_r], minlength=n)
@@ -128,22 +140,57 @@ def _blocks(rows, cols, values, shape, square: bool) -> list[np.ndarray]:
     buf[row_start[rows] + within[cols]] = values
     cuts = ((r[1:] != r[:-1]) | (c[1:] != c[:-1])).nonzero()[0] + 1
     ends = [0, *cuts.tolist(), r.size]
-    return [buf[start[a] : start[b]].reshape(-1, r[a], c[a]) for a, b in pairwise(ends)]
+    stacks = [
+        buf[start[a] : start[b]].reshape(-1, r[a], c[a]) for a, b in pairwise(ends)
+    ]
+    if rounds is None:
+        return stacks
+    if not square:  # a label is its block's least row, numbered
+        least = np.empty(n_r, dtype=np.intp)
+        least[rows] = first
+        labels = least[labels]
+    return stacks, labels
 
 
-def _spectrum(blocks: list[np.ndarray]) -> np.ndarray:
-    """Descending eigenvalues of the Hermitian matrix with diagonal `blocks`,
-    stacked as `_blocks` stacks them.  Each stack is symmetrized (the only
-    place that does) and solved by one ``eigvalsh``, and an eigenvalue sum
-    off the trace by a relative `EIGENVALUE_SUM_TOL` is a NumericalError."""
-    w = [np.linalg.eigvalsh((b + b.conj().swapaxes(1, 2)) / 2).ravel() for b in blocks]
-    w = np.sort(np.concatenate(w))[::-1]
-    trace = float(sum(b.trace(axis1=1, axis2=2).real.sum() for b in blocks))
-    if abs(float(w.sum()) - trace) > EIGENVALUE_SUM_TOL * max(1.0, abs(trace)):
-        raise NumericalError(
-            f"eigenvalue sum {w.sum():.17g} disagrees with trace {trace:.17g}"
-        )
-    return np.ascontiguousarray(w)
+def _spectrum(blocks: list[np.ndarray], owners: list[np.ndarray] | None = None):
+    """The descending eigenvalues of Hermitian matrices with diagonal
+    `blocks`, stacked as `_blocks` stacks them: of one matrix, or of the
+    matrices 0, 1, ... that `owners` names, one array per stack, each
+    nondecreasing.  Returns them one matrix after another, and where each
+    matrix's end.  Each stack is symmetrized (the only place that does) and
+    solved by one ``eigvalsh``.  A matrix whose eigenvalue sum is off its
+    trace by a relative `EIGENVALUE_SUM_TOL` is a NumericalError, the first
+    such in order.  Each matrix's eigenvalues and traces are summed in the
+    order they have alone, and `np.add.reduceat` adds a run the same
+    wherever it lies, so a matrix gets the same verdict beside others as
+    alone.
+    """
+    w = [np.linalg.eigvalsh((b + b.conj().swapaxes(1, 2)) / 2) for b in blocks]
+    traces = [b.trace(axis1=1, axis2=2).real for b in blocks]
+    if owners is None:
+        w = np.ascontiguousarray(np.sort(np.concatenate([x.ravel() for x in w]))[::-1])
+        ends = np.array([w.size])
+        sums = np.add.reduceat(w, [0])
+        trace = [float(sum(np.add.reduceat(t, [0])[0] for t in traces))]
+    else:
+        own = np.concatenate([o.repeat(x.shape[1]) for o, x in zip(owners, w)])
+        w = np.concatenate([x.ravel() for x in w])
+        # by owner, then descending
+        w = w[np.lexsort((-w, own))]
+        ends = np.bincount(own).cumsum()
+        sums = np.add.reduceat(w, np.concatenate(([0], ends[:-1])))
+        trace = np.zeros(ends.size)
+        for o, t in zip(owners, traces):
+            # a stack holds each owner's blocks in one run
+            runs = np.concatenate(([0], (o[1:] != o[:-1]).nonzero()[0] + 1))
+            trace[o[runs]] += np.add.reduceat(t, runs)
+        trace = trace.tolist()
+    for total, t in zip(sums.tolist(), trace):
+        if abs(total - t) > EIGENVALUE_SUM_TOL * max(1.0, abs(t)):
+            raise NumericalError(
+                f"eigenvalue sum {total:.17g} disagrees with trace {t:.17g}"
+            )
+    return w, ends
 
 
 def hermitian_eigenvalues(h) -> np.ndarray:
@@ -163,7 +210,7 @@ def hermitian_eigenvalues(h) -> np.ndarray:
             f"matrix is not Hermitian: defect {defect:.3e} "
             f"exceeds tol {HERMITICITY_TOL:.3e}"
         )
-    return _spectrum([h[None]])
+    return _spectrum([h[None]])[0]
 
 
 # rows per panel of `gram_schmidt`

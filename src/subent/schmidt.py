@@ -109,35 +109,58 @@ class SchmidtString:
         descending, and right-pads with zeros to `length` when given.  The
         result must sum to 1; it is never renormalized.
         """
-        if not (math.isfinite(zero_threshold) and zero_threshold >= 0):
-            raise InputError(
-                f"zero_threshold must be finite and >= 0, got {zero_threshold!r}"
-            )
         p = as_array(values, "probs", np.float64).ravel()
         if p.size == 0:
             raise InputError("probability string must be non-empty")
         if (p < -NEGATIVE_EIGENVALUE_FLOOR).any():
             raise InputError(f"negative probability {p.min():.3e}")
-        p = np.maximum(p, 0.0)
-        below = p < zero_threshold
         size = p.size if length is None else as_count(length, "length")
         if size < p.size:
             raise InputError(f"length {size} shorter than {p.size} values")
-        # floored entries as exact zeros, sorted descending, padded with zeros
-        q = np.where(below, 0.0, p)
-        q.sort()
-        row = np.zeros((1, size))
-        row[0, : p.size] = q[::-1]
+        return cls._floored(np.sort(p)[::-1], [(0, p.size)], [size], zero_threshold)[0]
+
+    @classmethod
+    def _floored(
+        cls, w: np.ndarray, runs: list, lengths: list[int], zero_threshold: float
+    ) -> list["SchmidtString"]:
+        """One string per run (start, end) of `w`, each descending:
+        clamped at zero, floored to exact zeros below `zero_threshold` (which
+        keeps it descending) and padded with zeros to its length in
+        `lengths`.  Runs of one length are checked as one stack; when one
+        fails, the first failing run in order is the InputError it gives
+        alone, naming the weight floored from it."""
+        if not (math.isfinite(zero_threshold) and zero_threshold >= 0):
+            raise InputError(
+                f"zero_threshold must be finite and >= 0, got {zero_threshold!r}"
+            )
+        # + 0.0 writes -0.0 as 0.0, so the place of zeros that compare equal
+        # changes no bit
+        p = np.maximum(w, 0.0) + 0.0
+        q = np.where(p < zero_threshold, 0.0, p)
+        rows = [np.zeros(size) for size in lengths]
+        groups: dict[int, list[int]] = {}
+        for i, ((a, b), row) in enumerate(zip(runs, rows)):
+            row[: b - a] = q[a:b]
+            groups.setdefault(row.size, []).append(i)
+        strings: list = [None] * len(rows)
         try:
-            return cls._rows(row)[0]
-        except InputError as exc:
-            floored = float(p[below].sum())
-            if floored > 0:
-                raise InputError(
-                    f"zero_threshold {zero_threshold:g} floored weight "
-                    f"{floored:.3e}: {exc}"
-                ) from None
+            for at in groups.values():
+                for i, string in zip(at, cls._rows(np.array([rows[i] for i in at]))):
+                    strings[i] = string
+        except InputError:
+            for (a, b), row in zip(runs, rows):
+                try:
+                    cls._rows(row[None])
+                except InputError as exc:
+                    floored = float(p[a:b][p[a:b] < zero_threshold].sum())
+                    if floored > 0:
+                        raise InputError(
+                            f"zero_threshold {zero_threshold:g} floored weight "
+                            f"{floored:.3e}: {exc}"
+                        ) from None
+                    raise
             raise
+        return strings
 
 
 @dataclass(frozen=True)
@@ -187,10 +210,11 @@ def realign(p: Projector) -> np.ndarray:
     Row (i, j) and column (k, l) of A hold the entry of P at row i*d2+k,
     column j*d2+l, scaled by 1/sqrt(dim V).  Realignment only permutes
     entries, so A is a unit vector because P / sqrt(dim V) is, which
-    projector validation checks.
+    projector validation checks.  P is read from its entries, so a
+    projector built from them keeps no dense copy.
     """
     d1, d2 = p.factorization.d1, p.factorization.d2
-    a = p.matrix.reshape(d1, d2, d1, d2)
+    a = p._entries.dense().reshape(d1, d2, d1, d2)
     return a.transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2) / math.sqrt(p.dim)
 
 
@@ -203,29 +227,133 @@ def schmidt_string(
     realigned matrix; entries below `zero_threshold` are floored to exact
     zeros before the Schmidt rank is counted.
     """
-    f = p.factorization
-    _, nonzero, values = p._entries
-    if nonzero is None:
-        blocks = [realign(p)[None]]
-    else:
+    return _spectra([p], zero_threshold)[0]
+
+
+# nonzero entries per chunk of `_spectra`, which bounds what a chunk holds
+# at once; the largest default `verify` sweep, spin, takes 2,580
+_CHUNK = 2**13
+
+
+def _spectra(items, zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> list:
+    """The Schmidt string of each Projector of `items` and the descending
+    eigenvalues of each Hermitian matrix held as `_Entries`, in order.
+
+    Items are taken in chunks of at most `_CHUNK` nonzero entries (or of
+    one larger item), so `items` may be a generator that builds them.  A
+    chunk is split into blocks by one `_blocks` call per kind, and each
+    stack of blocks of one shape gets one Gram and one eigensolve.  Each
+    item gets the result, checks and error it gets alone: a projector's
+    eigenvalue sum against its own trace, and its own clamping floor.
+    """
+    found: list = []
+    chunk: list = []
+    size = 0
+    for item in items:
+        n = (item._entries if isinstance(item, Projector) else item).values.size
+        if chunk and size + n > _CHUNK:
+            found += _chunk(chunk, zero_threshold)
+            chunk, size = [], 0
+        chunk.append(item)
+        size += n
+    return found + _chunk(chunk, zero_threshold) if chunk else found
+
+
+def _laid_out(kind: list, square: bool):
+    """Rows, columns and values of the matrices of `kind`, (index, item,
+    flat indices, values) each, laid one after another along the diagonal:
+    the realigned A of projectors, or Hermitian matrices when `square`; and
+    the shape, and the first row of each."""
+    rows, cols, values, shapes = [], [], [], []
+    for _, item, flat, v in kind:
+        if square:
+            r, c = np.divmod(flat, item.side)
+            rows.append(r)
+            cols.append(c)
+            values.append(v)
+            shapes.append((item.side, item.side))
+            continue
+        f = item.factorization
         # P[(i, k), (j, l)] is A[(i, j), (k, l)] times sqrt(dim V)
-        i, k, j, l = np.unravel_index(nonzero, (f.d1, f.d2, f.d1, f.d2))
-        entries = (i * f.d1 + j, k * f.d2 + l, values / math.sqrt(p.dim))
-        blocks = _blocks(*entries, (f.d1**2, f.d2**2), False)
-    # each stack's smaller Gram takes its place, so A is freed before the solve
-    blocks = [(b, b.conj().transpose(0, 2, 1)) for b in blocks]
-    blocks = [b @ h if b.shape[1] <= b.shape[2] else h @ b for b, h in blocks]
-    w = _spectrum(blocks)
+        i, k, j, l = np.unravel_index(flat, (f.d1, f.d2, f.d1, f.d2))
+        rows.append(i * f.d1 + j)
+        cols.append(k * f.d2 + l)
+        values.append(v / math.sqrt(item.dim))
+        shapes.append((f.d1**2, f.d2**2))
+    if len(kind) == 1:
+        return rows[0], cols[0], values[0], shapes[0], [0]
+    counts = [v.size for v in values]
+    ends = np.cumsum(shapes, axis=0)
+    leads = ends - shapes
+    rows = np.concatenate(rows) + leads[:, 0].repeat(counts)
+    cols = np.concatenate(cols) + leads[:, 1].repeat(counts)
+    return rows, cols, np.concatenate(values), tuple(ends[-1].tolist()), leads[:, 0]
+
+
+def _chunk(items: list, zero_threshold: float) -> list:
+    """`_spectra` of one chunk."""
+    many = len(items) > 1
+    # A of a projector with no zero entry is one block; the other projectors'
+    # A and the Hermitian matrices are split, A first
+    stacks: list[np.ndarray] = []
+    owners: list[np.ndarray] = []
+    kinds: dict[bool, list] = {False: [], True: []}
+    for i, item in enumerate(items):
+        projector = isinstance(item, Projector)
+        side, flat, values = item._entries if projector else item
+        if flat is None and projector:
+            stacks.append(realign(item)[None])
+            owners.append(np.array([i]))
+            continue
+        flat = np.arange(side * side) if flat is None else flat
+        kinds[not projector].append((i, item, flat, values))
+    for square, kind in kinds.items():
+        if kind and not many:
+            stacks += _blocks(*_laid_out(kind, square)[:4], square)
+        elif kind:
+            rows, cols, values, shape, leads = _laid_out(kind, square)
+            # Alone, an item's labels get 2 bit_length(n) + 2 rounds, n its
+            # vertices: its side, or at least 2 sqrt(m) for m entries of A.
+            # Labels that settle within the fewest rounds any item gets
+            # alone split each item as alone.
+            n = min(e.side if square else 2 * math.isqrt(v.size) for _, e, _, v in kind)
+            split = _blocks(rows, cols, values, shape, square, 2 * n.bit_length() + 2)
+            if split is None:
+                return [x for item in items for x in _chunk([item], zero_threshold)]
+            blocks, first = split
+            owner = np.array([i for i, *_ in kind])
+            owner = owner[np.searchsorted(leads, first, side="right") - 1]
+            stacks += blocks
+            owners += np.split(owner, np.cumsum([len(b) for b in blocks])[:-1])
+        if not square:
+            grams = len(stacks)
+    # each A stack's smaller Gram takes its place, so A is freed before the
+    # solve
+    stacks[:grams] = [
+        b @ h if b.shape[1] <= b.shape[2] else h @ b
+        for b, h in ((b, b.conj().transpose(0, 2, 1)) for b in stacks[:grams])
+    ]
+    w, ends = _spectrum(stacks, owners if many else None)
+    runs = list(zip([0, *ends[:-1].tolist()], ends.tolist()))
+    found: list = [w[a:b] for a, b in runs]
+    at = [i for i, item in enumerate(items) if isinstance(item, Projector)]
     # The Gram matrices are positive semidefinite, so an eigenvalue below
     # the clamping floor means the eigensolver lost accuracy.
-    if w[-1] < -NEGATIVE_EIGENVALUE_FLOOR:
-        raise NumericalError(
-            f"eigenvalue {w[-1]:.3e} below the "
-            f"{-NEGATIVE_EIGENVALUE_FLOOR:g} clamping floor"
-        )
-    return SchmidtString.from_probs(
-        w, length=f.schmidt_length, zero_threshold=zero_threshold
+    for i in at:
+        if found[i][-1] < -NEGATIVE_EIGENVALUE_FLOOR:
+            raise NumericalError(
+                f"eigenvalue {found[i][-1]:.3e} below the "
+                f"{-NEGATIVE_EIGENVALUE_FLOOR:g} clamping floor"
+            )
+    strings = SchmidtString._floored(
+        w,
+        [runs[i] for i in at],
+        [items[i].factorization.schmidt_length for i in at],
+        zero_threshold,
     )
+    for i, string in zip(at, strings):
+        found[i] = string
+    return found
 
 
 def vector_schmidt(v, factorization: Factorization) -> np.ndarray:

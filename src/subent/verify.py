@@ -26,10 +26,16 @@ from .catalog import (
     sym_string_closed,
     symmetric_subspace,
 )
-from .linalg import hermitian_eigenvalues
 from .majorization import sort_chain
-from .schmidt import Measures, SchmidtString, _measures_of, realign, schmidt_string
-from .spaces import Factorization, SubspaceBasis, as_count, projector_from_basis
+from .schmidt import Measures, SchmidtString, _measures_of, _spectra, realign
+from .spaces import (
+    Factorization,
+    Projector,
+    SubspaceBasis,
+    _entries_of,
+    as_count,
+    projector_from_basis,
+)
 from .tolerances import COMPLETENESS_TOL, MEASURE_TOL, Q_MATRIX_TOL, STRING_TOL
 from .tolerances import within_budget
 
@@ -103,13 +109,15 @@ def _verify_exchange(family: str, max_n: int) -> FamilyReport:
     else:
         least, build, closed_string = 1, symmetric_subspace, sym_string_closed
     max_n = as_count(max_n, "max_n", least)
-    # the largest basis's estimate, as the library bases take it, before n = least
+    # the largest basis's estimate, as the library bases take it, before
+    # n = least; whole `verify --family antisym|sym` ops peak at 31.7-33.0
+    # traced bytes per max_n^4 (24..40), from that basis's dense projector
     within_budget(f"max_n={max_n}", 28 * max_n**4)
     ns = range(least, max_n + 1)
     return _report(
         family,
         [f"{family} n={n}" for n in ns],
-        [schmidt_string(projector_from_basis(build(n))) for n in ns],
+        _spectra(projector_from_basis(build(n)) for n in ns),
         [closed_string(n) for n in ns],
         [closed_measures(family, n) for n in ns],
     )
@@ -143,46 +151,68 @@ def _expected_q_matrix(two_j: int) -> np.ndarray:
     return m
 
 
+def _completeness(plus: Projector, minus: Projector) -> float:
+    """max |P+ + P- - I| entrywise, read from the projectors' entries: off
+    their nonzeros and the diagonal the sum is exactly 0 + 0 - 0."""
+    (side, flat_p, plus_v), (_, flat_m, minus_v) = plus._entries, minus._entries
+    flat = np.union1d(np.union1d(flat_p, flat_m), np.arange(side) * (side + 1))
+    total = np.zeros((2, flat.size), dtype=np.complex128)
+    total[0, np.searchsorted(flat, flat_p)] = plus_v
+    total[1, np.searchsorted(flat, flat_m)] = minus_v
+    eye = (flat % (side + 1) == 0).astype(np.float64)
+    return float(np.max(np.abs(total[0] + total[1] - eye)))
+
+
 def verify_spin(max_two_j: int = 20) -> FamilyReport:
     """Pipeline vs closed form for both coupling branches, 2j = 1..max_two_j.
 
     Besides the strings this checks the spin-side reduced matrix of the plus
-    projector entrywise, the spectrum of the coupling operator X, and the
-    completeness relation P(plus) + P(minus) = identity.
+    projector entrywise, the spectrum of the coupling operator X (and its
+    distance from Hermitian, since the spectrum is taken of its Hermitian
+    part), and the completeness relation P(plus) + P(minus) = identity.
     """
     max_two_j = as_count(max_two_j, "max_two_j")
-    # whole `verify --family spin` ops peak at 119-148 traced bytes per
-    # (2 max_two_j + 2)^2, from the dense X and P of the largest 2j (40..200)
+    # whole `verify --family spin` ops peak at 95-104 traced bytes per
+    # (2 max_two_j + 2)^2 (max_two_j = 80..400), from the dense X and
+    # realigned P of the largest 2j; the op's fixed part makes it 172 at 40
     within_budget(f"max_two_j={max_two_j}", 150 * (2 * max_two_j + 2) ** 2)
+    sweep = range(1, max_two_j + 1)
+    dense_checks: list[tuple[float, float, float]] = []
+
+    def items():
+        # both projectors and X's nonzero entries per 2j; the checks that
+        # read them densely are taken here, one 2j at a time
+        for two_j in sweep:
+            s = SpinLabel(two_j)
+            plus = spin_projector(s, Branch.PLUS)
+            minus = spin_projector(s, Branch.MINUS)
+            a = realign(plus)
+            q_dev = float(np.max(np.abs(a.conj().T @ a - _expected_q_matrix(two_j))))
+            x = spin_x_operator(s)
+            hermiticity = float(np.max(np.abs(x - x.conj().T)))
+            dense_checks.append((q_dev, hermiticity, _completeness(plus, minus)))
+            yield plus
+            yield minus
+            yield _entries_of(x.shape[0], x.ravel())
+
+    found = _spectra(items())
     checks: list[Check | str] = []
-    numeric: list[SchmidtString] = []
     closed_m: list[Measures] = []
-    for two_j in range(1, max_two_j + 1):
-        s = SpinLabel(two_j)
-        plus = spin_projector(s, Branch.PLUS)
-        minus = spin_projector(s, Branch.MINUS)
-        for branch, proj in (("plus", plus), ("minus", minus)):
+    for two_j, spectrum, (q_dev, hermiticity, comp_dev) in zip(
+        sweep, found[2::3], dense_checks
+    ):
+        for branch in ("plus", "minus"):
             checks.append(f"spin 2j={two_j} {branch}")
-            numeric.append(schmidt_string(proj))
             closed_m.append(closed_measures(f"spin_{branch}", two_j))
-
-        a = realign(plus)
-        q_dev = float(np.max(np.abs(a.conj().T @ a - _expected_q_matrix(two_j))))
         checks.append(Check(f"spin 2j={two_j} Q matrix", q_dev, Q_MATRIX_TOL))
-
-        x = spin_x_operator(s)
-        spectrum = hermitian_eigenvalues(x)
-        expected = np.concatenate(
-            [np.full(two_j + 2, s.j), np.full(two_j, -(s.j + 1.0))]
-        )
-        x_dev = float(np.max(np.abs(spectrum - expected)))
+        j = two_j / 2.0
+        expected = np.concatenate([np.full(two_j + 2, j), np.full(two_j, -(j + 1.0))])
+        x_dev = max(float(np.max(np.abs(spectrum - expected))), hermiticity)
         checks.append(Check(f"spin 2j={two_j} X spectrum", x_dev, STRING_TOL))
-
-        eye = np.eye(2 * s.dim)
-        comp_dev = float(np.max(np.abs(plus.matrix + minus.matrix - eye)))
         checks.append(
             Check(f"spin 2j={two_j} completeness", comp_dev, COMPLETENESS_TOL)
         )
+    numeric = [s for i, s in enumerate(found) if i % 3 != 2]
     # the closed strings as one stack, plus rows first
     two_js = np.repeat(np.arange(1, max_two_j + 1), 2)
     closed = SchmidtString._rows(_spin_rows(two_js, np.arange(two_js.size) % 2 == 0))
@@ -205,32 +235,22 @@ def hydrogen_chain_expected(n: int) -> tuple[str, ...]:
 def verify_hydrogen(max_n: int = 8) -> FamilyReport:
     """Pipeline strings and chain order for hydrogen-like levels, n = 1..max_n."""
     max_n = as_count(max_n, "max_n")
-    # the largest level's estimate, as `hydrogen_level` takes it, before level 1
-    within_budget(f"max_n={max_n}", 16 * (2 * max_n) ** 2)
+    # whole `verify --family hydrogen` ops peak at 156-159 traced bytes per
+    # (2 max_n)^2 (max_n = 100..800), from every level's closed strings and
+    # check rows; refused from that before level 1
+    within_budget(f"max_n={max_n}", 170 * (2 * max_n) ** 2)
     checks: list[Check | str] = []
-    numeric: list[SchmidtString] = []
     closed: list[SchmidtString] = []
-    # each eigenspace recurs in every later level; the pipeline is
-    # deterministic, so it runs once per (l, branch)
-    strings: dict[tuple[int, Branch], SchmidtString] = {}
+    # each entry's eigenspace (l, branch) as 2 l + (branch is minus), one
+    # array per level
+    codes: list[np.ndarray] = []
     for n in range(1, max_n + 1):
         level = hydrogen_level(n)
         for entry in level.entries:
-            key = (entry.l, entry.branch)
-            if key not in strings and entry.l == 0:
-                # l = 0 is the whole 1 (x) 2 space; run it through the
-                # pipeline as an explicit basis.
-                basis = SubspaceBasis(
-                    factorization=Factorization(1, 2),
-                    vectors=np.eye(2, dtype=np.complex128),
-                )
-                strings[key] = schmidt_string(projector_from_basis(basis))
-            elif key not in strings:
-                p = spin_projector(SpinLabel(2 * entry.l), entry.branch)
-                strings[key] = schmidt_string(p)
             checks.append(f"hydrogen n={n} {entry.label}")
-            numeric.append(strings[key])
             closed.append(entry.string)
+        minus = [e.branch is Branch.MINUS for e in level.entries]
+        codes.append(2 * np.array([e.l for e in level.entries]) + minus)
         chain = sort_chain(
             [(e.label, e.string) for e in level.entries]
             + [("S_0", limiting_string())]
@@ -239,6 +259,18 @@ def verify_hydrogen(max_n: int = 8) -> FamilyReport:
         checks.append(
             Check(f"hydrogen n={n} chain order", 0.0 if order_ok else 1.0, 0.0)
         )
+    # each eigenspace recurs in every later level, so the last level holds
+    # them all; the pipeline is deterministic, so each runs once.  l = 0 is
+    # the whole 1 (x) 2 space, run through the pipeline as an explicit basis
+    doublet = SubspaceBasis(Factorization(1, 2), np.eye(2, dtype=np.complex128))
+    strings = _spectra(
+        spin_projector(SpinLabel(2 * e.l), e.branch)
+        if e.l
+        else projector_from_basis(doublet)
+        for e in level.entries
+    )
+    found = dict(zip(codes[-1].tolist(), strings))
+    numeric = [found[code] for code in np.concatenate(codes).tolist()]
     return _report("hydrogen", checks, numeric, closed)
 
 

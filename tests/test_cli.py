@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -614,12 +617,12 @@ class TestVerify:
         assert out == ""
         assert message in err
 
-    @pytest.mark.parametrize("max_n", [3953, 10**20])
+    @pytest.mark.parametrize("max_n", [1213, 3953, 10**20])
     def test_hydrogen_range_over_the_byte_budget(self, capsys, max_n):
         # refused from max_n alone, before level 1 runs
         argv = ["verify", "--family", "hydrogen", "--max-n", str(max_n)]
         code, out, err, peak = traced_run(capsys, *argv)
-        need = f"{16 * (2 * max_n) ** 2:,}"
+        need = f"{170 * (2 * max_n) ** 2:,}"
         message = f"input error: max_n={max_n} needs about {need} bytes, budget 1,000,000,000\n"
         assert (code, out, err) == (2, "", message)
         assert peak < 1_000_000
@@ -891,3 +894,21 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 2
+
+
+def test_module_entry_point_runs_verify():
+    # `python -m subent.cli` goes through `entry`, as the installed script does
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    done = subprocess.run(
+        [sys.executable, "-m", "subent.cli", "verify"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        [family, "pass"] for family in ("antisym", "sym", "spin", "hydrogen")
+    ]

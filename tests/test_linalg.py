@@ -114,8 +114,10 @@ class TestHermitianEigenvalues:
     def test_spectrum_helper_checks_no_hermiticity(self):
         # its stacks are Gram matrices, Hermitian by construction; it
         # symmetrizes whatever it is given: (0, 1; 0, 0) as (0, 1/2; 1/2, 0)
-        w = linalg._spectrum([np.array([[[0.0, 1.0], [0.0, 0.0]]], dtype=complex)])
+        h = np.array([[[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
+        w, ends = linalg._spectrum([h])
         assert list(w) == [0.5, -0.5]
+        assert list(ends) == [2]
 
 
 class TestBlockwiseSpectrum:

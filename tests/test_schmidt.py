@@ -25,7 +25,8 @@ from subent import (
     validate_projector,
     vector_schmidt,
 )
-from subent import linalg, schmidt
+from subent import Branch, linalg, schmidt, spaces, spin_projector, spin_x_operator
+from subent.catalog import _exchange_projector
 from subent.tolerances import (
     PROJECTOR_HERMITICITY_TOL,
     PROJECTOR_IDEMPOTENCY_TOL,
@@ -911,3 +912,191 @@ class TestProperties:
                 projector_from_basis(SubspaceBasis(f, v.reshape(1, -1)))
             )
             assert measures(s).e_i == pytest.approx(2.0 * vector_entropy, abs=1e-9)
+
+
+# --- many projectors through one pipeline -------------------------------------
+
+
+def batch_item(draw, rng, kind):
+    """One item of a `schmidt._spectra` list: a catalog or random projector,
+    or the coupling operator X as its nonzero entries."""
+    if kind == "spin":
+        return spin_projector(draw(st.integers(1, 60)), draw(st.sampled_from(Branch)))
+    if kind == "born":
+        return _exchange_projector(draw(st.integers(2, 8)), draw(st.sampled_from([-1, 1])))
+    if kind == "basis":
+        build = draw(st.sampled_from([antisymmetric_subspace, symmetric_subspace]))
+        return projector_from_basis(build(draw(st.integers(2, 6))))
+    if kind == "full":
+        f = Factorization(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+        return projector_from_basis(random_basis(rng, f, draw(st.integers(1, f.dim))))
+    x = spin_x_operator(draw(st.integers(1, 30)))
+    return spaces._entries_of(x.shape[0], x.ravel())
+
+
+@st.composite
+def batches(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["spin", "born", "basis", "full", "x"])
+    return [batch_item(draw, rng, k) for k in draw(st.lists(kinds, min_size=1, max_size=10))]
+
+
+def assert_same_result(got, want):
+    if isinstance(want, SchmidtString):
+        assert isinstance(got, SchmidtString)
+        assert got.k == want.k
+        got, want = got.probs, want.probs
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestBatches:
+    """`_spectra` of a list is each item's result alone, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(items=batches(), chunk=st.sampled_from([None, 1, 100, 1000]))
+    def test_batch_is_each_alone(self, items, chunk):
+        alone = [schmidt._spectra([item])[0] for item in items]
+        for item, want in zip(items, alone):
+            if isinstance(item, Projector):
+                assert_same_result(schmidt_string(item), want)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:  # chunks of about `chunk` entries
+                mp.setattr(schmidt, "_CHUNK", chunk)
+            got = schmidt._spectra(iter(items))
+        assert len(got) == len(items)
+        for g, want in zip(got, alone):
+            assert_same_result(g, want)
+
+    def test_default_chunk_holds_a_long_list(self, monkeypatch):
+        # 40 projectors are split by one `_blocks` call, and the solver sees
+        # each block shape once
+        items = [spin_projector(t, b) for t in range(1, 21) for b in Branch]
+        items += [_exchange_projector(n, s) for n in range(2, 9) for s in (-1, 1)]
+        alone = [schmidt_string(p) for p in items]
+        splits, solves = [], []
+        blocks, eigvalsh = schmidt._blocks, np.linalg.eigvalsh
+
+        def split(*args):
+            splits.append(blocks(*args))
+            return splits[-1]
+
+        def solve(h):
+            solves.append(h.shape)
+            return eigvalsh(h)
+
+        monkeypatch.setattr(schmidt, "_blocks", split)
+        monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+        got = schmidt._spectra(items)
+        ((stacks, _),) = splits
+        assert len(solves) == len(stacks) < len(items)
+        assert len({b.shape[1:] for b in stacks}) == len(stacks)
+        for g, want in zip(got, alone):
+            assert_same_result(g, want)
+
+    def test_unsettled_batch_takes_each_alone(self, monkeypatch):
+        # labels that do not settle within the rounds every item gets alone
+        # send the chunk through one item at a time
+        x = spin_x_operator(4)
+        items = [
+            spin_projector(3, Branch.PLUS),
+            _exchange_projector(4, -1),
+            spaces._entries_of(x.shape[0], x.ravel()),
+            projector_from_basis(symmetric_subspace(3)),
+        ]
+        alone = [schmidt._spectra([item])[0] for item in items]
+        original = schmidt._blocks
+        calls = []
+
+        def unsettled(*args):
+            calls.append(len(args))
+            return None if len(args) > 5 else original(*args)
+
+        monkeypatch.setattr(schmidt, "_blocks", unsettled)
+        got = schmidt._spectra(items)
+        assert calls[0] == 6
+        for g, want in zip(got, alone):
+            assert_same_result(g, want)
+
+    @pytest.mark.parametrize("fault", ["sum", "floor"])
+    def test_faulty_projector_mid_batch_raises_its_own_error(self, monkeypatch, fault):
+        # an eigensolver that goes wrong on the blocks of one projector alone:
+        # its weight shrinks by a tenth, or 0.2 moves from its least
+        # eigenvalue to its largest
+        faulty = spin_projector(5, Branch.PLUS)
+        original = np.linalg.eigvalsh
+        seen = []
+
+        def recording(h):
+            seen.extend(h.reshape(-1, *h.shape[-2:]))
+            return original(h)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        schmidt_string(faulty)
+
+        def lossy(h):
+            w = original(h)
+            for m, row in zip(h.reshape(-1, *h.shape[-2:]), w.reshape(-1, w.shape[-1])):
+                if not any(s.shape == m.shape and np.array_equal(s, m) for s in seen):
+                    continue
+                if fault == "sum":
+                    row *= 0.9
+                elif row.size > 1:
+                    row[0] -= 0.2
+                    row[-1] += 0.2
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", lossy)
+        with pytest.raises(NumericalError) as alone:
+            schmidt_string(faulty)
+        others = [spin_projector(t, b) for t in (1, 2, 7) for b in Branch]
+        others += [_exchange_projector(3, -1), projector_from_basis(symmetric_subspace(4))]
+        with pytest.raises(NumericalError) as batched:
+            schmidt._spectra(others[:4] + [faulty] + others[4:])
+        assert str(batched.value) == str(alone.value)
+        assert ("eigenvalue sum" if fault == "sum" else "clamping floor") in str(alone.value)
+
+
+def permuted(p: Projector, rng: np.random.Generator) -> Projector:
+    """(Pi1 (x) Pi2) P (Pi1 (x) Pi2)^T for random permutations Pi1, Pi2 of
+    the factors' bases."""
+    f = p.factorization
+    perm = (rng.permutation(f.d1)[:, None] * f.d2 + rng.permutation(f.d2)).ravel()
+    return Projector(f, p.matrix[np.ix_(perm, perm)], p.dim)
+
+
+class TestLocalPermutations:
+    """A local permutation of the factors' bases is a local unitary, so it
+    keeps the string.  It keeps P sparse but renumbers its pattern and
+    reorders its blocks, so the split into blocks is judged by its result.
+    Over 2,000 drawn projectors of these sizes the worst deviation from the
+    unpermuted string was 2.2e-16; the tolerance is ten times that."""
+
+    TOL = 2.2e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cases=st.lists(
+            st.one_of(
+                st.tuples(st.just("spin"), st.integers(1, 60), st.sampled_from(Branch)),
+                st.tuples(st.sampled_from(["antisym", "sym"]), st.integers(2, 8)),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_permuted_projector_keeps_its_string(self, cases, seed):
+        rng = np.random.default_rng(seed)
+        ps = [
+            spin_projector(c[1], c[2])
+            if c[0] == "spin"
+            else _exchange_projector(c[1], -1 if c[0] == "antisym" else 1)
+            for c in cases
+        ]
+        qs = [permuted(p, rng) for p in ps]
+        for s, t in zip(schmidt._spectra(ps), schmidt._spectra(qs)):
+            assert string_deviation(s, t) <= self.TOL
+        for p, q in zip(ps, qs):
+            assert string_deviation(schmidt_string(p), schmidt_string(q)) <= self.TOL

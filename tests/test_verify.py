@@ -2,20 +2,26 @@ import hashlib
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from subent import (
+    Branch,
     Check,
     FamilyReport,
     InputError,
+    hermitian_eigenvalues,
     hydrogen_chain_expected,
-    schmidt_string,
+    spin_projector,
+    spin_x_operator,
     verify_antisym,
     verify_hydrogen,
     verify_spin,
     verify_sym,
 )
+from subent import schmidt
 from subent import verify as verify_module
+from subent.spaces import _entries_of
 
 from .helpers import verify_hydrogen_reference
 
@@ -85,16 +91,59 @@ class TestFamilies:
 
     def test_hydrogen_runs_each_eigenspace_once(self, monkeypatch):
         want = verify_hydrogen_reference(8)
-        calls = []
+        batches = []
 
-        def counted(p, *args, **kwargs):
-            calls.append(p)
-            return schmidt_string(p, *args, **kwargs)
+        def counted(items, *args, **kwargs):
+            batches.append(list(items))
+            return schmidt._spectra(batches[-1], *args, **kwargs)
 
-        monkeypatch.setattr(verify_module, "schmidt_string", counted)
+        monkeypatch.setattr(verify_module, "_spectra", counted)
         assert verify_hydrogen(max_n=8).checks == want
-        # l = 0, and both branches of l = 1..7
-        assert len(calls) == 15
+        # one batch: l = 0, and both branches of l = 1..7
+        assert [len(b) for b in batches] == [15]
+
+    @pytest.mark.parametrize(
+        "sweep", [verify_antisym, verify_sym, verify_spin, verify_hydrogen]
+    )
+    def test_default_range_is_one_chunk(self, monkeypatch, sweep):
+        chunks = []
+        original = schmidt._chunk
+
+        def counted(items, zero_threshold):
+            chunks.append(len(items))
+            return original(items, zero_threshold)
+
+        monkeypatch.setattr(schmidt, "_chunk", counted)
+        assert sweep().passed
+        assert len(chunks) == 1
+
+    def test_spin_sweep_keeps_no_dense_copy(self, monkeypatch):
+        built = []
+
+        def collected(s, branch):
+            built.append(spin_projector(s, branch))
+            return built[-1]
+
+        monkeypatch.setattr(verify_module, "spin_projector", collected)
+        assert verify_spin(max_two_j=12).passed
+        assert len(built) == 24
+        assert not any("matrix" in vars(p) for p in built)
+
+    @pytest.mark.parametrize("two_j", [1, 2, 7, 20, 41])
+    def test_completeness_from_entries_is_the_dense_defect(self, two_j):
+        plus = spin_projector(two_j, Branch.PLUS)
+        minus = spin_projector(two_j, Branch.MINUS)
+        eye = np.eye(plus.matrix.shape[0])
+        dense = float(np.max(np.abs(plus.matrix + minus.matrix - eye)))
+        assert verify_module._completeness(plus, minus) == dense
+
+    @pytest.mark.parametrize("two_j", [1, 5, 10, 20, 100])
+    def test_x_spectrum_from_blocks_is_the_dense_one(self, two_j):
+        # X's 1 x 1 and 2 x 2 blocks give the dense solve's spectrum, bit
+        # for bit, which keeps the pinned X spectrum deviations
+        x = spin_x_operator(two_j)
+        (w,) = schmidt._spectra([_entries_of(x.shape[0], x.ravel())])
+        assert np.array_equal(w, hermitian_eigenvalues(x))
 
     def test_range_validation(self):
         with pytest.raises(InputError):
@@ -106,9 +155,9 @@ class TestFamilies:
         with pytest.raises(InputError):
             verify_hydrogen(max_n=0)
 
-    @pytest.mark.parametrize("max_n", [3953, 10**20, 10**40])
+    @pytest.mark.parametrize("max_n", [1213, 3953, 10**20, 10**40])
     def test_hydrogen_range_over_the_byte_budget(self, monkeypatch, max_n):
-        # refused from the largest level's 16 (2 max_n)^2 bytes, before level 1
+        # refused from the whole sweep's 170 (2 max_n)^2 bytes, before level 1
         def no_level(n):
             raise AssertionError(f"level {n} was built")
 
@@ -120,20 +169,20 @@ class TestFamilies:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        need = 16 * (2 * max_n) ** 2
+        need = 170 * (2 * max_n) ** 2
         assert str(info.value) == (
             f"max_n={max_n} needs about {need:,} bytes, budget 1,000,000,000"
         )
         assert peak < 1_000_000
 
     def test_hydrogen_range_within_the_byte_budget_runs(self, monkeypatch):
-        # 3952 is the largest level within BYTE_BUDGET, so its sweep starts
+        # 1212 is the largest max_n within BYTE_BUDGET, so its sweep starts
         def first_level(n):
             raise LookupError(f"level {n}")
 
         monkeypatch.setattr(verify_module, "hydrogen_level", first_level)
         with pytest.raises(LookupError, match="^level 1$"):
-            verify_hydrogen(max_n=3952)
+            verify_hydrogen(max_n=1212)
 
     def test_spin_range_within_the_byte_budget_runs(self, monkeypatch):
         # 1289 is the largest max_two_j within BYTE_BUDGET, so its sweep starts
