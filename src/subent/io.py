@@ -13,19 +13,24 @@ parsing and emitting again is byte-identical.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import os
+import re
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
+import orjson
 
 from .catalog import HydrogenLevel
 from .errors import InputError
 from .majorization import ChainResult, Verdict
 from .schmidt import SchmidtString, _measures_of
 from .spaces import Factorization, Projector, SubspaceBasis
+from .tolerances import within_budget
 
 JSON_DIGITS = ".17g"
 TABLE_DIGITS = ".12g"
@@ -64,24 +69,23 @@ def _raise_first_bad_entry(rows: list, dim: int, key: str, row_name: str) -> Non
 def _pair_matrix(rows, shape: tuple[int, int], key: str, row_name: str) -> np.ndarray:
     """The complex matrix of a list of rows of [re, im] pairs.
 
-    The list goes through ``np.array`` in one call when its rows are lists, its
-    pairs lists or tuples and its leaves exactly float or int: ``np.array``
-    alone would also take ``true``, ``"1.5"`` and ``null``.  Anything else,
-    and any result of the wrong shape or with a non-finite value, goes to the
-    per-entry walk, which names the first bad entry.
+    The leaves go through ``np.array`` as one flat list when the rows are
+    lists of ``shape[1]`` pairs, the pairs lists or tuples of two and the
+    leaves exactly float or int: ``np.array`` alone would also take
+    ``true``, ``"1.5"`` and ``null``.  Anything else, and any non-finite
+    value, goes to the per-entry walk, which names the first bad entry.
     """
     a = None
-    try:
-        if (
-            all(isinstance(row, list) for row in rows)
-            and set(map(type, chain.from_iterable(rows))) <= {list, tuple}
-            and set(map(type, chain.from_iterable(chain.from_iterable(rows))))
-            <= {float, int}
-        ):
-            a = np.array(rows, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        a = None
-    if a is None or a.shape != (*shape, 2) or not np.isfinite(a).all():
+    if all(isinstance(row, list) and len(row) == shape[1] for row in rows):
+        pairs = list(chain.from_iterable(rows))
+        if set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) == {2}:
+            leaves = list(chain.from_iterable(pairs))
+            if set(map(type, leaves)) <= {float, int}:
+                try:
+                    a = np.array(leaves, dtype=np.float64)
+                except OverflowError:  # an integer beyond the float range
+                    pass
+    if a is None or not np.isfinite(a).all():
         _raise_first_bad_entry(rows, shape[1], key, row_name)
         # valid, with leaves of other int or float types (numpy scalars)
         a = np.array(rows, dtype=np.float64)
@@ -131,16 +135,78 @@ def parse_subspace_document(data) -> SubspaceDocument:
     )
 
 
-def load_subspace_document(path) -> SubspaceDocument:
-    """Read and parse a subspace document from a JSON file."""
+# A subspace document nests 4 deep; orjson 3.8 crashes the interpreter on
+# text nested about 10^5 deep, so deeper text goes to the stdlib, which
+# raises RecursionError past about 1,000
+_ORJSON_DEPTH = 8
+# quotes, backslashes, the letters an escape can start with, and brackets
+_NOT_SYNTAX = bytes(sorted(set(range(256)) - set(b'"\\/bfnrtu[{]}')))
+_STRING = re.compile(rb'"(?:[^"\\]|\\.)*"', re.S)
+# [ and { step the depth up by 1, ] and } down (int8 -1), any other byte by 0
+_STEPS = bytes(1 if b in b"[{" else 255 if b in b"]}" else 0 for b in range(256))
+# whole `schmidt FILE` ops peak at 5.7-6.6 bytes of RSS per byte of file on
+# documents of 17-digit floats, as `dumps_json` and `json.dump` write them,
+# and at 26.1 on compact ones of [0,0] pairs, the most of any form measured
+_BYTES_PER_FILE_BYTE = 26
+
+
+def _depth(raw: bytes) -> int:
+    """The deepest bracket nesting of `raw` outside its strings.
+
+    Only quotes, backslashes, the letters an escape can start with and
+    brackets are kept, so each string still ends where it ends and is dropped
+    whole, with any bracket in it; then the brackets left are counted.
+    """
+    syntax = _STRING.sub(b"", raw.translate(None, _NOT_SYNTAX))
+    steps = syntax.translate(_STEPS)
+    return int(np.frombuffer(steps, np.int8).cumsum().max(initial=0))
+
+
+def _stdlib_loads(raw: bytes):
+    """``json.load`` of `raw` as a file opened with ``encoding="utf-8"``
+    reads it: strict UTF-8, a BOM kept, newlines translated."""
+    text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    return json.loads(text)
+
+
+def _decoded(loads, raw: bytes):
+    """`loads(raw)` with the cyclic collector paused: the decoded lists
+    hold no cycles, so the collections their allocation would set off find
+    nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        return loads(raw)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def load_subspace_document(path) -> SubspaceDocument:
+    """Read and parse a subspace document from a JSON file.
+
+    orjson decodes the file when it nests at most `_ORJSON_DEPTH` deep.
+    Where orjson refuses the text, or `parse_subspace_document` refuses
+    what orjson made of it, the stdlib decodes it again and judges: what is
+    accepted, and every error text, is what ``json.load`` gives.
+    """
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            within_budget(f"{path}", _BYTES_PER_FILE_BYTE * size)
+            raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        # JSONDecodeError, a file that is not UTF-8, or an integer literal
-        # past the interpreter's digit limit
+    if _depth(raw) <= _ORJSON_DEPTH:
+        try:
+            return parse_subspace_document(_decoded(orjson.loads, raw))
+        except (orjson.JSONDecodeError, InputError):
+            pass  # the stdlib judges
+    try:
+        data = _decoded(_stdlib_loads, raw)
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, a file that is not UTF-8, an integer literal past
+        # the interpreter's digit limit, or text nested too deep
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     return parse_subspace_document(data)
 

@@ -8,6 +8,7 @@ recomputed from the partial trace of the full density matrix.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from json.encoder import encode_basestring_ascii
@@ -34,6 +35,7 @@ from subent import (
     sort_chain,
     spin_projector,
 )
+from subent.io import SubspaceDocument, parse_subspace_document
 from subent.tolerances import DROP_TOL, STRING_TOL
 
 
@@ -407,6 +409,20 @@ def pair_matrix_reference(data: dict) -> np.ndarray:
         for b, pair in enumerate(row):
             matrix[a, b] = _reference_pair(pair, f"{key}[{a}][{b}]")
     return matrix
+
+
+def load_subspace_document_reference(path) -> SubspaceDocument:
+    """`json.load` of a file, then `parse_subspace_document`: what
+    `subent.io.load_subspace_document` accepts, and the text of each error
+    it raises, with text nested past the recursion limit invalid JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    return parse_subspace_document(data)
 
 
 def verify_hydrogen_reference(max_n: int) -> tuple[Check, ...]:

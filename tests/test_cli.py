@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -628,9 +629,9 @@ class TestVerify:
         assert peak < 1_000_000
 
     @pytest.mark.parametrize("family", ["antisym", "sym"])
-    @pytest.mark.parametrize("max_n", [78, 10**20, 10**40])
+    @pytest.mark.parametrize("max_n", [75, 10**20, 10**40])
     def test_exchange_range_over_the_byte_budget(self, capsys, monkeypatch, family, max_n):
-        # refused from the largest basis's 28 max_n^4 bytes, before any basis
+        # refused from the largest basis's 33 max_n^4 bytes, before any basis
         def no_basis(n):
             raise AssertionError(f"basis n={n} was built")
 
@@ -638,7 +639,7 @@ class TestVerify:
         monkeypatch.setattr("subent.verify.symmetric_subspace", no_basis)
         argv = ["verify", "--family", family, "--max-n", str(max_n)]
         code, out, err, peak = traced_run(capsys, *argv)
-        need = f"{28 * max_n**4:,}"
+        need = f"{33 * max_n**4:,}"
         message = f"input error: max_n={max_n} needs about {need} bytes, budget 1,000,000,000\n"
         assert (code, out, err) == (2, "", message)
         assert peak < 1_000_000
@@ -852,6 +853,22 @@ class TestExitCodes:
         assert (code, out, err) == (2, "", message)
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("command", ["schmidt", "compare"])
+    @pytest.mark.parametrize("size", [38_461_539, 10**12])
+    def test_document_over_the_byte_budget(self, capsys, tmp_path, command, size):
+        # 26 estimated bytes per byte of file: 38,461,538 bytes is within
+        # BYTE_BUDGET, 38,461,539 not.  A sparse file is refused before it
+        # is read
+        assert 26 * 38_461_538 <= BYTE_BUDGET < 26 * 38_461_539
+        path = tmp_path / "sparse.json"
+        with open(path, "wb") as fh:
+            fh.truncate(size)
+        argv = [command, str(path)] if command == "schmidt" else [command, "sym:2", str(path)]
+        code, out, err, peak = traced_run(capsys, *argv)
+        message = f"input error: {path} needs about {26 * size:,} bytes, budget 1,000,000,000\n"
+        assert (code, out, err) == (2, "", message)
+        assert peak < 1_000_000
+
     def test_allocation_that_fails_is_exit_2(self, capsys, monkeypatch):
         # numpy's message names the allocation that failed
         def no_room(projector, zero_threshold=0.0):
@@ -896,15 +913,53 @@ class TestExitCodes:
         assert code == 2
 
 
-def test_module_entry_point_runs_verify():
-    # `python -m subent.cli` goes through `entry`, as the installed script does
+def _nested_label_doc(tmp_path, depth: int) -> str:
+    path = tmp_path / "deep.json"
+    label = "[" * depth + "]" * depth
+    path.write_text(f'{{"label": {label}, "d1": 1, "d2": 1, "basis": [[[1, 0]]]}}')
+    return str(path)
+
+
+def _module_env() -> dict:
+    """The environment that runs `python -m subent.cli` on this checkout."""
     src = str(Path(cli_module.__file__).resolve().parents[1])
     path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_document_nested_past_the_recursion_limit(capsys, tmp_path):
+    # json raises RecursionError past about 1,000 levels: invalid input
+    path = _nested_label_doc(tmp_path, 1_100)
+    code, out, err = run(capsys, "schmidt", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {path} is not valid JSON: maximum recursion depth")
+
+
+def test_document_nested_200000_deep():
+    # orjson 3.8 segfaults on text this deep, so the depth guard keeps it
+    # from orjson; in a subprocess, a crash fails this test alone
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _nested_label_doc(Path(tmp), 200_000)
+        done = subprocess.run(
+            [sys.executable, "-m", "subent.cli", "schmidt", path],
+            capture_output=True,
+            text=True,
+            env=_module_env(),
+            timeout=120,
+        )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith(
+        f"input error: {path} is not valid JSON: maximum recursion depth"
+    )
+
+
+def test_module_entry_point_runs_verify():
+    # `python -m subent.cli` goes through `entry`, as the installed script does
     done = subprocess.run(
         [sys.executable, "-m", "subent.cli", "verify"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_module_env(),
         timeout=120,
     )
     assert (done.returncode, done.stderr) == (0, "")

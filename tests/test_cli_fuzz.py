@@ -164,9 +164,9 @@ def over_budget_header(draw):
     return d1, d2
 
 
-# 28 max_n^4 estimated bytes is over BYTE_BUDGET from max_n = 78 on
+# 33 max_n^4 estimated bytes is over BYTE_BUDGET from max_n = 75 on
 EXCHANGE_RANGE_OVER_BUDGET = st.one_of(
-    st.integers(78, 200), st.integers(200, 10**6), st.integers(10**6, 10**40)
+    st.integers(75, 200), st.integers(200, 10**6), st.integers(10**6, 10**40)
 ).map(str)
 
 

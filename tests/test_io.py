@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import tracemalloc
@@ -5,7 +6,7 @@ from enum import Enum
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,6 +23,7 @@ from subent import (
     sort_chain,
     spin_projector,
 )
+from subent import io as io_module
 from subent.io import (
     basis_document,
     dumps_json,
@@ -36,7 +38,11 @@ from subent.io import (
 from subent.catalog import antisymmetric_subspace
 from subent.spaces import projector_from_basis
 
-from .helpers import dumps_json_reference, pair_matrix_reference
+from .helpers import (
+    dumps_json_reference,
+    load_subspace_document_reference,
+    pair_matrix_reference,
+)
 
 INV = 1.0 / math.sqrt(2.0)
 
@@ -213,6 +219,187 @@ class TestLoad:
         path.write_bytes(b"\xff\xfe{")
         with pytest.raises(InputError, match="not valid JSON"):
             load_subspace_document(path)
+
+    @pytest.mark.parametrize(
+        "text, depth",
+        [
+            (b"", 0),
+            (b'{"d1": 1, "basis": [[[1, 0]]]}', 4),
+            (b"[" * 9 + b"]" * 9, 9),
+            (b'{"label": "[[[{{", "basis": []}', 2),
+            (b'{"label": "\\\\", "basis": [[]]}', 3),
+            (b'{"label": "\\"[[[", "basis": []}', 2),
+            (b'{"label": "\\u005b\\n\\t[", "basis": {}}', 2),
+            (b'{"label": "\\\\\\"[", "basis": [[[]]]}', 4),
+            (b'["\xc3\xa9]", ["\\/"]]', 2),
+        ],
+    )
+    def test_depth_outside_strings(self, text, depth):
+        # the guard that keeps deep text from orjson counts every bracket
+        # outside a string and none inside one
+        assert io_module._depth(text) == depth
+
+
+# number tokens as a document may spell them: 17-digit and shortest floats,
+# subnormals, -0.0, integers around 2^63 and 2^64, and what json reads as
+# non-finite
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+NUMBER_TOKENS = st.one_of(
+    _FLOATS.map(repr),
+    _FLOATS.map(lambda x: format(x, ".17g")),
+    st.floats(-1e-307, 1e-307).map(repr),
+    st.sampled_from(["-0.0", "-0", "0", "5e-324", "2.2250738585072014e-308", "1e-400"]),
+    st.integers(2**63 - 3, 2**63 + 3).map(str),
+    st.integers(2**64 - 3, 2**64 + 3).map(str),
+    st.integers(-(2**64) - 3, -(2**63) + 3).map(str),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" * 400]),
+)
+
+# string tokens: escapes, lone surrogates, raw UTF-8, and `]`, `\"`, `\\`
+STRING_TOKENS = st.one_of(
+    st.text().map(json.dumps),
+    st.text().map(lambda s: json.dumps(s, ensure_ascii=False)),
+    st.text("[]{}\"\\ab").map(json.dumps),
+    st.sampled_from(['"\\ud800"', '"a\\udc00b"', '"\\ud83d\\ude00"', '"\\u005d"']),
+)
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + '"x"' + "]" * depth
+
+
+@st.composite
+def document_texts(draw) -> bytes:
+    """The bytes of a subspace document file, valid or near it."""
+    d1, d2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    key = draw(st.sampled_from(["basis", "projector"]))
+    m = draw(st.integers(1, 3)) if key == "basis" else d1 * d2
+    comma = draw(st.sampled_from([", ", ",\n  ", ",\r\n", ",\r"]))
+
+    def pair() -> str:
+        return f"[{draw(NUMBER_TOKENS)}, {draw(NUMBER_TOKENS)}]"
+
+    rows = [f"[{comma.join(pair() for _ in range(d1 * d2))}]" for _ in range(m)]
+    items = [f'"d1": {d1}', f'"d2": {d2}', f'"{key}": [{comma.join(rows)}]']
+    label = draw(
+        st.none()
+        | STRING_TOKENS
+        | st.sampled_from([7, 8, 9, 64, 1000]).map(_nested)
+    )
+    if label is not None:
+        items.insert(draw(st.integers(0, len(items))), f'"label": {label}')
+    if draw(st.booleans()):  # a duplicate key: json keeps the last
+        items.append(draw(st.sampled_from([f'"d1": {d1}', '"d2": 1', '"label": "twice"'])))
+    text = ("{" + comma.join(items) + "}").encode("utf-8", "surrogatepass")
+    fault = draw(st.sampled_from([None] * 6 + ["bom", "not utf-8", "trailing"]))
+    if fault == "bom":
+        text = b"\xef\xbb\xbf" + text
+    elif fault == "not utf-8":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from([b"\xff", b"\xed\xa0\x80", b"\xc3"])) + text[at:]
+    elif fault == "trailing":
+        text += draw(st.sampled_from([b" x", b"{}", b"\n]", b"\x00"]))
+    return text
+
+
+def _loaded(load, path):
+    """What `load` makes of `path`: the error text, or the factorization,
+    label and matrix bits of the document."""
+    try:
+        doc = load(path)
+    except InputError as exc:
+        return str(exc)
+    matrix = doc.basis if doc.projector is None else doc.projector
+    key = "basis" if doc.projector is None else "projector"
+    return doc.factorization, doc.label, key, matrix.shape, matrix.tobytes()
+
+
+class TestLoadMatchesReference:
+    """`load_subspace_document` accepts what ``json.load`` then
+    `parse_subspace_document` accepts, with the same matrix bits, and refuses
+    the rest with the same text."""
+
+    @settings(
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=document_texts())
+    def test_matches_reference(self, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_bytes(text)
+        expected = _loaded(load_subspace_document_reference, path)
+        assert _loaded(load_subspace_document, path) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # orjson reads integers past 64 bits as floats
+            '{"d1": 18446744073709551616, "d2": 1, "basis": [[[1, 0]]]}',
+            '{"d1": 1, "d2": 1, "label": 18446744073709551616, "basis": [[[1, 0]]]}',
+            '{"d1": 1, "d2": 1, "basis": [[[18446744073709551616, "x"]]]}',
+            '{"d1": 1, "d2": 1, "basis": [[[1e400, 0]]]}',
+            '{"d1": 1, "d2": 1, "basis": [[[NaN, 0]]]}',
+            '{"d1": 1, "d2": 1, "basis": [[[1, 0]]]}\r\n,',
+        ],
+    )
+    def test_refusals_are_the_references(self, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        expected = _loaded(load_subspace_document_reference, path)
+        assert isinstance(expected, str)
+        assert _loaded(load_subspace_document, path) == expected
+
+    def test_64_bit_integer_entries_are_the_references(self, tmp_path):
+        # both decoders round an integer literal to the nearest float
+        path = tmp_path / "doc.json"
+        path.write_text(
+            '{"d1": 1, "d2": 2, "basis": '
+            "[[[18446744073709551617, -9223372036854775809], [9007199254740993, 0]]]}"
+        )
+        got = load_subspace_document(path).basis
+        assert got.tobytes() == load_subspace_document_reference(path).basis.tobytes()
+        assert got[0, 0] == complex(2**64, -(2**63))
+
+
+class TestCollectorState:
+    """The cyclic collector is paused while a document decodes and left as
+    the caller had it."""
+
+    TEXTS = {
+        "valid": json.dumps(SINGLET_DOC),
+        "not json": "{not json",
+        "refused": '{"d1": 1, "d2": 1, "basis": [[[true, 0]]]}',
+        "deep": _nested(1000),
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("text", TEXTS.values(), ids=TEXTS.keys())
+    def test_state_kept(self, tmp_path, monkeypatch, enabled, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        during = []
+
+        def spy(loads):
+            def wrapped(raw):
+                during.append(gc.isenabled())
+                return loads(raw)
+
+            return wrapped
+
+        monkeypatch.setattr(io_module.orjson, "loads", spy(io_module.orjson.loads))
+        monkeypatch.setattr(io_module.json, "loads", spy(io_module.json.loads))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                load_subspace_document(path)
+            except InputError:
+                pass
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during and not any(during)
 
 
 class TestDocumentBuilders:

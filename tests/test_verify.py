@@ -205,15 +205,15 @@ class TestFamilies:
     def test_exchange_range_within_the_byte_budget_runs(
         self, monkeypatch, sweep, build, least
     ):
-        # 77 is the largest max_n within BYTE_BUDGET, so its sweep starts
+        # 74 is the largest max_n within BYTE_BUDGET, so its sweep starts
         def first_basis(n):
             raise LookupError(f"basis {n}")
 
         monkeypatch.setattr(verify_module, build, first_basis)
         with pytest.raises(LookupError, match=f"^basis {least}$"):
-            sweep(max_n=77)
-        with pytest.raises(InputError, match="^max_n=78 needs about "):
-            sweep(max_n=78)
+            sweep(max_n=74)
+        with pytest.raises(InputError, match="^max_n=75 needs about "):
+            sweep(max_n=75)
 
     def test_tightened_tolerance_fails(self, monkeypatch):
         # machine noise exceeds an absurd tolerance, proving checks are live
