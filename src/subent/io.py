@@ -139,27 +139,34 @@ def parse_subspace_document(data) -> SubspaceDocument:
 # text nested about 10^5 deep, so deeper text goes to the stdlib, which
 # raises RecursionError past about 1,000
 _ORJSON_DEPTH = 8
-# quotes, backslashes, the letters an escape can start with, and brackets
-_NOT_SYNTAX = bytes(sorted(set(range(256)) - set(b'"\\/bfnrtu[{]}')))
-_STRING = re.compile(rb'"(?:[^"\\]|\\.)*"', re.S)
+# quotes, backslashes, the letters an escape can start with, brackets,
+# commas and colons: one byte or more per value
+_NOT_SYNTAX = bytes(sorted(set(range(256)) - set(b'"\\/bfnrtu[{]},:')))
+# a string, unrolled so that sre keeps no backtracking frame per byte
+_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"', re.S)
 # [ and { step the depth up by 1, ] and } down (int8 -1), any other byte by 0
 _STEPS = bytes(1 if b in b"[{" else 255 if b in b"]}" else 0 for b in range(256))
-# whole `schmidt FILE` ops peak at 5.7-6.6 bytes of RSS per byte of file on
-# documents of 17-digit floats, as `dumps_json` and `json.dump` write them,
-# and at 26.1 on compact ones of [0,0] pairs, the most of any form measured
-_BYTES_PER_FILE_BYTE = 26
+# Once read, a document is charged 80 bytes per byte that `_NOT_SYNTAX`
+# keeps and 4 per byte, 10 where a string may decode to 2 or 4 bytes a
+# character: over the traced peaks of whole `schmidt FILE` ops on 31 forms
+# (after the bytes, up to 62 per kept byte, on labels of `\n` escapes; 2.6
+# to 26 on projector documents).  Unread, a file is charged the least it can
+# be, 4 per byte
+_BYTES_PER_SYNTAX_BYTE, _BYTES_PER_WIDE_BYTE = 80, 10
+_BYTES_PER_FILE_BYTE = 4
 
 
-def _depth(raw: bytes) -> int:
-    """The deepest bracket nesting of `raw` outside its strings.
+def _depth(syntax: bytes) -> int:
+    """The deepest bracket nesting outside strings of a text of which only
+    the bytes that `_NOT_SYNTAX` keeps are left.
 
-    Only quotes, backslashes, the letters an escape can start with and
-    brackets are kept, so each string still ends where it ends and is dropped
-    whole, with any bracket in it; then the brackets left are counted.
+    Quotes, backslashes and the letters an escape can start with are kept,
+    so each string still ends where it ends and is dropped whole, with any
+    bracket in it; then all but the brackets is dropped, and they are
+    summed in int32, as no file of more than `BYTE_BUDGET` / 4 bytes is read.
     """
-    syntax = _STRING.sub(b"", raw.translate(None, _NOT_SYNTAX))
-    steps = syntax.translate(_STEPS)
-    return int(np.frombuffer(steps, np.int8).cumsum().max(initial=0))
+    steps = _STRING.sub(b"", syntax).translate(_STEPS, b'"\\/bfnrtu,:')
+    return int(np.frombuffer(steps, np.int8).cumsum(dtype=np.int32).max(initial=0))
 
 
 def _stdlib_loads(raw: bytes):
@@ -188,7 +195,10 @@ def load_subspace_document(path) -> SubspaceDocument:
     orjson decodes the file when it nests at most `_ORJSON_DEPTH` deep.
     Where orjson refuses the text, or `parse_subspace_document` refuses
     what orjson made of it, the stdlib decodes it again and judges: what is
-    accepted, and every error text, is what ``json.load`` gives.
+    accepted, and every error text, is what ``json.load`` gives.  The file
+    is refused over `BYTE_BUDGET` before it is read, at
+    `_BYTES_PER_FILE_BYTE`, and before it is decoded, from its size and its
+    syntax.
     """
     try:
         with open(path, "rb") as fh:
@@ -197,7 +207,13 @@ def load_subspace_document(path) -> SubspaceDocument:
             raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    if _depth(raw) <= _ORJSON_DEPTH:
+    syntax = raw.translate(None, _NOT_SYNTAX)
+    wide = not raw.isascii() or b"\\u" in syntax
+    per_byte = _BYTES_PER_WIDE_BYTE if wide else _BYTES_PER_FILE_BYTE
+    within_budget(f"{path}", per_byte * len(raw) + _BYTES_PER_SYNTAX_BYTE * len(syntax))
+    depth = _depth(syntax)
+    del syntax  # not held while the text is decoded
+    if depth <= _ORJSON_DEPTH:
         try:
             return parse_subspace_document(_decoded(orjson.loads, raw))
         except (orjson.JSONDecodeError, InputError):
@@ -243,6 +259,142 @@ def _format_float(x: float, spec: str) -> str:
     out = format(float(x), spec)
     # normalize negative zero for stable round trips
     return "0" if out in ("-0", "0") else out
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: hi + lo == a, each of at most 26 significant bits,
+    so that a product of two halves is exact."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# 10**k is an exact double for k <= 22, so |x|·10**(16 - E) is exact as
+# Dekker's pair (hi, lo) for every x whose decimal exponent E is in [-6, 16]
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_HI, _POW10_LO = _halves(_POW10)
+_ROWS = np.arange(18, dtype=np.int8)[:, None]
+_G17 = 28  # columns: sign, "0." and three zeros, 17 digits and a point, "e-0X"
+_CHUNK = 1 << 16  # leaves per pass, so that temporaries stay bounded
+_HALVINGS = ((10**8, np.uint32), (10**4, np.uint32), (100, np.uint8), (10, np.uint8))
+
+
+def _scaled(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x·10**(16 - e) as hi + lo, exactly (Dekker 1971)."""
+    k = 16 - e
+    hi = x * _POW10[k]
+    xh, xl = _halves(x)
+    ph, pl = _POW10_HI[k], _POW10_LO[k]
+    return hi, ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl
+
+
+def _write_g17(x: np.ndarray, out: np.ndarray) -> None:
+    """Write ``format(v, ".17g")`` of each finite v of `x` into the uint8
+    columns `out` (28, len(x)), padded with NULs.
+
+    For E in [-6, 16], D = hi + rint(lo) is the correctly rounded 17-digit
+    significand, with C's round-half-even, since hi >= 2**53 is an even
+    integer.  Zero is written as ``0``, and every other v goes through
+    `_format_float`.
+    """
+    nonzero = np.flatnonzero(x)
+    if len(nonzero) * 2 < len(x):  # mostly zeros: the rest on their own
+        out[:] = 0
+        out[6] = 48
+        if len(nonzero):
+            columns = np.empty((_G17, len(nonzero)), np.uint8)
+            _write_g17(x[nonzero], columns)
+            out[:, nonzero] = columns
+        return
+    ax = np.abs(x)
+    with np.errstate(divide="ignore"):  # log10(0) is -inf
+        e = np.floor(np.log10(ax))
+    lane = (e >= -6) & (e <= 16)
+    e = np.where(lane, e, 16).astype(np.int64)
+    ax = np.where(lane, ax, 1e16)  # the rest stay clear of overflow
+    hi, lo = _scaled(ax, e)
+    # log10 may be one off near a power of ten.  The range test is on the
+    # exact pair, as hi alone can round onto 10**16 or 10**17: |lo| is less
+    # than hi's distance from either unless hi is on it, so each sum has the
+    # sign of the exact difference
+    step = (hi - 1e17 + lo >= 0).view(np.int8) - (hi - 1e16 + lo < 0).view(np.int8)
+    if step.any():
+        e += step
+        lane &= (e >= -6) & (e <= 16)
+        e[~lane], ax[~lane] = 16, 1e16
+        hi, lo = _scaled(ax, e)
+    # no double below 10**-5 .. 10**17 is within half a unit of the 17th
+    # digit of it, so D never rounds up to 10**17
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    e = e.astype(np.int8)
+    zero = x == 0
+    d[zero], e[zero] = 0, 0  # written as 0
+
+    # the 17 digits into rows 1..17: the last 16 split in halves, then
+    # halves of halves, each in the narrowest integers that hold them
+    digits = np.zeros((19, len(x)), np.uint8)
+    digits[1] = first = d // 10**16
+    part = (d - first * 10**16)[None]
+    for unit, kind in _HALVINGS:
+        top = part // unit
+        part = np.stack([top, part - top * unit], 1).reshape(-1, len(x)).astype(kind)
+    digits[2:18] = part
+    digits += 48
+    kept = ((digits[1:18] != 48) * _ROWS[1:].view(np.uint8)).max(axis=0)
+
+    # fixed notation for E >= -4, with the point after digit E; E of -5
+    # and -6 as d.ddde-0X; the fraction's trailing zeros dropped
+    point = np.where(e >= 0, e + 1, np.where(e <= -5, 1, 99)).astype(np.int8)
+    length = np.where(e < 0, kept, np.maximum(kept, point)) + (kept > point)
+    body = out[6:24]  # digit j before the point, digit j - 1 after it
+    np.subtract(digits[1:19], digits[:18], out=body)
+    body *= (_ROWS < point).view(np.uint8)
+    body += digits[:18]
+    body += (46 - body) * (_ROWS == point).view(np.uint8)
+    body *= (_ROWS < length).view(np.uint8)
+    lead = np.where((e < 0) & (e >= -4), 1 - e, 0).astype(np.int8)
+    np.multiply(np.frombuffer(b"0.000", np.uint8)[:, None],
+                (_ROWS[:5] < lead).view(np.uint8), out=out[1:6])
+    tiny = (e <= -5).view(np.uint8)
+    np.multiply(np.frombuffer(b"e-0", np.uint8)[:, None], tiny, out=out[24:27])
+    out[27] = (48 - e) * tiny
+    out[0] = 45 * (x < 0).view(np.uint8)
+    other = np.flatnonzero(~(lane | zero))
+    texts = [_format_float(v, JSON_DIGITS) for v in x[other].tolist()]
+    out[:, other] = np.array(texts, f"S{_G17}").view(np.uint8).reshape(-1, _G17).T
+
+
+def _closings(shape) -> np.ndarray:
+    """How many axes of an array of `shape` end after each leaf, in C order."""
+    count = np.zeros(shape, np.uint8)
+    for k in range(1, len(shape) + 1):
+        count[(...,) + (-1,) * k] += 1
+    return count.reshape(-1)
+
+
+def _float_leaves(a: np.ndarray, after: dict[int, str]) -> str:
+    """The floats of `a` in C order, each as `_write_g17` writes it and
+    followed by ``after[c]``, c being how many axes end after it.
+
+    A chunk of leaves is laid out as columns, transposed to one row of bytes
+    per leaf, and its NUL padding dropped by one ``bytes.translate``.
+    Chunks hold whole items of the first axis where they fit, so that the
+    separator rows are filled again only when a chunk's closings change.
+    """
+    table = np.array([after.get(c, "").encode() for c in range(a.ndim + 1)])
+    table = table.view(np.uint8).reshape(a.ndim + 1, -1).T
+    closings, x = _closings(a.shape), a.reshape(-1)
+    step = _CHUNK // math.prod(a.shape[1:]) * math.prod(a.shape[1:]) or _CHUNK
+    parts, filled = [], None
+    for start in range(0, len(x), step):
+        codes = closings[start : start + step]
+        if filled is None or not np.array_equal(codes, filled):
+            out = np.empty((_G17 + len(table), len(codes)), np.uint8)
+            np.take(table, codes, axis=1, out=out[_G17:])
+            filled = codes
+        _write_g17(x[start : start + step], out[:_G17])
+        parts.append(out.T.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -300,11 +452,13 @@ def dumps_json(obj) -> str:
     """Serialize nested dicts/lists, two spaces per level, 17-digit floats.
 
     A float64 ndarray is written exactly as its ``.tolist()`` would be, and
-    a 0-d array as its one element.  Strings are quoted as ``json.dumps``
-    quotes them.  A dict in a list is a record; records of one shape, and
-    the rows of a float64 array, are written by filling one template, which
-    `emit` lays out from a skeleton with a slot per leaf.  A record that
-    `_leaves` refuses is written by `emit` alone, with the same bytes.
+    a 0-d array as its one element.  An array's floats are written in chunks
+    by `_float_leaves`, between the separators that `emit` lays out for a
+    skeleton of the array's shape.  Strings are quoted as ``json.dumps``
+    quotes them.  A dict in a list is a record; records of one shape are
+    written by filling one template, which `emit` lays out from a skeleton
+    with a slot per leaf.  A record that `_leaves` refuses is written by
+    `emit` alone, with the same bytes.
     """
     templates: dict[tuple, str] = {}
 
@@ -357,12 +511,14 @@ def dumps_json(obj) -> str:
                 raise InputError(
                     f"cannot serialize non-finite float {value[bad][0].item()!r}"
                 )
-            # + 0.0 turns -0.0 into 0.0; each row fills one template
-            rows = (value + 0.0).reshape(len(value), -1).tolist()
-            slots = _skeleton(value[0].tolist())
-            items = list(map(template(slots, depth + 1).__mod__, map(tuple, rows)))
-            flat = value.ndim == 1
-        elif isinstance(value, (list, tuple, np.ndarray)):
+            # the text between leaves, read off the layout of a skeleton no
+            # larger than `value` whose leaves close the same axes
+            shape = [min(n, 2) for n in value.shape[:-1]] + [min(value.shape[-1], 3)]
+            skeleton = np.full(shape, _Slot(""), dtype=object).tolist()
+            head, *pieces = emit(skeleton, depth).split("\0")
+            after = dict(zip(_closings(shape).tolist(), pieces))
+            return head + _float_leaves(value, after)
+        if isinstance(value, (list, tuple, np.ndarray)):
             seq = list(value)
             if not seq:
                 return "[]"

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subent import NumericalError, SchmidtString, linalg, spaces
+from subent import NumericalError, SchmidtString, linalg, spaces, tolerances
+from subent.io import dumps_json, projector_document
 from subent.cli import main
 from subent.tolerances import BYTE_BUDGET
 
@@ -854,20 +855,78 @@ class TestExitCodes:
         assert peak < 1_000_000
 
     @pytest.mark.parametrize("command", ["schmidt", "compare"])
-    @pytest.mark.parametrize("size", [38_461_539, 10**12])
+    @pytest.mark.parametrize("size", [250_000_001, 10**12])
     def test_document_over_the_byte_budget(self, capsys, tmp_path, command, size):
-        # 26 estimated bytes per byte of file: 38,461,538 bytes is within
-        # BYTE_BUDGET, 38,461,539 not.  A sparse file is refused before it
-        # is read
-        assert 26 * 38_461_538 <= BYTE_BUDGET < 26 * 38_461_539
+        # 4 estimated bytes per byte of file before it is read: 250,000,000
+        # bytes is within BYTE_BUDGET, 250,000,001 not.  A sparse file is
+        # refused unread
+        assert 4 * 250_000_000 <= BYTE_BUDGET < 4 * 250_000_001
         path = tmp_path / "sparse.json"
         with open(path, "wb") as fh:
             fh.truncate(size)
         argv = [command, str(path)] if command == "schmidt" else [command, "sym:2", str(path)]
         code, out, err, peak = traced_run(capsys, *argv)
-        message = f"input error: {path} needs about {26 * size:,} bytes, budget 1,000,000,000\n"
+        message = f"input error: {path} needs about {4 * size:,} bytes, budget 1,000,000,000\n"
         assert (code, out, err) == (2, "", message)
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize("command", ["schmidt", "compare"])
+    def test_document_charged_by_its_syntax_once_read(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        # once read, a document is charged 80 bytes per byte of its syntax
+        # (quotes, brackets, commas, colons and what an escape can start
+        # with) and 4 per byte: a `dumps_json` projector document runs in a
+        # budget of exactly its charge, under half the 26 bytes per byte of
+        # file that every form was once charged, and is refused in one less
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+        p = spaces.Projector(spaces.Factorization(2, 3), q @ q.conj().T, 3)
+        text = dumps_json(projector_document(p, label="[[["))
+        path = tmp_path / "projector.json"
+        path.write_text(text)
+        charge = 80 * sum(map(text.count, '"\\/bfnrtu[{]},:')) + 4 * len(text)
+        assert 2 * charge < 26 * len(text)
+        argv = [command, str(path)] if command == "schmidt" else [command, "sym:2", str(path)]
+        monkeypatch.setattr(tolerances, "BYTE_BUDGET", charge)
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(tolerances, "BYTE_BUDGET", charge - 1)
+        code, out, err = run(capsys, *argv)
+        message = f"input error: {path} needs about {charge:,} bytes, budget {charge - 1:,}\n"
+        assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "[" + ", ".join(["0.5"] * 20_000) + "]",
+            "[" + ",".join(["{}"] * 20_000) + "]",
+            "[" + ",".join(['{"a": 1}'] * 20_000) + "]",
+            "{" + ",".join(f'"k{i}": 0' for i in range(20_000)) + "}",
+            '"' + "\\n" * 20_000 + '"',
+            '"' + "bfnrtu" * 4_000 + '"',
+            '"' + "a" * 80_000 + '\\ud83d\\ude00"',
+            '"' + "\U0001F600" * 20_000 + '"',
+        ],
+        ids=[
+            "numbers", "empty-objects", "objects", "keys", "escapes", "letters",
+            "ascii-astral", "astral",
+        ],
+    )
+    def test_document_charged_over_what_reading_it_takes(
+        self, capsys, tmp_path, monkeypatch, value
+    ):
+        # whatever a document holds, its charge once read is over the traced
+        # peak of the op that reads and refuses it: in a budget of that peak
+        # it is refused, with exit 2, before it is decoded
+        path = tmp_path / "doc.json"
+        path.write_text('{"d1": 2, "d2": 2, "projector": ' + value + "}", encoding="utf-8")
+        code, out, err, peak = traced_run(capsys, "schmidt", str(path))
+        assert (code, out) == (2, "") and "needs about" not in err
+        monkeypatch.setattr(tolerances, "BYTE_BUDGET", peak)
+        code, out, err = run(capsys, "schmidt", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: {path} needs about ")
 
     def test_allocation_that_fails_is_exit_2(self, capsys, monkeypatch):
         # numpy's message names the allocation that failed

@@ -2,7 +2,9 @@ import gc
 import json
 import math
 import tracemalloc
+import warnings
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -237,7 +239,7 @@ class TestLoad:
     def test_depth_outside_strings(self, text, depth):
         # the guard that keeps deep text from orjson counts every bracket
         # outside a string and none inside one
-        assert io_module._depth(text) == depth
+        assert io_module._depth(text.translate(None, io_module._NOT_SYNTAX)) == depth
 
 
 # number tokens as a document may spell them: 17-digit and shortest floats,
@@ -518,6 +520,16 @@ SPECIAL_FLOATS = [
     -12.0,
     2.0**53,
     1e16,
+    # the edges of the exact lane, E in [-6, 16], and of %g's notations
+    1e-06,  # E = -7
+    1.0000000000000002e-06,
+    9.999999999999999e-06,
+    1e-05,
+    9.999999999999999e-05,  # e-05
+    0.0001,
+    0.09999999999999999,  # x * 10**17 rounds onto 10**16
+    9.999999999999998e16,
+    1e17,
 ]
 DOCUMENT_FLOATS = st.one_of(
     st.sampled_from(SPECIAL_FLOATS),
@@ -575,6 +587,111 @@ class TestWholeArrayEmit:
         assert matrix.tobytes() == (a + 0.0).tobytes()
         pairs = np.stack([matrix.real, matrix.imag], axis=-1)
         assert dumps_json({"d1": 1, "d2": dim, key: pairs}) == text
+
+
+def _written(values) -> list[str]:
+    """Each of `values` as `dumps_json` writes it in a float64 array."""
+    x = np.array(list(values) + [1.0] * 3, dtype=np.float64)  # never inline
+    return dumps_json(x)[4:-3].split(",\n  ")[:-3]
+
+
+def _g17(x: float) -> str:
+    return "0" if x == 0 else format(x, ".17g")
+
+
+def _neighbours(x: float, count: int = 3) -> list[float]:
+    out, below, above = [x], x, x
+    for _ in range(count):
+        below, above = np.nextafter(below, -math.inf), np.nextafter(above, math.inf)
+        out += [float(below), float(above)]
+    return out
+
+
+LANE_EDGES = [
+    x
+    for k in range(-8, 19)
+    for x in _neighbours(float(f"1e{k}"))
+] + [
+    2.0**53, 2.0**53 + 2, 1e16, 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 1e-7, 1.5e-6, 1.5e-5, 1.5e-4, 1.5e16, 1.5e17,
+    0.5, 12.5, 1234567890123456.8, 12345678901234567.0,
+]
+
+
+# any 64 bits, and bits with the exponents of the lane: |x| from 2**-20 to 2**57
+RAW_BITS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.tuples(st.integers(0, 1), st.integers(1003, 1080), st.integers(0, 2**52 - 1)).map(
+        lambda t: t[0] << 63 | t[1] << 52 | t[2]
+    ),
+)
+
+
+class TestFloatKernel:
+    """Each float of an array is written as ``format(x, ".17g")``, with
+    ``0`` for either zero, and no warning escapes for any finite input."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(RAW_BITS, min_size=1, max_size=40))
+    def test_raw_bit_patterns(self, bits):
+        x = np.array(bits, dtype=np.uint64).view(np.float64)
+        x = x[np.isfinite(x)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _written(x) == [_g17(v) for v in x.tolist()]
+            assert _written(-x) == [_g17(v) for v in (-x).tolist()]
+
+    def test_lane_edges(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for xs in (LANE_EDGES, [-x for x in LANE_EDGES]):
+                assert _written(xs) == list(map(_g17, xs))
+
+    @pytest.mark.parametrize("zeros", [[], [0.0], [0.0, -0.0], [-0.0, 0.0] * 25])
+    def test_zeros_among_the_floats(self, zeros):
+        # zeros are written as 0 where they are few, and where they are most
+        # of a chunk, when the other floats are written on their own
+        xs = [y for x in LANE_EDGES for y in [x, *zeros]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _written(xs) == list(map(_g17, xs))
+            for a in (np.zeros((2, 3)), -np.zeros(7)):
+                assert dumps_json(a) == dumps_json(a.tolist())
+
+    def test_ties_round_half_even(self):
+        # m / 2**17 for odd m has an 18th significant digit of exactly 5 in
+        # [1, 10): C rounds each to the even 17th digit
+        x = np.arange(2**17 + 1, 10 * 2**17, 2) / 2.0**17
+        assert _written(x) == [format(v, ".17g") for v in x.tolist()]
+
+    @pytest.mark.parametrize("power", range(-5, 18))
+    def test_no_double_rounds_up_to_a_power_of_ten(self, power):
+        # the largest double below 10**power, which bounds the lane from
+        # above for E = power - 1, is more than half a unit of the 17th
+        # digit below it, so no significand ever rounds up to 10**17
+        top = Fraction(10) ** power
+        below = float(top)
+        if Fraction(below) >= top:
+            below = float(np.nextafter(below, 0.0))
+        assert top - Fraction(below) > top / 10**17 / 2
+
+    def test_projector_document_peak(self):
+        # the floats are written in chunks, so the peak stays near the copies
+        # of the text itself: 3.0 bytes per byte measured (4.2 when each
+        # row filled a template)
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((600, 300)) + 1j * rng.standard_normal((600, 300))
+        q, _ = np.linalg.qr(a)
+        p = q @ q.conj().T
+        doc = {"d1": 20, "d2": 30, "projector": np.stack([p.real, p.imag], axis=-1)}
+        tracemalloc.start()
+        try:
+            text = dumps_json(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * len(text)
 
 
 class TestZeroDimArrays:
