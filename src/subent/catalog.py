@@ -60,7 +60,7 @@ def _exchange_projector(n, sign: int) -> Projector:
     """P = (I + sign SWAP) / 2 from its nonzero entries alone: e_k e_l on
     the diagonal, and the swap pair (e_k e_l, e_l e_k) for k != l."""
     n = as_count(n, "n", least=1 if sign > 0 else 2)
-    # a `schmidt` op on this route, output rendered, peaks at 385-405 traced
+    # a `schmidt` op on this route, output rendered, peaks at 319-340 traced
     # bytes per index of the composite space (n = 64..512)
     within_budget(f"n={n}", 400 * n * n)
     side = n * n
@@ -345,9 +345,9 @@ def hydrogen_level(n: int) -> HydrogenLevel:
     (1, 0, 0, 0).
     """
     n = as_count(n, "n")
-    # a `hydrogen` op peaks at 13.9, 6.7, 3.7 and 3.3 traced bytes per (2n)^2
-    # at n = 100, 200, 400 and 800, below the estimate
-    within_budget(f"n={n}", 16 * (2 * n) ** 2)
+    # a `hydrogen` op peaks at 12.0, 3.3, 3.08 and 3.03 traced bytes per (2n)^2
+    # at n = 100, 800, 3200 and 7905, the last n admitted: 1.32 times under
+    within_budget(f"n={n}", 4 * (2 * n) ** 2)
     # V_1/2, then V_{l+1/2} and Vt_{l-1/2} for l = 1..n-1; j = 0 gives (1, 0, 0, 0)
     row = np.arange(2 * n - 1)
     ls, plus = (row + 1) // 2, (row % 2 == 1) | (row == 0)

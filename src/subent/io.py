@@ -372,9 +372,9 @@ def _closings(shape) -> np.ndarray:
     return count.reshape(-1)
 
 
-def _float_leaves(a: np.ndarray, after: dict[int, str]) -> str:
-    """The floats of `a` in C order, each as `_write_g17` writes it and
-    followed by ``after[c]``, c being how many axes end after it.
+def _float_leaves(a: np.ndarray, after: dict[int, str]):
+    """Yield the floats of `a` in C order, each as `_write_g17` writes it
+    and followed by ``after[c]``, c being how many axes end after it.
 
     A chunk of leaves is laid out as columns, transposed to one row of bytes
     per leaf, and its NUL padding dropped by one ``bytes.translate``.
@@ -385,7 +385,7 @@ def _float_leaves(a: np.ndarray, after: dict[int, str]) -> str:
     table = table.view(np.uint8).reshape(a.ndim + 1, -1).T
     closings, x = _closings(a.shape), a.reshape(-1)
     step = _CHUNK // math.prod(a.shape[1:]) * math.prod(a.shape[1:]) or _CHUNK
-    parts, filled = [], None
+    filled = None
     for start in range(0, len(x), step):
         codes = closings[start : start + step]
         if filled is None or not np.array_equal(codes, filled):
@@ -393,8 +393,7 @@ def _float_leaves(a: np.ndarray, after: dict[int, str]) -> str:
             np.take(table, codes, axis=1, out=out[_G17:])
             filled = codes
         _write_g17(x[start : start + step], out[:_G17])
-        parts.append(out.T.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(parts)
+        yield out.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -458,54 +457,50 @@ def dumps_json(obj) -> str:
     quotes them.  A dict in a list is a record; records of one shape are
     written by filling one template, which `emit` lays out from a skeleton
     with a slot per leaf.  A record that `_leaves` refuses is written by
-    `emit` alone, with the same bytes.
+    `emit` alone, with the same bytes.  `emit` yields the text in pieces,
+    which are joined once.
     """
     templates: dict[tuple, str] = {}
 
-    def template(skeleton, depth: int) -> str:
-        """`skeleton` as `emit` writes it, with a %-conversion per slot."""
-        return emit(skeleton, depth).replace("%", "%%").replace("\0", "%")
-
-    def record(value: dict, depth: int) -> str:
+    def record(value: dict, depth: int):
         shape, leaves = [depth], []
         if not _leaves(value, shape, leaves):
-            return emit(value, depth)
+            yield from emit(value, depth)
+            return
         shape = tuple(shape)
         if shape not in templates:
-            templates[shape] = template(_skeleton(value), depth)
-        return templates[shape] % tuple(leaves)
+            text = "".join(emit(_skeleton(value), depth))
+            templates[shape] = text.replace("%", "%%").replace("\0", "%")
+        yield templates[shape] % tuple(leaves)
 
-    def emit(value, depth: int) -> str:
+    def emit(value, depth: int):
         kind = type(value)  # float, str and int first: nearly every value is one
         if kind is float:
-            return _format_float(value, JSON_DIGITS)
-        if isinstance(value, str):
-            return encode_basestring_ascii(value)
-        if kind is int:
-            return str(value)
-        if kind is _Slot:  # a template's hole: no written text holds a NUL
-            return "\0" + value.spec
-        if value is None:
-            return "null"
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
-        if isinstance(value, (float, np.floating)):
-            return _format_float(float(value), JSON_DIGITS)
-        pad = "  " * depth
-        inner = pad + "  "
-        if isinstance(value, dict):
-            if not value:
-                return "{}"
-            rows = [
-                f"{inner}{encode_basestring_ascii(str(k))}: {emit(v, depth + 1)}"
-                for k, v in value.items()
-            ]
-            return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-        if isinstance(value, np.ndarray) and not value.ndim:
-            return emit(value[()], depth)
-        if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.size:
+            yield _format_float(value, JSON_DIGITS)
+        elif isinstance(value, str):
+            yield encode_basestring_ascii(value)
+        elif kind is int:
+            yield str(value)
+        elif kind is _Slot:  # a template's hole: no written text holds a NUL
+            yield "\0" + value.spec
+        elif value is None:
+            yield "null"
+        elif isinstance(value, bool):
+            yield "true" if value else "false"
+        elif isinstance(value, (int, np.integer)):
+            yield str(int(value))
+        elif isinstance(value, (float, np.floating)):
+            yield _format_float(float(value), JSON_DIGITS)
+        elif isinstance(value, dict):
+            pad, sep = "  " * depth, "{\n"
+            for k, v in value.items():
+                yield f"{sep}{pad}  {encode_basestring_ascii(str(k))}: "
+                yield from emit(v, depth + 1)
+                sep = ",\n"
+            yield "\n" + pad + "}" if value else "{}"
+        elif isinstance(value, np.ndarray) and not value.ndim:
+            yield from emit(value[()], depth)
+        elif isinstance(value, np.ndarray) and value.dtype == np.float64 and value.size:
             bad = ~np.isfinite(value)
             if bad.any():
                 raise InputError(
@@ -515,24 +510,25 @@ def dumps_json(obj) -> str:
             # larger than `value` whose leaves close the same axes
             shape = [min(n, 2) for n in value.shape[:-1]] + [min(value.shape[-1], 3)]
             skeleton = np.full(shape, _Slot(""), dtype=object).tolist()
-            head, *pieces = emit(skeleton, depth).split("\0")
-            after = dict(zip(_closings(shape).tolist(), pieces))
-            return head + _float_leaves(value, after)
-        if isinstance(value, (list, tuple, np.ndarray)):
-            seq = list(value)
-            if not seq:
-                return "[]"
-            flat = all(
+            head, *pieces = "".join(emit(skeleton, depth)).split("\0")
+            yield head
+            yield from _float_leaves(value, dict(zip(_closings(shape).tolist(), pieces)))
+        elif isinstance(value, (list, tuple, np.ndarray)):
+            seq, inner = list(value), "\n" + "  " * (depth + 1)
+            sep, comma, close = "[" + inner, "," + inner, inner[:-2] + "]"
+            if len(seq) <= 2 and all(  # one or two scalars stay on one line
                 not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq
-            )
-            items = [(record if type(v) is dict else emit)(v, depth + 1) for v in seq]
+            ):
+                sep, comma, close = "[", ", ", "]"
+            for v in seq:
+                yield sep
+                yield from (record if type(v) is dict else emit)(v, depth + 1)
+                sep = comma
+            yield close if seq else "[]"
         else:
             raise InputError(f"cannot serialize {type(value).__name__}")
-        if flat and len(items) <= 2:  # one or two scalars stay on one line
-            return "[" + ", ".join(items) + "]"
-        return "[\n" + ",\n".join([inner + x for x in items]) + "\n" + pad + "]"
 
-    return emit(obj, 0) + "\n"
+    return "".join(chain(emit(obj, 0), "\n"))
 
 
 def _string_fields(strings: list[SchmidtString]) -> list[dict]:

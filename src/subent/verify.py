@@ -235,43 +235,35 @@ def hydrogen_chain_expected(n: int) -> tuple[str, ...]:
 def verify_hydrogen(max_n: int = 8) -> FamilyReport:
     """Pipeline strings and chain order for hydrogen-like levels, n = 1..max_n."""
     max_n = as_count(max_n, "max_n")
-    # whole `verify --family hydrogen` ops peak at 156-159 traced bytes per
-    # (2 max_n)^2 (max_n = 100..800), from every level's closed strings and
-    # check rows; refused from that before level 1
-    within_budget(f"max_n={max_n}", 170 * (2 * max_n) ** 2)
-    checks: list[Check | str] = []
-    closed: list[SchmidtString] = []
-    # each entry's eigenspace (l, branch) as 2 l + (branch is minus), one
-    # array per level
-    codes: list[np.ndarray] = []
+    # whole `verify --family hydrogen` ops peak at 55.4-62.4 traced bytes per
+    # (2 max_n)^2 (max_n = 100..800), from the check rows; refused from that
+    # before anything runs
+    within_budget(f"max_n={max_n}", 65 * (2 * max_n) ** 2)
+    # each eigenspace (l, branch) recurs in every later level, and the
+    # pipeline is deterministic, so each runs once, before level 1.  l = 0
+    # is the whole 1 (x) 2 space, run through the pipeline as an explicit basis
+    doublet = SubspaceBasis(Factorization(1, 2), np.eye(2, dtype=np.complex128))
+    spaces = [(l, b) for l in range(max_n) for b in Branch if l or b is Branch.PLUS]
+    strings = _spectra(
+        spin_projector(SpinLabel(2 * l), b) if l else projector_from_basis(doublet)
+        for l, b in spaces
+    )
+    found = dict(zip(spaces, strings))
+    checks: list[Check] = []
     for n in range(1, max_n + 1):
-        level = hydrogen_level(n)
-        for entry in level.entries:
-            checks.append(f"hydrogen n={n} {entry.label}")
-            closed.append(entry.string)
-        minus = [e.branch is Branch.MINUS for e in level.entries]
-        codes.append(2 * np.array([e.l for e in level.entries]) + minus)
+        entries = hydrogen_level(n).entries
         chain = sort_chain(
-            [(e.label, e.string) for e in level.entries]
-            + [("S_0", limiting_string())]
+            [(e.label, e.string) for e in entries] + [("S_0", limiting_string())]
         )
         order_ok = chain.ordered and chain.labels == hydrogen_chain_expected(n)
-        checks.append(
-            Check(f"hydrogen n={n} chain order", 0.0 if order_ok else 1.0, 0.0)
-        )
-    # each eigenspace recurs in every later level, so the last level holds
-    # them all; the pipeline is deterministic, so each runs once.  l = 0 is
-    # the whole 1 (x) 2 space, run through the pipeline as an explicit basis
-    doublet = SubspaceBasis(Factorization(1, 2), np.eye(2, dtype=np.complex128))
-    strings = _spectra(
-        spin_projector(SpinLabel(2 * e.l), e.branch)
-        if e.l
-        else projector_from_basis(doublet)
-        for e in level.entries
-    )
-    found = dict(zip(codes[-1].tolist(), strings))
-    numeric = [found[code] for code in np.concatenate(codes).tolist()]
-    return _report("hydrogen", checks, numeric, closed)
+        checks += _report(
+            "hydrogen",
+            [f"hydrogen n={n} {e.label}" for e in entries]
+            + [Check(f"hydrogen n={n} chain order", 0.0 if order_ok else 1.0, 0.0)],
+            [found[e.l, e.branch] for e in entries],
+            [e.string for e in entries],
+        ).checks
+    return FamilyReport("hydrogen", tuple(checks))
 
 
 # Each family of the `verify` command: its sweep and the range keyword it reads.

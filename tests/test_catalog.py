@@ -532,12 +532,12 @@ class TestHydrogenLevel:
         with pytest.raises(InputError):
             hydrogen_level(0)
 
-    @pytest.mark.parametrize("n", [3953, 10**20, 10**40])
+    @pytest.mark.parametrize("n", [7906, 10**20, 10**40])
     def test_refused_over_the_byte_budget(self, n):
-        # 16 (2n)^2 estimated bytes: n = 3952 is within BYTE_BUDGET, 3953 not
-        assert 16 * (2 * 3952) ** 2 <= BYTE_BUDGET < 16 * (2 * 3953) ** 2
+        # 4 (2n)^2 estimated bytes: n = 7905 is within BYTE_BUDGET, 7906 not
+        assert 4 * (2 * 7905) ** 2 <= BYTE_BUDGET < 4 * (2 * 7906) ** 2
         message, peak = traced_refusal(hydrogen_level, n)
-        need = 16 * (2 * n) ** 2
+        need = 4 * (2 * n) ** 2
         assert message == f"n={n} needs about {need:,} bytes, budget 1,000,000,000"
         assert peak < 1_000_000
 

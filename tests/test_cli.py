@@ -435,7 +435,7 @@ class TestHydrogen:
         # refused from n alone, before the level is built
         n = 10**20
         code, out, err, peak = traced_run(capsys, "hydrogen", "--n", str(n))
-        need = f"{16 * (2 * n) ** 2:,}"
+        need = f"{4 * (2 * n) ** 2:,}"
         message = f"input error: n={n} needs about {need} bytes, budget 1,000,000,000\n"
         assert (code, out, err) == (2, "", message)
         assert peak < 1_000_000
@@ -619,12 +619,12 @@ class TestVerify:
         assert out == ""
         assert message in err
 
-    @pytest.mark.parametrize("max_n", [1213, 3953, 10**20])
+    @pytest.mark.parametrize("max_n", [1962, 7906, 10**20])
     def test_hydrogen_range_over_the_byte_budget(self, capsys, max_n):
         # refused from max_n alone, before level 1 runs
         argv = ["verify", "--family", "hydrogen", "--max-n", str(max_n)]
         code, out, err, peak = traced_run(capsys, *argv)
-        need = f"{170 * (2 * max_n) ** 2:,}"
+        need = f"{65 * (2 * max_n) ** 2:,}"
         message = f"input error: max_n={max_n} needs about {need} bytes, budget 1,000,000,000\n"
         assert (code, out, err) == (2, "", message)
         assert peak < 1_000_000

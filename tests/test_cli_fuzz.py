@@ -170,16 +170,16 @@ EXCHANGE_RANGE_OVER_BUDGET = st.one_of(
 ).map(str)
 
 
-# 16 (2n)^2 estimated bytes is over BYTE_BUDGET from n = 3953 on
+# 4 (2n)^2 estimated bytes is over BYTE_BUDGET from n = 7906 on
 HYDROGEN_OVER_BUDGET = st.one_of(
-    st.integers(3953, 4100), st.integers(4100, 10**6), st.integers(10**6, 10**40)
+    st.integers(7906, 8100), st.integers(8100, 10**6), st.integers(10**6, 10**40)
 ).map(str)
 
 
-# a `verify` sweep's 170 (2 max_n)^2 estimated bytes is over BYTE_BUDGET from
-# max_n = 1213 on
+# a `verify` sweep's 65 (2 max_n)^2 estimated bytes is over BYTE_BUDGET from
+# max_n = 1962 on
 HYDROGEN_RANGE_OVER_BUDGET = st.one_of(
-    st.integers(1213, 1300), st.integers(1300, 10**6), st.integers(10**6, 10**40)
+    st.integers(1962, 2100), st.integers(2100, 10**6), st.integers(10**6, 10**40)
 ).map(str)
 
 

@@ -79,6 +79,25 @@ class TestHermitianEigenvalues:
         with pytest.raises(InputError, match="square"):
             hermitian_eigenvalues(np.ones((2, 3)))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: hermitian_eigenvalues(np.zeros(3)),
+                "h must be 2-dimensional, got ndim=1",
+            ),
+            (lambda: hermitian_eigenvalues(np.zeros((0, 0))), "h must be non-empty"),
+            (
+                lambda: SubspaceBasis(Factorization(1, 2), [[np.nan, 0.0]]),
+                "vectors contains non-finite entries",
+            ),
+        ],
+    )
+    def test_matrix_shape_and_finiteness_refused(self, build, message):
+        with pytest.raises(InputError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_non_hermitian_rejected(self):
         m = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(InputError, match="not Hermitian"):
@@ -225,6 +244,15 @@ class TestBlocksReference:
     @given(pattern=block_patterns(square=False))
     def test_rectangular(self, pattern):
         self.assert_matches(pattern, False, True)
+
+    def test_labels_unsettled_within_rounds_give_none(self):
+        # a path through the even vertices, then the odd ones: one round of
+        # label propagation leaves its 64 vertices unsettled, the default
+        # rounds settle them as one block
+        path = np.r_[0:64:2, 1:64:2]
+        pattern = (path[:-1], path[1:], np.ones(63, dtype=np.complex128), (64, 64))
+        assert linalg._blocks(*pattern, True, rounds=1) is None
+        assert [b.shape for b in linalg._blocks(*pattern, True)] == [(1, 64, 64)]
 
     @settings(max_examples=100, deadline=None)
     @given(square=st.booleans(), data=st.data())

@@ -155,9 +155,9 @@ class TestFamilies:
         with pytest.raises(InputError):
             verify_hydrogen(max_n=0)
 
-    @pytest.mark.parametrize("max_n", [1213, 3953, 10**20, 10**40])
+    @pytest.mark.parametrize("max_n", [1962, 7906, 10**20, 10**40])
     def test_hydrogen_range_over_the_byte_budget(self, monkeypatch, max_n):
-        # refused from the whole sweep's 170 (2 max_n)^2 bytes, before level 1
+        # refused from the whole sweep's 65 (2 max_n)^2 bytes, before level 1
         def no_level(n):
             raise AssertionError(f"level {n} was built")
 
@@ -169,20 +169,35 @@ class TestFamilies:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        need = 170 * (2 * max_n) ** 2
+        need = 65 * (2 * max_n) ** 2
         assert str(info.value) == (
             f"max_n={max_n} needs about {need:,} bytes, budget 1,000,000,000"
         )
         assert peak < 1_000_000
 
     def test_hydrogen_range_within_the_byte_budget_runs(self, monkeypatch):
-        # 1212 is the largest max_n within BYTE_BUDGET, so its sweep starts
-        def first_level(n):
-            raise LookupError(f"level {n}")
+        # 1961 is the largest max_n within BYTE_BUDGET, so its sweep starts
+        # with the eigenspaces: the doublet, then 2j = 2
+        def first_projector(s, branch):
+            raise LookupError(f"2j={s.two_j} {branch.value}")
 
-        monkeypatch.setattr(verify_module, "hydrogen_level", first_level)
-        with pytest.raises(LookupError, match="^level 1$"):
-            verify_hydrogen(max_n=1212)
+        monkeypatch.setattr(verify_module, "spin_projector", first_projector)
+        with pytest.raises(LookupError, match="^2j=2 plus$"):
+            verify_hydrogen(max_n=1961)
+        with pytest.raises(InputError, match="^max_n=1962 needs about "):
+            verify_hydrogen(max_n=1962)
+
+    def test_hydrogen_sweep_peaks_under_its_estimate(self):
+        # the whole sweep, eigenspaces, levels and checks: 57.8 traced bytes
+        # per (2 max_n)^2 measured at max_n = 200
+        tracemalloc.start()
+        try:
+            report = verify_hydrogen(max_n=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 65 * (2 * 200) ** 2
 
     def test_spin_range_within_the_byte_budget_runs(self, monkeypatch):
         # 1289 is the largest max_two_j within BYTE_BUDGET, so its sweep starts
