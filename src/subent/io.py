@@ -19,7 +19,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -92,12 +92,8 @@ def _pair_matrix(rows, shape: tuple[int, int], key: str, row_name: str) -> np.nd
     return a.view(np.complex128).reshape(shape)
 
 
-def parse_subspace_document(data) -> SubspaceDocument:
-    """Validate a decoded JSON object into a SubspaceDocument.
-
-    Takes what ``json.loads`` returns: the float64 arrays that
-    `basis_document` and `projector_document` hold are for `dumps_json`.
-    """
+def _document_head(data) -> tuple[Factorization, str | None, str]:
+    """The factorization, label and array key of a decoded document, checked."""
     if not isinstance(data, dict):
         raise InputError(f"document must be a JSON object, got {type(data).__name__}")
     allowed = {"label", "d1", "d2", "basis", "projector"}
@@ -114,11 +110,19 @@ def parse_subspace_document(data) -> SubspaceDocument:
     has_basis = "basis" in data
     if has_basis == ("projector" in data):
         raise InputError("document must contain exactly one of 'basis' or 'projector'")
+    return f, label, "basis" if has_basis else "projector"
 
-    key = "basis" if has_basis else "projector"
+
+def parse_subspace_document(data) -> SubspaceDocument:
+    """Validate a decoded JSON object into a SubspaceDocument.
+
+    Takes what ``json.loads`` returns: the float64 arrays that
+    `basis_document` and `projector_document` hold are for `dumps_json`.
+    """
+    f, label, key = _document_head(data)
     rows = data[key]
     listed = isinstance(rows, list)
-    if has_basis:
+    if key == "basis":
         if not listed or not rows:
             raise InputError("basis must be a non-empty list of vectors")
         shape, row_name = (len(rows), f.dim), "basis vector"
@@ -127,46 +131,29 @@ def parse_subspace_document(data) -> SubspaceDocument:
             raise InputError(f"projector must be a list of {f.dim} rows")
         shape, row_name = (f.dim, f.dim), "projector row"
     matrix = _pair_matrix(rows, shape, key, row_name)
-    return SubspaceDocument(
-        factorization=f,
-        label=label,
-        basis=matrix if has_basis else None,
-        projector=None if has_basis else matrix,
-    )
+    return SubspaceDocument(f, label, **{"basis": None, "projector": None, key: matrix})
 
 
-# A subspace document nests 4 deep; orjson 3.8 crashes the interpreter on
-# text nested about 10^5 deep, so deeper text goes to the stdlib, which
-# raises RecursionError past about 1,000
-_ORJSON_DEPTH = 8
 # quotes, backslashes, the letters an escape can start with, brackets,
 # commas and colons: one byte or more per value
 _NOT_SYNTAX = bytes(sorted(set(range(256)) - set(b'"\\/bfnrtu[{]},:')))
 # a string, unrolled so that sre keeps no backtracking frame per byte
 _STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"', re.S)
-# [ and { step the depth up by 1, ] and } down (int8 -1), any other byte by 0
-_STEPS = bytes(1 if b in b"[{" else 255 if b in b"]}" else 0 for b in range(256))
-# Once read, a document is charged 80 bytes per byte that `_NOT_SYNTAX`
-# keeps and 4 per byte, 10 where a string may decode to 2 or 4 bytes a
-# character: over the traced peaks of whole `schmidt FILE` ops on 31 forms
-# (after the bytes, up to 62 per kept byte, on labels of `\n` escapes; 2.6
-# to 26 on projector documents).  Unread, a file is charged the least it can
-# be, 4 per byte
-_BYTES_PER_SYNTAX_BYTE, _BYTES_PER_WIDE_BYTE = 80, 10
-_BYTES_PER_FILE_BYTE = 4
-
-
-def _depth(syntax: bytes) -> int:
-    """The deepest bracket nesting outside strings of a text of which only
-    the bytes that `_NOT_SYNTAX` keeps are left.
-
-    Quotes, backslashes and the letters an escape can start with are kept,
-    so each string still ends where it ends and is dropped whole, with any
-    bracket in it; then all but the brackets is dropped, and they are
-    summed in int32, as no file of more than `BYTE_BUDGET` / 4 bytes is read.
-    """
-    steps = _STRING.sub(b"", syntax).translate(_STEPS, b'"\\/bfnrtu,:')
-    return int(np.frombuffer(steps, np.int8).cumsum(dtype=np.int32).max(initial=0))
+# an array's bytes as classes: [ ] and , kept, JSON whitespace dropped, others 0
+_CLASSES, _WHITESPACE = bytes(b if b in b"[]," else 48 for b in range(256)), b" \t\n\r"
+_CHUNK_BYTES = 1 << 18  # of an array, read at a time so as to stay in cache
+# four keys and a label, with room for keys given again; past it the stdlib
+# judges, so the spans kept stay few whatever the text
+_MOST_STRINGS = 16
+# Unread, a file is charged 4 bytes per byte, the least it can be; once
+# read, 10 where a string may decode to 2 or 4 bytes a character, and per
+# byte of syntax that opens a list, object, item, member, string or escape.
+# Whole `schmidt FILE` ops on both routes trace, beyond 42 kB, 3.1 to 3.9
+# per byte, 89 per `[` (900 deep), 22 to 26 per `,` and number, 66 per `{},`,
+# 123 per `"key": 0,`, 49 per `"ab",`, 125 to 133 per `\` (a `_STRING`
+# frame); a `dumps_json` projector document 4.7 per byte, charged 6.8
+_BYTES_PER_FILE_BYTE, _BYTES_PER_WIDE_BYTE = 4, 10
+_SYNTAX_RATES = {b"[": 96, b"{": 56, b",": 30, b":": 80, b'"': 14, b"\\": 144}
 
 
 def _stdlib_loads(raw: bytes):
@@ -189,35 +176,88 @@ def _decoded(loads, raw: bytes):
             gc.enable()
 
 
+def _flat_document(raw: bytearray, syntax: bytes) -> SubspaceDocument | None:
+    """The document in `raw` with its array read by orjson as one flat list
+    of numbers, or None for the stdlib to judge.
+
+    The array runs from the first ``[`` to the last ``]`` of the longest
+    stretch between strings and holds every ``[`` outside strings, so the
+    head, with ``[]`` in its place, is decoded and checked apart.  Its
+    syntax is the skeleton of R rows of d1·d2 pairs and no number stands
+    outside a pair, so with its inner brackets blanked in place (and put
+    back) it lists 2·R·d1·d2 numbers, each where json reads it.
+    """
+    spans = [m.span() for m in islice(_STRING.finditer(raw), _MOST_STRINGS + 1)]
+    cuts = [0, *chain.from_iterable(spans), len(raw)]
+    a, b = max(zip(cuts[::2], cuts[1::2]), key=lambda gap: gap[1] - gap[0])
+    start, end = raw.find(b"[", a, b), raw.rfind(b"]", a, b) + 1
+    cuts = sorted([*cuts, start, end])  # the head's stretches between strings
+    if len(spans) > _MOST_STRINGS or not 0 <= start < end or any(
+        raw.find(b"[", *gap) >= 0 for gap in zip(cuts[::2], cuts[1::2])
+    ):
+        return None
+    try:
+        data = _decoded(_stdlib_loads, raw[:start] + b"[]" + raw[end:])
+        f, label, key = _document_head(data)
+    except (ValueError, RecursionError, InputError):
+        return None
+    before, after = (len(part.translate(None, _NOT_SYNTAX)) for part in (raw[:start], raw[end:]))
+    skeleton = syntax[before : len(syntax) - after]
+    rows, extra = divmod(skeleton.count(b"[") - 1, f.dim + 1)
+    if data[key] != [] or extra or not rows or key == "projector" and rows != f.dim:
+        return None
+    row = b"[" + b",".join([b"[,]"] * f.dim) + b"]"
+    if skeleton != b"[" + b",".join([row] * rows) + b"]":
+        return None
+    inner, last = [], b"["
+    for at in range(start + 1, end - 1, _CHUNK_BYTES):
+        piece = raw[at : min(at + _CHUNK_BYTES, end - 1)]
+        k = np.frombuffer(last + piece.translate(_CLASSES, _WHITESPACE), np.uint8)
+        if ((k[:-1] == 48) & (k[1:] == 91) | (k[:-1] == 93) & (k[1:] == 48)).any():
+            return None  # a number before an inner [ or after an inner ]
+        last, codes = k[-1:].tobytes(), np.frombuffer(piece, np.uint8)
+        inner.append(np.flatnonzero((codes == 91) | (codes == 93)) + at)
+    text, inner = np.frombuffer(raw, np.uint8), np.concatenate(inner)
+    brackets, text[inner] = text[inner], 32
+    try:
+        pairs = np.array(_decoded(orjson.loads, memoryview(raw)[start:end]), np.float64)
+    except orjson.JSONDecodeError:
+        return None
+    finally:
+        text[inner] = brackets
+    if len(pairs) != 2 * rows * f.dim or not np.isfinite(pairs).all():
+        return None
+    matrix = pairs.view(np.complex128).reshape(rows, f.dim)
+    return SubspaceDocument(f, label, **{"basis": None, "projector": None, key: matrix})
+
+
 def load_subspace_document(path) -> SubspaceDocument:
     """Read and parse a subspace document from a JSON file.
 
-    orjson decodes the file when it nests at most `_ORJSON_DEPTH` deep.
-    Where orjson refuses the text, or `parse_subspace_document` refuses
-    what orjson made of it, the stdlib decodes it again and judges: what is
-    accepted, and every error text, is what ``json.load`` gives.  The file
-    is refused over `BYTE_BUDGET` before it is read, at
-    `_BYTES_PER_FILE_BYTE`, and before it is decoded, from its size and its
-    syntax.
+    `_flat_document` decodes it, with no Python list per pair, or else the
+    stdlib decodes it and judges: what is accepted, and every error text,
+    is what ``json.load`` gives.  The file is refused over `BYTE_BUDGET`
+    before it is read, at `_BYTES_PER_FILE_BYTE`, and before it is decoded,
+    from its size and its syntax.
     """
     try:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             within_budget(f"{path}", _BYTES_PER_FILE_BYTE * size)
-            raw = fh.read()
+            raw = bytearray(size)  # blanked in place by `_flat_document`
+            del raw[fh.readinto(raw) :]
+            raw += fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     syntax = raw.translate(None, _NOT_SYNTAX)
     wide = not raw.isascii() or b"\\u" in syntax
     per_byte = _BYTES_PER_WIDE_BYTE if wide else _BYTES_PER_FILE_BYTE
-    within_budget(f"{path}", per_byte * len(raw) + _BYTES_PER_SYNTAX_BYTE * len(syntax))
-    depth = _depth(syntax)
-    del syntax  # not held while the text is decoded
-    if depth <= _ORJSON_DEPTH:
-        try:
-            return parse_subspace_document(_decoded(orjson.loads, raw))
-        except (orjson.JSONDecodeError, InputError):
-            pass  # the stdlib judges
+    need = sum(rate * syntax.count(byte) for byte, rate in _SYNTAX_RATES.items())
+    within_budget(f"{path}", per_byte * len(raw) + need)
+    doc = _flat_document(raw, syntax)
+    del syntax  # not held while the stdlib decodes
+    if doc is not None:
+        return doc
     try:
         data = _decoded(_stdlib_loads, raw)
     except (ValueError, RecursionError) as exc:

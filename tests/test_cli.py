@@ -874,19 +874,20 @@ class TestExitCodes:
     def test_document_charged_by_its_syntax_once_read(
         self, capsys, tmp_path, monkeypatch, command
     ):
-        # once read, a document is charged 80 bytes per byte of its syntax
-        # (quotes, brackets, commas, colons and what an escape can start
-        # with) and 4 per byte: a `dumps_json` projector document runs in a
-        # budget of exactly its charge, under half the 26 bytes per byte of
-        # file that every form was once charged, and is refused in one less
+        # once read, a document is charged 4 bytes per byte and, per byte
+        # of its syntax, 96 per `[`, 56 per `{`, 30 per `,`, 80 per `:`, 14
+        # per quote and 144 per backslash: a `dumps_json` projector document
+        # runs in a budget of exactly its charge, two thirds of the 80 per
+        # byte of syntax it was once charged, and is refused in one less
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
         p = spaces.Projector(spaces.Factorization(2, 3), q @ q.conj().T, 3)
         text = dumps_json(projector_document(p, label="[[["))
         path = tmp_path / "projector.json"
         path.write_text(text)
-        charge = 80 * sum(map(text.count, '"\\/bfnrtu[{]},:')) + 4 * len(text)
-        assert 2 * charge < 26 * len(text)
+        rates = {"[": 96, "{": 56, ",": 30, ":": 80, '"': 14, "\\": 144}
+        charge = 4 * len(text) + sum(rate * text.count(c) for c, rate in rates.items())
+        assert 3 * charge < 2 * (80 * sum(map(text.count, '"\\/bfnrtu[{]},:')) + 4 * len(text))
         argv = [command, str(path)] if command == "schmidt" else [command, "sym:2", str(path)]
         monkeypatch.setattr(tolerances, "BYTE_BUDGET", charge)
         assert main(argv) == 0

@@ -183,6 +183,13 @@ HYDROGEN_RANGE_OVER_BUDGET = st.one_of(
 ).map(str)
 
 
+# a `verify` spin sweep's 150 (2 max_two_j + 2)^2 estimated bytes is over
+# BYTE_BUDGET from max_two_j = 1290 on
+SPIN_RANGE_OVER_BUDGET = st.one_of(
+    st.integers(1290, 1400), st.integers(1400, 10**6), st.integers(10**6, 10**40)
+).map(str)
+
+
 class TestOptionSpace:
     @settings(FUZZ, max_examples=150)
     @given(data=st.data())
@@ -246,6 +253,14 @@ class TestOverBudget:
         code, err = run(argv)
         assert code == 2, (argv, err)
         assert err.startswith(f"input error: max_n={max_n} needs about "), err
+
+    @settings(max_examples=60, deadline=500)
+    @given(max_two_j=SPIN_RANGE_OVER_BUDGET)
+    def test_verify_spin_range_is_refused_at_once(self, max_two_j):
+        argv = ["verify", "--family", "spin", "--max-two-j", max_two_j]
+        code, err = run(argv)
+        assert code == 2, (argv, err)
+        assert err.startswith(f"input error: max_two_j={max_two_j} needs about "), err
 
     @settings(max_examples=60, deadline=500)
     @given(two_j=SPIN_OVER_BUDGET, schmidt=st.booleans())

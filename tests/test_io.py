@@ -222,25 +222,6 @@ class TestLoad:
         with pytest.raises(InputError, match="not valid JSON"):
             load_subspace_document(path)
 
-    @pytest.mark.parametrize(
-        "text, depth",
-        [
-            (b"", 0),
-            (b'{"d1": 1, "basis": [[[1, 0]]]}', 4),
-            (b"[" * 9 + b"]" * 9, 9),
-            (b'{"label": "[[[{{", "basis": []}', 2),
-            (b'{"label": "\\\\", "basis": [[]]}', 3),
-            (b'{"label": "\\"[[[", "basis": []}', 2),
-            (b'{"label": "\\u005b\\n\\t[", "basis": {}}', 2),
-            (b'{"label": "\\\\\\"[", "basis": [[[]]]}', 4),
-            (b'["\xc3\xa9]", ["\\/"]]', 2),
-        ],
-    )
-    def test_depth_outside_strings(self, text, depth):
-        # the guard that keeps deep text from orjson counts every bracket
-        # outside a string and none inside one
-        assert io_module._depth(text.translate(None, io_module._NOT_SYNTAX)) == depth
-
 
 # number tokens as a document may spell them: 17-digit and shortest floats,
 # subnormals, -0.0, integers around 2^63 and 2^64, and what json reads as
@@ -254,6 +235,7 @@ NUMBER_TOKENS = st.one_of(
     st.integers(2**63 - 3, 2**63 + 3).map(str),
     st.integers(2**64 - 3, 2**64 + 3).map(str),
     st.integers(-(2**64) - 3, -(2**63) + 3).map(str),
+    st.integers(2**64, 2**200).map(str),
     st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" * 400]),
 )
 
@@ -263,7 +245,24 @@ STRING_TOKENS = st.one_of(
     st.text().map(lambda s: json.dumps(s, ensure_ascii=False)),
     st.text("[]{}\"\\ab").map(json.dumps),
     st.sampled_from(['"\\ud800"', '"a\\udc00b"', '"\\ud83d\\ude00"', '"\\u005d"']),
+    # longer than any array drawn below
+    st.sampled_from(["[", "]", '\\"', "\\\\", '[\\"]\\\\']).map(lambda s: f'"{s * 2000}"'),
 )
+
+# JSON whitespace as it may stand around a bracket, tabs and CR included
+SPACES = st.sampled_from(["", "", "", " ", "\t", "\r", "\n  ", " \r\n\t"])
+
+# ways a document's array may miss the (rows, d1 d2, 2) form
+ARRAY_FAULTS = [
+    "number after a pair",  # [[[1,]2,[3,4]]]: the brackets and commas are in place
+    "number before a pair",  # [[5[1,2],[3,4]]]
+    "2 deep",
+    "4 deep",
+    "ragged",
+    "3-entry pair",
+    "row count",
+    "not a number",
+]
 
 
 def _nested(depth: int) -> str:
@@ -277,12 +276,32 @@ def document_texts(draw) -> bytes:
     key = draw(st.sampled_from(["basis", "projector"]))
     m = draw(st.integers(1, 3)) if key == "basis" else d1 * d2
     comma = draw(st.sampled_from([", ", ",\n  ", ",\r\n", ",\r"]))
+    shape = draw(st.sampled_from([None] * 7 + ARRAY_FAULTS))
+    m += draw(st.sampled_from([-1, 1])) if shape == "row count" else 0
 
-    def pair() -> str:
-        return f"[{draw(NUMBER_TOKENS)}, {draw(NUMBER_TOKENS)}]"
+    def listed(items) -> str:
+        inside = comma.join(items)
+        return f"{draw(SPACES)}[{draw(SPACES)}{inside}{draw(SPACES)}]{draw(SPACES)}"
 
-    rows = [f"[{comma.join(pair() for _ in range(d1 * d2))}]" for _ in range(m)]
-    items = [f'"d1": {d1}', f'"d2": {d2}', f'"{key}": [{comma.join(rows)}]']
+    cells = [[[draw(NUMBER_TOKENS), draw(NUMBER_TOKENS)] for _ in range(d1 * d2)] for _ in range(m)]
+    if m and draw(st.booleans()):
+        cells[0][0] = draw(st.permutations(["-0", "-0.0"]))
+    if shape == "3-entry pair":
+        cells[-1][-1].append(draw(NUMBER_TOKENS))
+    elif shape == "ragged":
+        del cells[-1][-1]
+    elif shape == "not a number" and m:
+        cells[-1][-1][0] = draw(st.sampled_from(["true", "false", "null", "{}", "[]", '"0.5"']))
+    pairs = [[listed(pair) for pair in row] for row in cells]
+    if shape == "number after a pair":
+        pairs[0][0] = f"[{cells[0][0][0]},]{cells[0][0][1]}"
+    elif shape == "number before a pair":
+        pairs[0][0] = draw(NUMBER_TOKENS) + pairs[0][0]
+    elif shape == "4 deep":
+        pairs = [[listed([pair]) for pair in row] for row in pairs]
+    rows = sum(pairs, []) if shape == "2 deep" else [listed(row) for row in pairs]
+    array = listed(rows)
+    items = [f'"d1": {d1}', f'"d2": {d2}', f'"{key}": {array}']
     label = draw(
         st.none()
         | STRING_TOKENS
@@ -292,6 +311,10 @@ def document_texts(draw) -> bytes:
         items.insert(draw(st.integers(0, len(items))), f'"label": {label}')
     if draw(st.booleans()):  # a duplicate key: json keeps the last
         items.append(draw(st.sampled_from([f'"d1": {d1}', '"d2": 1', '"label": "twice"'])))
+    twice = draw(st.sampled_from([None] * 4 + [key, "basis", "projector"]))
+    if twice:  # an array key given twice, or both keys given
+        value = draw(st.sampled_from([array, "[]", "[[[1, 0]]]"]))
+        items.insert(draw(st.integers(0, len(items))), f'"{twice}": {value}')
     text = ("{" + comma.join(items) + "}").encode("utf-8", "surrogatepass")
     fault = draw(st.sampled_from([None] * 6 + ["bom", "not utf-8", "trailing"]))
     if fault == "bom":
@@ -362,6 +385,56 @@ class TestLoadMatchesReference:
         got = load_subspace_document(path).basis
         assert got.tobytes() == load_subspace_document_reference(path).basis.tobytes()
         assert got[0, 0] == complex(2**64, -(2**63))
+
+
+class TestOrjsonSeesFlatText:
+    """orjson reads a flat list of numbers or nothing: no input to it holds
+    a ``[`` after its first."""
+
+    @staticmethod
+    def _orjson_inputs(monkeypatch, path) -> list[bytes]:
+        seen, loads = [], io_module.orjson.loads
+
+        def spy(text):
+            seen.append(bytes(text))
+            return loads(text)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(io_module.orjson, "loads", spy)
+            try:
+                load_subspace_document(path)
+            except InputError:
+                pass
+        assert all(text.count(b"[") == 1 for text in seen), seen
+        return seen
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=document_texts())
+    def test_differential_corpus(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "doc.json"
+        path.write_bytes(text)
+        self._orjson_inputs(monkeypatch, path)
+
+    @pytest.mark.parametrize("depth", [1, 7, 8, 9, 64, 1000])
+    @pytest.mark.parametrize("key", ["label", "d1"])
+    def test_nested_values(self, tmp_path, monkeypatch, depth, key):
+        path = tmp_path / "doc.json"
+        doc = {"label": "x", "d1": 1, "d2": 1, "basis": [[[1, 0]]]}
+        text = json.dumps({**doc, key: "nested"}).replace('"nested"', _nested(depth))
+        path.write_text(text)
+        assert self._orjson_inputs(monkeypatch, path) == []
+
+    @pytest.mark.parametrize("label", ["[[[", "]]", '\\"[', "\\\\"])
+    def test_labels_hold_brackets(self, tmp_path, monkeypatch, label):
+        # the array alone, as one list, whatever the label holds
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({**SINGLET_DOC, "label": label}, indent=2))
+        (text,) = self._orjson_inputs(monkeypatch, path)
+        assert json.loads(text) == sum(sum(SINGLET_DOC["basis"], []), [])
 
 
 class TestCollectorState:
